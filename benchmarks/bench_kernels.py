@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark the compiled utility-matrix kernel against the pure-Python one.
 
-Builds one large random scenario, encodes it once, then times
-utility_matrix for each measure on both backends and reports the speedup.
+Builds one large random environment with a crisp and a weighted society,
+encodes each once, then times utility_matrix for each measure on both
+backends and reports the speedup.  ``cardinal`` and ``normalized`` run on
+the crisp society, since the pipeline refuses them on weighted
+individuals; ``fuzzy`` runs on the weighted one.
 
     python benchmarks/bench_kernels.py --objectives 96 --alternatives 300 \
         --individuals 400 --repeat 5
@@ -25,18 +28,23 @@ MEASURES = ("cardinal", "normalized", "fuzzy")
 
 
 def build_scenario(rng, objectives, alternatives, individuals):
+    """Universe, environment, and a (crisp, weighted) pair of societies."""
     universe = Universe(tuple(f"g{i:03d}" for i in range(objectives)))
     pool = universe.objectives
     env = Environment(tuple(
         Alternative(f"alt{m}", universe.subset(
             rng.sample(pool, rng.randint(1, objectives))))
         for m in range(alternatives)))
-    soc = Society(tuple(
+    crisp = Society(tuple(
+        Individual.crisp(f"ind{n}", universe,
+                         rng.sample(pool, rng.randint(1, objectives)))
+        for n in range(individuals)))
+    weighted = Society(tuple(
         Individual(f"ind{n}", universe, {
             t: Fraction(rng.randint(1, 100), 100)
             for t in rng.sample(pool, rng.randint(1, objectives))})
         for n in range(individuals)))
-    return universe, env, soc
+    return universe, env, crisp, weighted
 
 
 def best_of(repeat, fn, *args):
@@ -58,13 +66,14 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    universe, env, soc = build_scenario(rng, args.objectives,
-                                        args.alternatives, args.individuals)
-    enc = encode(universe, env, soc)
-    cells = enc.individual_count * enc.alternative_count
+    universe, env, crisp, weighted = build_scenario(
+        rng, args.objectives, args.alternatives, args.individuals)
+    encodings = {"crisp": encode(universe, env, crisp),
+                 "weighted": encode(universe, env, weighted)}
+    cells = args.individuals * env.size
     print(f"scenario: {len(universe)} objectives, {env.size} alternatives, "
-          f"{soc.size} individuals ({cells} utility cells), "
-          f"int64_safe={enc.int64_safe}")
+          f"{args.individuals} individuals ({cells} utility cells), "
+          f"int64_safe={all(e.int64_safe for e in encodings.values())}")
     if not HAVE_FAST:
         print("compiled kernel not built; timing the pure kernel only")
 
@@ -72,6 +81,7 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for measure in MEASURES:
+        enc = encodings["weighted" if measure == "fuzzy" else "crisp"]
         pure = best_of(args.repeat, kernel_py.utility_matrix, enc, measure)
         if HAVE_FAST:
             fast = best_of(args.repeat, _fast_matrix, enc, measure)

@@ -1,18 +1,26 @@
 """Individual profiles, social aggregation, and ranking.
 
 A profile is one individual's utility vector over the environment's
-alternatives, in environment order.  A process bundles environment,
-society, all profiles, and the aggregator; evaluating it applies the
-aggregator column-wise (one social utility per alternative).  Batch
-profile construction runs through the integer kernel; the per-pair
-functions in :mod:`setchoice.measures` are the semantic reference and the
-two are held equal by the test suite.
+alternatives, in environment order.  Every utility of one individual is a
+ratio over one denominator (the support size for ``normalized``, the
+scaled weight total for ``fuzzy``, 1 for ``cardinal``), so a profile is
+held as an integer numerator row over that one positive denominator,
+exactly as the kernel returns it.  A process bundles environment, society,
+all profiles, and the aggregator; evaluating it applies the aggregator
+column-wise to the integer rows (one social utility per alternative).
+``Fraction``s are built only for the social values, and for a profile's
+``values`` when a caller reads them.  Batch profile construction runs
+through the integer kernel; the per-pair functions in
+:mod:`setchoice.measures` are the semantic reference and the two are held
+equal by the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Callable, Sequence
 
 from . import _core
@@ -31,13 +39,60 @@ from .universe import Universe
 FLOAT_TIE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class IndividualProfile:
+    """One individual's utilities: ``nums[m] / den`` for alternative m.
+
+    ``den`` is positive.  ``integral`` marks cardinal counts (then ``den``
+    is 1): ``values`` yields ints for those and Fractions otherwise,
+    built on first access.  ``IndividualProfile(id, values)`` puts
+    hand-made values over the lcm of their denominators.
+    """
+
     individual_id: str
-    values: tuple[int | Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+    integral: bool
+
+    def __init__(self, individual_id: str, values: Sequence[int | Fraction]):
+        values = tuple(values)
+        ratios = [Fraction(v) for v in values]
+        den = lcm(*(r.denominator for r in ratios))
+        # frozen: fill the instance dict directly, ``values`` included
+        self.__dict__.update(
+            individual_id=individual_id,
+            nums=tuple(r.numerator * (den // r.denominator) for r in ratios),
+            den=den, integral=all(isinstance(v, int) for v in values),
+            values=values)
+
+    @classmethod
+    def from_row(cls, individual_id: str, nums: Sequence[int], den: int,
+                 integral: bool) -> "IndividualProfile":
+        """A profile straight from a kernel row; ``values`` stays unbuilt."""
+        profile = cls.__new__(cls)
+        profile.__dict__.update(individual_id=individual_id, nums=tuple(nums),
+                                den=den, integral=integral)
+        return profile
+
+    @cached_property
+    def values(self) -> tuple[int | Fraction, ...]:
+        if self.integral:
+            return self.nums
+        return tuple(Fraction(num, self.den) for num in self.nums)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.nums)
+
+    def __eq__(self, other):
+        if not isinstance(other, IndividualProfile):
+            return NotImplemented
+        return (self.individual_id == other.individual_id
+                and len(self.nums) == len(other.nums)
+                and all(a * other.den == b * self.den
+                        for a, b in zip(self.nums, other.nums)))
+
+    def __hash__(self):
+        return hash((self.individual_id, self.values))
 
 
 @dataclass(frozen=True)
@@ -51,26 +106,47 @@ class SocialProfile:
         return len(self.values)
 
 
-def _mean(values: Sequence[int | Fraction]) -> Fraction:
-    return Fraction(sum(values)) / len(values)
+def exact_mean(rows: Sequence[Sequence[int]],
+               dens: Sequence[int]) -> tuple[Fraction, ...]:
+    """Column means of the matrix ``rows[i][m] / dens[i]``, exactly.
+
+    Rows sharing a denominator are summed as plain ints; each group's sums
+    are scaled to the lcm L of the distinct denominators, so only the M
+    results ``total[m] / (L * N)`` become Fractions.
+    """
+    groups: dict[int, list[Sequence[int]]] = {}
+    for row, den in zip(rows, dens):
+        groups.setdefault(den, []).append(row)
+    common = lcm(*groups)
+    totals = [0] * len(rows[0])
+    for den, members in groups.items():
+        scale = common // den
+        totals = [t + scale * s for t, s in zip(totals, map(sum, zip(*members)))]
+    count = common * len(rows)
+    return tuple(Fraction(t, count) for t in totals)
 
 
 @dataclass(frozen=True)
 class Aggregator:
-    """A named reduction of N individual utilities to one social utility.
+    """A named reduction of N individual utility rows to M social utilities.
 
-    Only the arithmetic mean ships; the registry is the extension point.
+    ``fn(rows, dens)`` receives integer numerator rows with one positive
+    denominator per row.  Only the arithmetic mean ships; the registry is
+    the extension point.
     """
 
     name: str
-    fn: Callable[[Sequence[int | Fraction]], Fraction]
+    fn: Callable[[Sequence[Sequence[int]], Sequence[int]], tuple[Fraction, ...]]
 
     def __call__(self, values: Sequence[int | Fraction]) -> Fraction:
-        return self.fn(values)
+        """Reduce one column of utilities."""
+        ratios = [Fraction(v) for v in values]
+        return self.fn([(r.numerator,) for r in ratios],
+                       [r.denominator for r in ratios])[0]
 
 
 AGGREGATORS: dict[str, Aggregator] = {
-    "mean": Aggregator("mean", _mean),
+    "mean": Aggregator("mean", exact_mean),
 }
 
 
@@ -168,24 +244,21 @@ def build_process(measure: UtilityMeasure | str, aggregator: str | Aggregator,
 
     enc = _core.encode(universe, environment, society)
     nums, dens = _core.utility_matrix(enc, measure.value)
-    profiles = []
-    for individual, num_row, den in zip(society.individuals, nums, dens):
-        if measure is UtilityMeasure.CARDINAL:
-            values: tuple[int | Fraction, ...] = tuple(num_row)
-        else:
-            values = tuple(Fraction(num, den) for num in num_row)
-        profiles.append(IndividualProfile(individual.id, values))
-    return EvaluationProcess(environment, society, tuple(profiles),
-                             aggregator, measure)
+    integral = measure is UtilityMeasure.CARDINAL
+    profiles = tuple(
+        IndividualProfile.from_row(individual.id, num_row, den, integral)
+        for individual, num_row, den in zip(society.individuals, nums, dens))
+    return EvaluationProcess(environment, society, profiles, aggregator, measure)
 
 
 def evaluate(process: EvaluationProcess) -> SocialProfile:
-    """Apply the aggregator per alternative across all individual profiles."""
-    columns = zip(*(profile.values for profile in process.profiles))
-    values = tuple(process.aggregator(column) for column in columns)
-    out_of_domain = any(v < 0 or v > 1
-                        for profile in process.profiles
-                        for v in profile.values)
+    """Apply the aggregator per alternative across all individual profiles;
+    flag any utility outside [0, 1]."""
+    rows = [profile.nums for profile in process.profiles]
+    dens = [profile.den for profile in process.profiles]
+    values = process.aggregator.fn(rows, dens)
+    out_of_domain = any(row and (min(row) < 0 or max(row) > den)
+                        for row, den in zip(rows, dens))
     return SocialProfile(values=values, measure=process.measure,
                          aggregator=process.aggregator.name,
                          out_of_domain=out_of_domain)

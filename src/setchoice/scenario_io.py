@@ -29,6 +29,7 @@ from fractions import Fraction
 from .errors import ScenarioError
 from .evaluation import (
     EvaluationProcess,
+    IndividualProfile,
     Ranking,
     SocialProfile,
     build_process,
@@ -412,16 +413,25 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
 # number rendering
 
 
+def format_ratio(num: int, den: int, digits: int = DEFAULT_PRECISION) -> str:
+    """Exact fixed-point rendering of ``num / den`` (``den > 0``), rounded
+    half to even, in integer arithmetic only."""
+    scale = 10 ** digits if digits > 0 else 1
+    scaled, rest = divmod(num * scale, den)
+    rest += rest
+    if rest > den or (rest == den and scaled & 1):
+        scaled += 1
+    if digits <= 0:
+        return str(scaled)
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(scaled), scale)
+    return f"{sign}{whole}.{frac:0{digits}d}"
+
+
 def format_decimal(value, digits: int = DEFAULT_PRECISION) -> str:
     """Exact fixed-point rendering of a rational (round half to even)."""
     f = Fraction(value)
-    if digits <= 0:
-        return str(round(f))
-    scale = 10 ** digits
-    scaled = round(f * scale)
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    return f"{sign}{scaled // scale}.{scaled % scale:0{digits}d}"
+    return format_ratio(f.numerator, f.denominator, digits)
 
 
 def format_utility(value, precision: int = DEFAULT_PRECISION) -> str:
@@ -433,6 +443,14 @@ def format_utility(value, precision: int = DEFAULT_PRECISION) -> str:
     if isinstance(value, float):
         return f"{value:.{precision}f}"
     return format_decimal(value, precision)
+
+
+def _profile_cells(profile: IndividualProfile, precision: int) -> list[str]:
+    """One profile's rendered utilities, formatted from its integer row."""
+    if profile.integral:
+        return [str(num) for num in profile.nums]
+    den = profile.den
+    return [format_ratio(num, den, precision) for num in profile.nums]
 
 
 # ---------------------------------------------------------------------------
@@ -607,21 +625,19 @@ def render_utilities(scenario: Scenario, measure: UtilityMeasure | str,
             "precision": precision,
             "utilities": [
                 {"individual": p.individual_id,
-                 "values": {a: format_utility(v, precision)
-                            for a, v in zip(alt_ids, p.values)}}
+                 "values": dict(zip(alt_ids, _profile_cells(p, precision)))}
                 for p in process.profiles
             ],
         })
     if output_format == "csv":
-        rows = [(p.individual_id, a, format_utility(v, precision))
+        rows = [(p.individual_id, a, cell)
                 for p in process.profiles
-                for a, v in zip(alt_ids, p.values)]
+                for a, cell in zip(alt_ids, _profile_cells(p, precision))]
         return _csv_text(("individual", "alternative", "value"), rows)
     lines = [f"utilities (measure={measure.value})"]
     rows = [("individual",) + alt_ids]
     for p in process.profiles:
-        rows.append((p.individual_id,)
-                    + tuple(format_utility(v, precision) for v in p.values))
+        rows.append((p.individual_id, *_profile_cells(p, precision)))
     lines.extend(_columns(rows))
     return "\n".join(lines) + "\n"
 
@@ -686,8 +702,7 @@ def render_report(result: PipelineResult, output_format: str = "table",
             },
             "profiles": [
                 {"individual": p.individual_id,
-                 "values": {a: format_utility(v, precision)
-                            for a, v in zip(alt_ids, p.values)}}
+                 "values": dict(zip(alt_ids, _profile_cells(p, precision)))}
                 for p in result.process.profiles
             ],
             "social_profile": {
@@ -698,10 +713,9 @@ def render_report(result: PipelineResult, output_format: str = "table",
             "ranking": _ranking_payload(result.ranking, precision),
         })
     if output_format == "csv":
-        rows = [("profile", p.individual_id, a,
-                 format_utility(v, precision), "")
+        rows = [("profile", p.individual_id, a, cell, "")
                 for p in result.process.profiles
-                for a, v in zip(alt_ids, p.values)]
+                for a, cell in zip(alt_ids, _profile_cells(p, precision))]
         rows += [("social", "", a, format_utility(v, precision), "")
                  for a, v in zip(alt_ids, result.social.values)]
         rows += [("rank", "", alt_id, value, str(tier))
@@ -721,8 +735,7 @@ def render_report(result: PipelineResult, output_format: str = "table",
     lines.append("individual profiles:")
     rows = [("individual",) + alt_ids]
     for p in result.process.profiles:
-        rows.append((p.individual_id,)
-                    + tuple(format_utility(v, precision) for v in p.values))
+        rows.append((p.individual_id, *_profile_cells(p, precision)))
     lines.extend(_columns(rows))
     lines.append("")
     lines.append(f"social profile ({result.aggregator}):")

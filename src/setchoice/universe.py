@@ -18,13 +18,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def check_token(token: object, what: str = "objective") -> str:
-    """Validate a symbolic token: a non-empty string without whitespace."""
+    """Validate a symbolic token: a non-empty string of printable,
+    non-whitespace characters (reports echo tokens verbatim)."""
     if not isinstance(token, str):
         raise ScenarioError(f"{what} name must be a string, got {type(token).__name__}")
     if not token:
         raise ScenarioError(f"{what} name must be non-empty")
     if any(c.isspace() for c in token):
         raise ScenarioError(f"{what} name {token!r} contains whitespace")
+    if not token.isprintable():
+        raise ScenarioError(f"{what} name {token!r} contains a non-printable character")
     return token
 
 

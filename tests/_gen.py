@@ -123,6 +123,19 @@ def oracle_mean(values) -> Fraction:
     return total / len(values)
 
 
+def reference_format_decimal(value, digits: int) -> str:
+    """Fixed-point rendering through Fraction rounding (round half to even),
+    the reference for the library's integer formatter."""
+    f = Fraction(value)
+    if digits <= 0:
+        return str(round(f))
+    scale = 10 ** digits
+    scaled = round(f * scale)
+    sign = "-" if scaled < 0 else ""
+    scaled = abs(scaled)
+    return f"{sign}{scaled // scale}.{scaled % scale:0{digits}d}"
+
+
 def oracle_ranking(ids, values) -> list[list[str]]:
     """Comparison-sort grouping: decreasing value, ids sorted inside groups."""
     pairs = sorted(zip(ids, values), key=lambda p: (-p[1], p[0]))

@@ -26,6 +26,7 @@ EXPECTED_LOCATIONS = {
     "duplicate_individual_id.json": "individuals[1].id",
     "membership_and_requires.json": "individuals[0]",
     "token_whitespace.json": "universe[1]",
+    "token_control_character.json": "alternatives[1].id",
 }
 
 
@@ -85,6 +86,22 @@ class TestPipelineVerbs:
                    "--measure", "fuzzy", "--format", "csv", "--precision", "3")
         assert proc.returncode == 0
         assert "0.600" in proc.stdout and "0.600000" not in proc.stdout
+
+    def test_pure_pipeline_never_imports_numpy(self):
+        """Importing numpy would cost more start-up time and memory than a
+        whole small run, so the pure pipeline must not touch it."""
+        code = ("import sys\n"
+                "sys.modules['setchoice._core._fast'] = None  # not built\n"
+                "from setchoice import _core, cli\n"
+                "assert not _core.HAVE_FAST\n"
+                "rc = cli.main(sys.argv[1:])\n"
+                "print(rc, 'numpy' in sys.modules)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "rank", str(SCENARIOS / "crisp_pair.json"),
+             "--measure", "normalized"],
+            capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_json_report_structure(self):
         proc = cli("evaluate", str(SCENARIOS / "crisp_pair.json"),

@@ -25,6 +25,7 @@ from setchoice import (
     individual_profile,
     rank,
 )
+from setchoice._core import encode
 
 from _gen import oracle_mean, oracle_ranking, random_scenario_parts
 
@@ -46,6 +47,30 @@ def reference(greek):
 def make_social(values, measure=UtilityMeasure.NORMALIZED, aggregator="mean"):
     return SocialProfile(values=tuple(values), measure=measure,
                          aggregator=aggregator)
+
+
+def mean_oracle_edge_cases():
+    """(measure, scenario parts) that stress the integer-row mean."""
+    u = Universe(tuple(f"g{i}" for i in range(6)))
+    env = Environment((Alternative("lo", u.subset(["g0"])),
+                       Alternative("mid", u.subset(["g0", "g2", "g4"])),
+                       Alternative("all", u.subset(u.objectives))))
+    # weights far beyond 64-bit once scaled to one integer denominator
+    huge = Society((
+        Individual("p", u, {"g0": Fraction(1, 10 ** 20), "g1": Fraction(1, 3)}),
+        Individual("q", u, {"g2": Fraction(7, 10 ** 21), "g4": Fraction(1)}),
+        Individual("r", u, {"g0": Fraction(1, 2)})))
+    assert not encode(u, env, huge).int64_safe
+    # supports of sizes 1..6, so every row has its own denominator
+    nested = Society(tuple(Individual.crisp(f"n{k}", u, u.objectives[:k])
+                           for k in range(1, 7)))
+    assert len({len(ind.support) for ind in nested.individuals}) == 6
+    # cardinal counts: above 1 for "mid"/"all", and all within [0, 1]
+    singles = Society(tuple(Individual.crisp(f"s{k}", u, [t])
+                            for k, t in enumerate(u.objectives)))
+    return [("fuzzy", (u, env, huge)), ("normalized", (u, env, nested)),
+            ("fuzzy", (u, env, nested)), ("cardinal", (u, env, nested)),
+            ("cardinal", (u, env, singles))]
 
 
 class TestIndividualProfile:
@@ -165,14 +190,18 @@ class TestEvaluate:
 
     def test_matches_mean_oracle(self):
         rng = random.Random(303)
-        for _ in range(150):
-            u, env, soc = random_scenario_parts(rng, max_alternatives=6,
-                                                max_individuals=6)
-            process = build_process("fuzzy", "mean", env, soc, u)
+        cases = [("fuzzy", random_scenario_parts(rng, max_alternatives=6,
+                                                 max_individuals=6))
+                 for _ in range(150)]
+        cases += mean_oracle_edge_cases()
+        for measure, (u, env, soc) in cases:
+            process = build_process(measure, "mean", env, soc, u)
             social = evaluate(process)
             for m in range(env.size):
                 column = [p.values[m] for p in process.profiles]
                 assert social.values[m] == oracle_mean(column)
+            assert social.out_of_domain == any(
+                v < 0 or v > 1 for p in process.profiles for v in p.values)
 
     def test_mean_within_bounds(self):
         rng = random.Random(304)

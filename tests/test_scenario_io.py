@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setchoice import (
     Scenario,
@@ -16,12 +18,15 @@ from setchoice import (
 )
 from setchoice.scenario_io import (
     compute_pipeline,
+    format_ratio,
     render_ranking,
     render_report,
     render_universes,
     render_utilities,
     render_validation,
 )
+
+from _gen import reference_format_decimal
 
 ROOT = Path(__file__).resolve().parents[1]
 INVALID_DIR = Path(__file__).resolve().parent / "data" / "invalid"
@@ -98,6 +103,7 @@ EXPECTED_LOCATIONS = {
     "duplicate_individual_id.json": "individuals[1].id",
     "membership_and_requires.json": "individuals[0]",
     "token_whitespace.json": "universe[1]",
+    "token_control_character.json": "alternatives[1].id",
 }
 
 
@@ -132,6 +138,17 @@ class TestNumberFormatting:
     ])
     def test_format_decimal(self, value, digits, expected):
         assert format_decimal(value, digits) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(num=st.integers(-10 ** 40, 10 ** 40), den=st.integers(1, 10 ** 30),
+           digits=st.integers(0, 18), tie=st.booleans())
+    def test_integer_formatter_matches_fraction_reference(self, num, den,
+                                                          digits, tie):
+        if tie:  # an exact half one place past the last digit, unreduced
+            num, den = (2 * num + 1) * den, 2 * 10 ** digits * den
+        expected = reference_format_decimal(Fraction(num, den), digits)
+        assert format_ratio(num, den, digits) == expected
+        assert format_decimal(Fraction(num, den), digits) == expected
 
     def test_format_utility_keeps_counts_integral(self):
         assert format_utility(3) == "3"

@@ -51,7 +51,8 @@ class TestUniverse:
         with pytest.raises(ScenarioError, match="duplicate objective"):
             Universe(("a", "b", "a"))
 
-    @pytest.mark.parametrize("token", ["", "a b", "a\tb", "x\n", 7])
+    @pytest.mark.parametrize("token", ["", "a b", "a\tb", "x\n", 7,
+                                       "a\x00b", "\x1b[31m", "a\u200bb"])
     def test_rejects_bad_tokens(self, token):
         with pytest.raises(ScenarioError):
             Universe(("ok", token))
