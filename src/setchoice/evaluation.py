@@ -12,7 +12,12 @@ column-wise to the integer rows (one social utility per alternative).
 ``values`` when a caller reads them.  Batch profile construction runs
 through the integer kernel; the per-pair functions in
 :mod:`setchoice.measures` are the semantic reference and the two are held
-equal by the test suite.
+equal by the test suite.  Before the kernel runs, ``build_process`` checks
+each individual against the measure's domain rules, the ones the per-pair
+functions apply: ``cardinal`` and ``normalized`` need a crisp individual
+with a non-empty support, ``fuzzy`` a non-empty support (positive weight
+total).  The first failing individual in society order is reported at the
+first alternative, as the per-pair path would report it.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .measures import (
     Individual,
     Society,
     UtilityMeasure,
+    _check_domain,
     utility,
 )
 from .universe import Universe
@@ -224,8 +230,7 @@ def _precheck(measure: UtilityMeasure, society: Society,
     first = environment.alternatives[0].id
     for individual in society.individuals:
         try:
-            utility(measure, environment.alternatives[0], individual,
-                    environment.universe)
+            _check_domain(measure, individual)
         except MeasureError as err:
             raise err.with_context(individual_id=individual.id,
                                    alternative_id=first) from None

@@ -253,17 +253,25 @@ def _check_pair(alternative: Alternative, individual: Individual) -> None:
             f"'{individual.id}' use different universes")
 
 
-def _require_crisp(individual: Individual, measure: str) -> frozenset[str]:
+def _check_domain(measure: UtilityMeasure, individual: Individual) -> None:
+    """Raise the error ``measure`` gives for ``individual`` whatever the
+    alternative: the crisp measures need a crisp individual with a
+    non-empty support, ``fuzzy`` needs a positive weight total."""
+    if measure is UtilityMeasure.FUZZY:
+        if not individual.support:  # stored weights are all positive
+            raise ZeroMembershipMass("membership weights sum to zero",
+                                     individual_id=individual.id)
+        return
     if not individual.is_crisp:
+        name = ("cardinal" if measure is UtilityMeasure.CARDINAL
+                else "normalized cardinal")
         raise NonCrispIndividual(
-            f"{measure} utility is defined only for crisp individuals "
+            f"{name} utility is defined only for crisp individuals "
             "(all weights 0 or 1)",
             individual_id=individual.id)
-    support = individual.support
-    if not support:
+    if not individual.support:
         raise EmptyIndividual("individual requires no objectives",
                               individual_id=individual.id)
-    return support
 
 
 def cardinal_utility(alternative: Alternative, individual: Individual) -> int:
@@ -273,8 +281,8 @@ def cardinal_utility(alternative: Alternative, individual: Individual) -> int:
     rather than silently thresholded.
     """
     _check_pair(alternative, individual)
-    support = _require_crisp(individual, "cardinal")
-    return len(alternative.offers.members & support)
+    _check_domain(UtilityMeasure.CARDINAL, individual)
+    return len(alternative.offers.members & individual.support)
 
 
 def normalized_cardinal_utility(alternative: Alternative,
@@ -282,7 +290,8 @@ def normalized_cardinal_utility(alternative: Alternative,
     """Offered-required overlap divided by the number of required
     objectives; 1 means every requirement is met, 0 means none is."""
     _check_pair(alternative, individual)
-    support = _require_crisp(individual, "normalized cardinal")
+    _check_domain(UtilityMeasure.NORMALIZED, individual)
+    support = individual.support
     return Fraction(len(alternative.offers.members & support), len(support))
 
 
@@ -293,12 +302,9 @@ def fuzzy_utility(alternative: Alternative, individual: Individual,
     _check_pair(alternative, individual)
     if alternative.universe != universe:
         raise ScenarioError("alternative does not belong to the given universe")
-    total = individual.mass
-    if total == 0:
-        raise ZeroMembershipMass("membership weights sum to zero",
-                                 individual_id=individual.id)
+    _check_domain(UtilityMeasure.FUZZY, individual)
     covered = sum((individual.mu(t) for t in alternative.offers.members), ZERO)
-    return covered / total
+    return covered / individual.mass
 
 
 def utility(measure: UtilityMeasure | str, alternative: Alternative,

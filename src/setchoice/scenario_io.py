@@ -38,6 +38,7 @@ from .evaluation import (
     rank,
 )
 from .measures import (
+    ONE,
     Alternative,
     Environment,
     Individual,
@@ -141,6 +142,12 @@ def _warn(findings, location, message):
     findings.append(Finding(WARNING, location, message))
 
 
+def _shown(text: str) -> str:
+    """Input text as a finding quotes it: unchanged when printable, else
+    escaped, so no control character reaches a terminal."""
+    return text if text.isprintable() else repr(text)[1:-1]
+
+
 def _check_token_finding(findings, value, location, what) -> bool:
     try:
         check_token(value, what)
@@ -150,98 +157,126 @@ def _check_token_finding(findings, value, location, what) -> bool:
         return False
 
 
+def _check_declared(findings, token, location, known) -> bool:
+    if token in known:
+        return True
+    _err(findings, location, f"unknown objective '{_shown(token)}'")
+    return False
+
+
+def _check_present(findings, obj, key, location) -> bool:
+    if key in obj:
+        return True
+    _err(findings, location, f"missing required key '{key}'")
+    return False
+
+
+def _warn_unknown_keys(findings, obj, allowed, prefix="") -> None:
+    for key in obj:
+        if key not in allowed:
+            shown = _shown(key)
+            _warn(findings, prefix + shown, f"unknown key '{shown}'")
+
+
 def _valid_weight(value) -> Fraction | None:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         return None
     return Fraction(value)
 
 
-def _validate_universe(doc, findings) -> list[str]:
-    declared: list[str] = []
-    if "universe" not in doc:
-        _err(findings, "universe", "missing required key 'universe'")
-        return declared
-    raw = doc["universe"]
+def _top_array(doc, key, not_array, empty, findings) -> list:
+    """``doc[key]`` when it is a non-empty array; else an error at ``key``
+    and no entries."""
+    if not _check_present(findings, doc, key, key):
+        return []
+    raw = doc[key]
     if not isinstance(raw, list):
-        _err(findings, "universe", "'universe' must be an array of objective names")
-        return declared
+        _err(findings, key, not_array)
+        return []
     if not raw:
-        _err(findings, "universe", "empty universe: declare at least one objective")
-        return declared
-    seen = set()
+        _err(findings, key, empty)
+    return raw
+
+
+def _entries(raw, section, what, allowed, findings):
+    """Yield ``(location, entry, id)`` for each entry of ``raw`` that is an
+    object with a valid id not seen before; report the others."""
+    ids = set()
+    for i, entry in enumerate(raw):
+        loc = f"{section}[{i}]"
+        if not isinstance(entry, dict):
+            _err(findings, loc, f"{what} must be an object")
+            continue
+        _warn_unknown_keys(findings, entry, allowed, f"{loc}.")
+        if not _check_present(findings, entry, "id", loc):
+            continue
+        entry_id = entry["id"]
+        if not _check_token_finding(findings, entry_id, f"{loc}.id", f"{what} id"):
+            continue
+        if entry_id in ids:
+            _err(findings, f"{loc}.id", f"duplicate {what} id '{entry_id}'")
+            continue
+        ids.add(entry_id)
+        yield loc, entry, entry_id
+
+
+def _objective_list(entry, key, loc, empty, known, findings) -> list[str] | None:
+    """The distinct objectives of the array ``entry[key]`` in order, warning
+    on repeats; None if it is not a non-empty array of declared objectives."""
+    raw = entry[key]
+    loc = f"{loc}.{key}"
+    if not isinstance(raw, list):
+        _err(findings, loc, f"'{key}' must be an array of objective names")
+        return None
+    if not raw:
+        _err(findings, loc, empty)
+        return None
+    members: dict[str, None] = {}
+    bad = False
+    for j, token in enumerate(raw):
+        tloc = f"{loc}[{j}]"
+        if not isinstance(token, str):
+            _err(findings, tloc, "objective name must be a string")
+            bad = True
+        elif not _check_declared(findings, token, tloc, known):
+            bad = True
+        elif token in members:
+            _warn(findings, tloc, f"objective '{token}' listed twice")
+        else:
+            members[token] = None
+    return None if bad else list(members)
+
+
+def _validate_universe(doc, findings) -> list[str]:
+    raw = _top_array(doc, "universe",
+                     "'universe' must be an array of objective names",
+                     "empty universe: declare at least one objective", findings)
+    declared: dict[str, None] = {}
     for i, token in enumerate(raw):
         loc = f"universe[{i}]"
         if not _check_token_finding(findings, token, loc, "objective"):
             continue
-        if token in seen:
+        if token in declared:
             _err(findings, loc, f"duplicate objective '{token}'")
             continue
-        seen.add(token)
-        declared.append(token)
-    return declared
+        declared[token] = None
+    return list(declared)
 
 
-def _validate_alternatives(doc, declared, findings) -> list[tuple[str, tuple[str, ...]]]:
-    out: list[tuple[str, tuple[str, ...]]] = []
-    if "alternatives" not in doc:
-        _err(findings, "alternatives", "missing required key 'alternatives'")
-        return out
-    raw = doc["alternatives"]
-    if not isinstance(raw, list):
-        _err(findings, "alternatives", "'alternatives' must be an array")
-        return out
-    if not raw:
-        _err(findings, "alternatives", "environment must contain at least one alternative")
-        return out
-    ids = set()
-    known = set(declared)
-    for i, entry in enumerate(raw):
-        loc = f"alternatives[{i}]"
-        if not isinstance(entry, dict):
-            _err(findings, loc, "alternative must be an object")
+def _validate_alternatives(doc, known, findings) -> list[tuple[str, list[str]]]:
+    raw = _top_array(doc, "alternatives", "'alternatives' must be an array",
+                     "environment must contain at least one alternative",
+                     findings)
+    out = []
+    for loc, entry, alt_id in _entries(raw, "alternatives", "alternative",
+                                       ("id", "offers"), findings):
+        if not _check_present(findings, entry, "offers", loc):
             continue
-        for key in entry:
-            if key not in ("id", "offers"):
-                _warn(findings, f"{loc}.{key}", f"unknown key '{key}'")
-        if "id" not in entry:
-            _err(findings, loc, "missing required key 'id'")
-            continue
-        alt_id = entry["id"]
-        if not _check_token_finding(findings, alt_id, f"{loc}.id", "alternative id"):
-            continue
-        if alt_id in ids:
-            _err(findings, f"{loc}.id", f"duplicate alternative id '{alt_id}'")
-            continue
-        ids.add(alt_id)
-        if "offers" not in entry:
-            _err(findings, loc, "missing required key 'offers'")
-            continue
-        offers = entry["offers"]
-        if not isinstance(offers, list):
-            _err(findings, f"{loc}.offers", "'offers' must be an array of objective names")
-            continue
-        if not offers:
-            _err(findings, f"{loc}.offers",
-                 f"alternative '{alt_id}' offers no objectives")
-            continue
-        members: list[str] = []
-        bad = False
-        for j, token in enumerate(offers):
-            tloc = f"{loc}.offers[{j}]"
-            if not isinstance(token, str):
-                _err(findings, tloc, "objective name must be a string")
-                bad = True
-                continue
-            if token not in known:
-                _err(findings, tloc, f"unknown objective '{token}'")
-                bad = True
-                continue
-            if token in members:
-                _warn(findings, tloc, f"objective '{token}' listed twice")
-                continue
-            members.append(token)
-        if not bad:
-            out.append((alt_id, tuple(members)))
+        members = _objective_list(entry, "offers", loc,
+                                  f"alternative '{alt_id}' offers no objectives",
+                                  known, findings)
+        if members is not None:
+            out.append((alt_id, members))
     return out
 
 
@@ -252,9 +287,8 @@ def _validate_membership(raw, loc, known, findings) -> dict[str, Fraction] | Non
     mu: dict[str, Fraction] = {}
     bad = False
     for token, value in raw.items():
-        tloc = f"{loc}.{token}"
-        if token not in known:
-            _err(findings, tloc, f"unknown objective '{token}'")
+        tloc = f"{loc}.{_shown(token)}"
+        if not _check_declared(findings, token, tloc, known):
             bad = True
             continue
         weight = _valid_weight(value)
@@ -276,68 +310,21 @@ def _validate_membership(raw, loc, known, findings) -> dict[str, Fraction] | Non
     return mu
 
 
-def _validate_individuals(doc, declared, findings) -> list[tuple[str, dict[str, Fraction]]]:
-    out: list[tuple[str, dict[str, Fraction]]] = []
-    if "individuals" not in doc:
-        _err(findings, "individuals", "missing required key 'individuals'")
-        return out
-    raw = doc["individuals"]
-    if not isinstance(raw, list):
-        _err(findings, "individuals", "'individuals' must be an array")
-        return out
-    if not raw:
-        _err(findings, "individuals", "society must contain at least one individual")
-        return out
-    ids = set()
-    known = set(declared)
-    for i, entry in enumerate(raw):
-        loc = f"individuals[{i}]"
-        if not isinstance(entry, dict):
-            _err(findings, loc, "individual must be an object")
-            continue
-        for key in entry:
-            if key not in ("id", "membership", "requires"):
-                _warn(findings, f"{loc}.{key}", f"unknown key '{key}'")
-        if "id" not in entry:
-            _err(findings, loc, "missing required key 'id'")
-            continue
-        ind_id = entry["id"]
-        if not _check_token_finding(findings, ind_id, f"{loc}.id", "individual id"):
-            continue
-        if ind_id in ids:
-            _err(findings, f"{loc}.id", f"duplicate individual id '{ind_id}'")
-            continue
-        ids.add(ind_id)
-        has_membership = "membership" in entry
-        has_requires = "requires" in entry
-        if has_membership == has_requires:
+def _validate_individuals(doc, known, findings) -> list[tuple[str, dict[str, Fraction]]]:
+    raw = _top_array(doc, "individuals", "'individuals' must be an array",
+                     "society must contain at least one individual", findings)
+    out = []
+    for loc, entry, ind_id in _entries(raw, "individuals", "individual",
+                                       ("id", "membership", "requires"), findings):
+        if ("membership" in entry) == ("requires" in entry):
             _err(findings, loc,
                  "exactly one of 'membership' or 'requires' must be given")
             continue
-        if has_requires:
-            requires = entry["requires"]
-            rloc = f"{loc}.requires"
-            if not isinstance(requires, list):
-                _err(findings, rloc, "'requires' must be an array of objective names")
-                continue
-            if not requires:
-                _err(findings, rloc,
-                     "empty support: individual requires no objectives")
-                continue
-            mu: dict[str, Fraction] | None = {}
-            for j, token in enumerate(requires):
-                tloc = f"{rloc}[{j}]"
-                if not isinstance(token, str):
-                    _err(findings, tloc, "objective name must be a string")
-                    mu = None
-                elif token not in known:
-                    _err(findings, tloc, f"unknown objective '{token}'")
-                    mu = None
-                elif mu is not None:
-                    if token in mu:
-                        _warn(findings, tloc, f"objective '{token}' listed twice")
-                    else:
-                        mu[token] = Fraction(1)
+        if "requires" in entry:
+            required = _objective_list(
+                entry, "requires", loc,
+                "empty support: individual requires no objectives", known, findings)
+            mu = None if required is None else dict.fromkeys(required, ONE)
         else:
             mu = _validate_membership(entry["membership"], f"{loc}.membership",
                                       known, findings)
@@ -378,9 +365,9 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
                          parse_constant=_reject_constant,
                          object_pairs_hook=_pairs_hook)
     except _DuplicateKey as exc:
-        _err(findings, "$", f"duplicate key '{exc.key}'")
+        _err(findings, "$", f"duplicate key '{_shown(exc.key)}'")
         return None, ValidationReport(tuple(findings))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         _err(findings, "$", f"invalid JSON: {exc}")
         return None, ValidationReport(tuple(findings))
 
@@ -388,13 +375,11 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
         _err(findings, "$", "scenario must be a JSON object")
         return None, ValidationReport(tuple(findings))
 
-    for key in doc:
-        if key not in ("universe", "alternatives", "individuals"):
-            _warn(findings, key, f"unknown key '{key}'")
-
+    _warn_unknown_keys(findings, doc, ("universe", "alternatives", "individuals"))
     declared = _validate_universe(doc, findings)
-    alternatives = _validate_alternatives(doc, declared, findings)
-    individuals = _validate_individuals(doc, declared, findings)
+    known = set(declared)
+    alternatives = _validate_alternatives(doc, known, findings)
+    individuals = _validate_individuals(doc, known, findings)
 
     if any(f.severity == ERROR for f in findings):
         return None, ValidationReport(tuple(findings))
@@ -529,28 +514,21 @@ def _columns(rows: list[tuple[str, ...]]) -> list[str]:
             for row in rows]
 
 
-def _members_line(objective_set: ObjectiveSet) -> str:
-    members = objective_set.ordered()
-    return " ".join(members) if members else "(none)"
-
-
 def render_validation(report: ValidationReport, output_format: str = "table") -> str:
     _check_format(output_format)
+    rows = [(f.severity, f.location, f.message) for f in report.findings]
     if output_format == "json":
         return _json_text({
             "ok": report.ok,
             "errors": len(report.errors),
             "warnings": len(report.warnings),
             "findings": [
-                {"severity": f.severity, "location": f.location,
-                 "message": f.message}
-                for f in report.findings
+                {"severity": severity, "location": location, "message": message}
+                for severity, location, message in rows
             ],
         })
     if output_format == "csv":
-        return _csv_text(("severity", "location", "message"),
-                         [(f.severity, f.location, f.message)
-                          for f in report.findings])
+        return _csv_text(("severity", "location", "message"), rows)
     lines = []
     if report.ok:
         lines.append("OK: scenario is valid"
@@ -559,56 +537,96 @@ def render_validation(report: ValidationReport, output_format: str = "table") ->
     else:
         lines.append(f"INVALID: {len(report.errors)} error(s), "
                      f"{len(report.warnings)} warning(s)")
-    rows = [(f.severity, f.location, f.message) for f in report.findings]
     lines.extend(_columns(rows))
     return "\n".join(lines) + "\n"
 
 
-def _universe_sets(scenario: Scenario):
-    opportunity = opportunity_universe(scenario.environment)
-    exigence = exigence_universe(scenario.society)
-    partition = partition_universe(scenario.environment, scenario.society)
-    return opportunity, exigence, partition
+# Each report section is built once as its json payload; the csv records
+# and table lines of a section are projections of that payload.
+
+
+def _universes_section(universe: Universe, opportunity: ObjectiveSet,
+                       exigence: ObjectiveSet, partition: UniversePartition):
+    return {
+        "universe": list(universe.objectives),
+        "opportunity_universe": list(opportunity.ordered()),
+        "exigence_universe": list(exigence.ordered()),
+        "partition": {
+            "offered_only": list(partition.offered_only.ordered()),
+            "requested_only": list(partition.requested_only.ordered()),
+            "matched": list(partition.matched.ordered()),
+        },
+    }
+
+
+def _universes_lines(section) -> list[str]:
+    def line(label, members):
+        return f"{label} ({len(members)}): {' '.join(members) or '(none)'}"
+
+    parts = section["partition"]
+    return [line("universe", section["universe"]),
+            line("opportunity universe", section["opportunity_universe"]),
+            line("exigence universe", section["exigence_universe"]),
+            "partition:",
+            line("  offered only", parts["offered_only"]),
+            line("  requested only", parts["requested_only"]),
+            line("  matched", parts["matched"])]
+
+
+def _profiles_section(profiles, alt_ids, precision: int):
+    return [{"individual": p.individual_id,
+             "values": dict(zip(alt_ids, _profile_cells(p, precision)))}
+            for p in profiles]
+
+
+def _profiles_records(section):
+    """(individual, alternative, value) per cell."""
+    return [(p["individual"], alt_id, value)
+            for p in section for alt_id, value in p["values"].items()]
+
+
+def _profiles_lines(section, alt_ids) -> list[str]:
+    return _columns([("individual", *alt_ids)]
+                    + [(p["individual"], *p["values"].values()) for p in section])
+
+
+def _ranking_section(ranking: Ranking, precision: int):
+    return [{"tier": i, "utility": format_utility(tier.value, precision),
+             "alternatives": list(tier.ids)}
+            for i, tier in enumerate(ranking.tiers, start=1)]
+
+
+def _ranking_records(section):
+    """(tier, utility, alternative) per ranked alternative."""
+    return [(str(tier["tier"]), tier["utility"], alt_id)
+            for tier in section for alt_id in tier["alternatives"]]
+
+
+def _ranking_lines(section) -> list[str]:
+    return _columns([("tier", "utility", "alternatives")]
+                    + [(str(tier["tier"]), tier["utility"],
+                        " ".join(tier["alternatives"])) for tier in section])
 
 
 def render_universes(scenario: Scenario, output_format: str = "table") -> str:
     _check_format(output_format)
-    opportunity, exigence, partition = _universe_sets(scenario)
+    section = _universes_section(
+        scenario.universe, opportunity_universe(scenario.environment),
+        exigence_universe(scenario.society),
+        partition_universe(scenario.environment, scenario.society))
     if output_format == "json":
-        return _json_text({
-            "universe": list(scenario.universe.objectives),
-            "opportunity_universe": list(opportunity.ordered()),
-            "exigence_universe": list(exigence.ordered()),
-            "partition": {
-                "offered_only": list(partition.offered_only.ordered()),
-                "requested_only": list(partition.requested_only.ordered()),
-                "matched": list(partition.matched.ordered()),
-            },
-        })
+        return _json_text(section)
     if output_format == "csv":
-        rows = [("universe", t) for t in scenario.universe.objectives]
-        rows += [("opportunity", t) for t in opportunity.ordered()]
-        rows += [("exigence", t) for t in exigence.ordered()]
-        rows += [("partition.offered_only", t)
-                 for t in partition.offered_only.ordered()]
-        rows += [("partition.requested_only", t)
-                 for t in partition.requested_only.ordered()]
-        rows += [("partition.matched", t) for t in partition.matched.ordered()]
+        rows = [(name, token)
+                for name, key in (("universe", "universe"),
+                                  ("opportunity", "opportunity_universe"),
+                                  ("exigence", "exigence_universe"))
+                for token in section[key]]
+        rows += [(f"partition.{part}", token)
+                 for part, members in section["partition"].items()
+                 for token in members]
         return _csv_text(("set", "objective"), rows)
-    lines = [
-        f"universe ({scenario.universe.size}): "
-        + " ".join(scenario.universe.objectives),
-        f"opportunity universe ({len(opportunity)}): {_members_line(opportunity)}",
-        f"exigence universe ({len(exigence)}): {_members_line(exigence)}",
-        "partition:",
-        f"  offered only ({len(partition.offered_only)}): "
-        + _members_line(partition.offered_only),
-        f"  requested only ({len(partition.requested_only)}): "
-        + _members_line(partition.requested_only),
-        f"  matched ({len(partition.matched)}): "
-        + _members_line(partition.matched),
-    ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(_universes_lines(section)) + "\n"
 
 
 def render_utilities(scenario: Scenario, measure: UtilityMeasure | str,
@@ -619,67 +637,32 @@ def render_utilities(scenario: Scenario, measure: UtilityMeasure | str,
     process = build_process(measure, "mean", scenario.environment,
                             scenario.society, scenario.universe)
     alt_ids = scenario.environment.ids
+    section = _profiles_section(process.profiles, alt_ids, precision)
     if output_format == "json":
-        return _json_text({
-            "measure": measure.value,
-            "precision": precision,
-            "utilities": [
-                {"individual": p.individual_id,
-                 "values": dict(zip(alt_ids, _profile_cells(p, precision)))}
-                for p in process.profiles
-            ],
-        })
+        return _json_text({"measure": measure.value, "precision": precision,
+                           "utilities": section})
     if output_format == "csv":
-        rows = [(p.individual_id, a, cell)
-                for p in process.profiles
-                for a, cell in zip(alt_ids, _profile_cells(p, precision))]
-        return _csv_text(("individual", "alternative", "value"), rows)
-    lines = [f"utilities (measure={measure.value})"]
-    rows = [("individual",) + alt_ids]
-    for p in process.profiles:
-        rows.append((p.individual_id, *_profile_cells(p, precision)))
-    lines.extend(_columns(rows))
+        return _csv_text(("individual", "alternative", "value"),
+                         _profiles_records(section))
+    lines = [f"utilities (measure={measure.value})",
+             *_profiles_lines(section, alt_ids)]
     return "\n".join(lines) + "\n"
-
-
-def _ranking_rows(ranking: Ranking, precision: int):
-    rows = []
-    for tier_index, tier in enumerate(ranking.tiers, start=1):
-        for alt_id in tier.ids:
-            rows.append((tier_index, format_utility(tier.value, precision), alt_id))
-    return rows
 
 
 def render_ranking(result: PipelineResult, output_format: str = "table",
                    precision: int = DEFAULT_PRECISION) -> str:
     _check_format(output_format)
+    section = _ranking_section(result.ranking, precision)
     if output_format == "json":
-        return _json_text({
-            "measure": result.measure.value,
-            "aggregator": result.aggregator,
-            "precision": precision,
-            "ranking": _ranking_payload(result.ranking, precision),
-        })
+        return _json_text({"measure": result.measure.value,
+                           "aggregator": result.aggregator,
+                           "precision": precision, "ranking": section})
     if output_format == "csv":
-        rows = [(str(tier), value, alt_id)
-                for tier, value, alt_id in _ranking_rows(result.ranking, precision)]
-        return _csv_text(("tier", "value", "alternative"), rows)
+        return _csv_text(("tier", "value", "alternative"),
+                         _ranking_records(section))
     lines = [f"ranking (measure={result.measure.value}, "
-             f"aggregator={result.aggregator})"]
-    rows = [("tier", "utility", "alternatives")]
-    for tier_index, tier in enumerate(result.ranking.tiers, start=1):
-        rows.append((str(tier_index), format_utility(tier.value, precision),
-                     " ".join(tier.ids)))
-    lines.extend(_columns(rows))
+             f"aggregator={result.aggregator})", *_ranking_lines(section)]
     return "\n".join(lines) + "\n"
-
-
-def _ranking_payload(ranking: Ranking, precision: int):
-    return [
-        {"tier": i, "utility": format_utility(tier.value, precision),
-         "alternatives": list(tier.ids)}
-        for i, tier in enumerate(ranking.tiers, start=1)
-    ]
 
 
 def render_report(result: PipelineResult, output_format: str = "table",
@@ -687,70 +670,44 @@ def render_report(result: PipelineResult, output_format: str = "table",
     _check_format(output_format)
     scenario = result.scenario
     alt_ids = scenario.environment.ids
-    if output_format == "json":
-        return _json_text({
-            "measure": result.measure.value,
-            "aggregator": result.aggregator,
-            "precision": precision,
-            "universe": list(scenario.universe.objectives),
-            "opportunity_universe": list(result.opportunity.ordered()),
-            "exigence_universe": list(result.exigence.ordered()),
-            "partition": {
-                "offered_only": list(result.partition.offered_only.ordered()),
-                "requested_only": list(result.partition.requested_only.ordered()),
-                "matched": list(result.partition.matched.ordered()),
-            },
-            "profiles": [
-                {"individual": p.individual_id,
-                 "values": dict(zip(alt_ids, _profile_cells(p, precision)))}
-                for p in result.process.profiles
-            ],
-            "social_profile": {
-                "values": {a: format_utility(v, precision)
-                           for a, v in zip(alt_ids, result.social.values)},
-                "out_of_domain": result.social.out_of_domain,
-            },
-            "ranking": _ranking_payload(result.ranking, precision),
-        })
+    profiles = _profiles_section(result.process.profiles, alt_ids, precision)
+    social = {"values": {a: format_utility(v, precision)
+                         for a, v in zip(alt_ids, result.social.values)},
+              "out_of_domain": result.social.out_of_domain}
+    ranking = _ranking_section(result.ranking, precision)
     if output_format == "csv":
-        rows = [("profile", p.individual_id, a, cell, "")
-                for p in result.process.profiles
-                for a, cell in zip(alt_ids, _profile_cells(p, precision))]
-        rows += [("social", "", a, format_utility(v, precision), "")
-                 for a, v in zip(alt_ids, result.social.values)]
-        rows += [("rank", "", alt_id, value, str(tier))
-                 for tier, value, alt_id in _ranking_rows(result.ranking, precision)]
+        rows = [("profile", individual, alt_id, value, "")
+                for individual, alt_id, value in _profiles_records(profiles)]
+        rows += [("social", "", alt_id, value, "")
+                 for alt_id, value in social["values"].items()]
+        rows += [("rank", "", alt_id, value, tier)
+                 for tier, value, alt_id in _ranking_records(ranking)]
         return _csv_text(("section", "individual", "alternative", "value", "tier"),
                          rows)
-
+    universes = _universes_section(scenario.universe, result.opportunity,
+                                   result.exigence, result.partition)
+    if output_format == "json":
+        return _json_text({"measure": result.measure.value,
+                           "aggregator": result.aggregator,
+                           "precision": precision, **universes,
+                           "profiles": profiles, "social_profile": social,
+                           "ranking": ranking})
     lines = [
         f"scenario: {scenario.objective_count} objectives, "
         f"{scenario.alternative_count} alternatives, "
         f"{scenario.individual_count} individuals",
         f"measure: {result.measure.value}, aggregator: {result.aggregator}",
         "",
+        *_universes_lines(universes),
+        "",
+        "individual profiles:",
+        *_profiles_lines(profiles, alt_ids),
+        "",
+        f"social profile ({result.aggregator}):",
+        *_columns([("alternative", "utility"), *social["values"].items()]),
     ]
-    lines.append(render_universes(scenario, "table").rstrip("\n"))
-    lines.append("")
-    lines.append("individual profiles:")
-    rows = [("individual",) + alt_ids]
-    for p in result.process.profiles:
-        rows.append((p.individual_id, *_profile_cells(p, precision)))
-    lines.extend(_columns(rows))
-    lines.append("")
-    lines.append(f"social profile ({result.aggregator}):")
-    rows = [("alternative", "utility")]
-    rows += [(a, format_utility(v, precision))
-             for a, v in zip(alt_ids, result.social.values)]
-    lines.extend(_columns(rows))
-    if result.social.out_of_domain:
+    if social["out_of_domain"]:
         lines.append("note: utilities fall outside [0, 1]; the aggregator "
                      "domain assumes the unit interval")
-    lines.append("")
-    lines.append("ranking:")
-    rows = [("tier", "utility", "alternatives")]
-    for tier_index, tier in enumerate(result.ranking.tiers, start=1):
-        rows.append((str(tier_index), format_utility(tier.value, precision),
-                     " ".join(tier.ids)))
-    lines.extend(_columns(rows))
+    lines += ["", "ranking:", *_ranking_lines(ranking)]
     return "\n".join(lines) + "\n"

@@ -27,6 +27,8 @@ EXPECTED_LOCATIONS = {
     "membership_and_requires.json": "individuals[0]",
     "token_whitespace.json": "universe[1]",
     "token_control_character.json": "alternatives[1].id",
+    "control_characters_in_keys.json": "individuals[0].membership.\\x1b[2J",
+    "deeply_nested.json": "$",
 }
 
 

@@ -82,6 +82,18 @@ class TestParse:
         assert isinstance(report, ValidationReport)
         assert "duplicate key" in report.errors[0].message
 
+    @pytest.mark.parametrize("location,old,new", [
+        ("alternatives[0].offers", '"offers": ["a"]', '"offers": ["zz", "a", "a"]'),
+        ("individuals[0].requires", '"requires": ["a"]',
+         '"requires": ["zz", "a", "a"]'),
+    ], ids=["offers", "requires"])
+    def test_repeats_warned_after_an_invalid_token(self, location, old, new):
+        report = validate_scenario(MINIMAL.replace(old, new))
+        assert [(f.severity, f.location, f.message) for f in report.findings] == [
+            ("error", f"{location}[0]", "unknown objective 'zz'"),
+            ("warning", f"{location}[2]", "objective 'a' listed twice"),
+        ]
+
     def test_non_finite_numbers_rejected(self):
         text = MINIMAL.replace('{"id": "p", "requires": ["a"]}',
                                '{"id": "p", "membership": {"a": NaN}}')
@@ -104,6 +116,8 @@ EXPECTED_LOCATIONS = {
     "membership_and_requires.json": "individuals[0]",
     "token_whitespace.json": "universe[1]",
     "token_control_character.json": "alternatives[1].id",
+    "control_characters_in_keys.json": "individuals[0].membership.\\x1b[2J",
+    "deeply_nested.json": "$",
 }
 
 
@@ -115,6 +129,12 @@ class TestInvalidCorpus:
         assert report.errors, name
         assert any(f.location == EXPECTED_LOCATIONS[name]
                    for f in report.errors), report.errors
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_LOCATIONS))
+    def test_table_findings_are_printable(self, name):
+        report = validate_scenario((INVALID_DIR / name).read_text())
+        table = render_validation(report, "table")
+        assert all(c == "\n" or c.isprintable() for c in table), table
 
     def test_findings_order_is_deterministic(self):
         text = (INVALID_DIR / "unknown_objective_offer.json").read_text()
