@@ -1,14 +1,12 @@
 """Kernel backend selection.
 
-The compiled kernel is preferred when it imported successfully, the
-encoding fits 64-bit arithmetic, and SETCHOICE_PURE_KERNEL is not set;
-otherwise the arbitrary-precision pure-Python kernel runs.  Both return
-identical integer numerator/denominator matrices.
+The compiled kernel is preferred when it imported successfully and the
+encoding fits 64-bit arithmetic; otherwise the arbitrary-precision
+pure-Python kernel runs.  Both return identical integer
+numerator/denominator matrices.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import kernel_py
 from .encode import EncodedScenario, encode
@@ -20,21 +18,15 @@ except ImportError:  # extension not built
 
 HAVE_FAST = _fast is not None
 
-_ENV_FORCE_PURE = "SETCHOICE_PURE_KERNEL"
-
-
-def force_pure() -> bool:
-    return os.environ.get(_ENV_FORCE_PURE, "") not in ("", "0")
-
 
 def active_backend() -> str:
     """Name of the kernel a typical (int64-safe) scenario would use."""
-    return "compiled" if HAVE_FAST and not force_pure() else "pure"
+    return "compiled" if HAVE_FAST else "pure"
 
 
 def utility_matrix(enc: EncodedScenario,
                    measure: str) -> tuple[list[list[int]], list[int]]:
-    if HAVE_FAST and enc.int64_safe and not force_pure():
+    if HAVE_FAST and enc.int64_safe:
         return _fast_matrix(enc, measure)
     return kernel_py.utility_matrix(enc, measure)
 

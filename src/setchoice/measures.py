@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from numbers import Rational
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -54,8 +53,6 @@ def to_fraction(value: object, where: str = "membership value") -> Fraction:
     """
     if isinstance(value, bool):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
-    if isinstance(value, Rational):
-        return Fraction(value)
     if isinstance(value, float):
         value = repr(value)
     try:
@@ -89,6 +86,8 @@ class Individual:
     universe that are absent weigh 0.  Explicit zero entries are dropped on
     construction, so two individuals that differ only in spelled-out zeros
     compare equal.  An individual is *crisp* when every stored weight is 1.
+    The constructor checks every rule; the scenario parser reports the same
+    rules as located findings and builds through ``_from_checked``.
     """
 
     __slots__ = ("id", "universe", "_mu")
@@ -97,25 +96,30 @@ class Individual:
                  membership: Mapping[str, object]):
         check_token(id, "individual id")
         mu: dict[str, Fraction] = {}
-        for token in universe.objectives:
-            if token not in membership:
-                continue
-            value = to_fraction(membership[token],
-                                f"membership of {token!r}")
+        for token, raw in membership.items():
+            if token not in universe:
+                raise ScenarioError(f"unknown objective {token!r}")
+            value = to_fraction(raw, f"membership of {token!r}")
             if value < 0 or value > 1:
                 raise ScenarioError(
                     f"membership out of range: {token!r} has value {value}")
-            if value > 0:
+            if value:
                 mu[token] = value
-        for token in membership:
-            if token not in universe:
-                raise ScenarioError(f"unknown objective {token!r}")
         if not mu:
             raise ScenarioError(
                 f"individual '{id}' requires no objectives (empty support)")
         self.id = id
         self.universe = universe
         self._mu = mu
+
+    @classmethod
+    def _from_checked(cls, id: str, universe: Universe,
+                      mu: dict[str, Fraction]) -> "Individual":
+        """An individual from a valid id and a non-empty ``{declared token:
+        Fraction in (0, 1]}`` that the caller has checked; not re-checked."""
+        individual = cls.__new__(cls)
+        individual.id, individual.universe, individual._mu = id, universe, mu
+        return individual
 
     @classmethod
     def crisp(cls, id: str, universe: Universe,

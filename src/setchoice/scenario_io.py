@@ -14,6 +14,9 @@ A scenario is one JSON document::
 ``requires`` is the crisp shorthand for a membership of 1 on the listed
 objectives.  Numeric literals are parsed exactly (decimal notation never
 goes through binary floating point), so evaluation is exact end to end.
+The parser is the one validator of a file: it reports each rule as a
+located finding and builds individuals from the weights it checked,
+without ``Individual.__init__`` checking them again.
 Reports render as ``table``, ``json``, or ``csv``; json is the source of
 truth and the other two are projections of the same numbers.
 """
@@ -60,6 +63,7 @@ WARNING = "warning"
 
 FORMATS = ("table", "json", "csv")
 DEFAULT_PRECISION = 6
+_NUMBER_BOUND = 1000  # most characters, and largest |exponent|, of a literal
 
 
 @dataclass(frozen=True)
@@ -134,6 +138,16 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name}")
 
 
+def _bounded_number(text: str) -> Fraction:
+    """``parse_float`` hook: a literal's exact value, refused before any
+    power of ten is built when it is beyond _NUMBER_BOUND."""
+    exponent = text.lower().partition("e")[2] or "0"
+    if len(text) > _NUMBER_BOUND or abs(int(exponent)) > _NUMBER_BOUND:
+        raise ValueError(f"number literal longer than {_NUMBER_BOUND} characters "
+                         f"or with |exponent| > {_NUMBER_BOUND}")
+    return Fraction(text)
+
+
 def _err(findings, location, message):
     findings.append(Finding(ERROR, location, message))
 
@@ -176,12 +190,6 @@ def _warn_unknown_keys(findings, obj, allowed, prefix="") -> None:
         if key not in allowed:
             shown = _shown(key)
             _warn(findings, prefix + shown, f"unknown key '{shown}'")
-
-
-def _valid_weight(value) -> Fraction | None:
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        return None
-    return Fraction(value)
 
 
 def _top_array(doc, key, not_array, empty, findings) -> list:
@@ -254,7 +262,7 @@ def _validate_universe(doc, findings) -> list[str]:
     declared: dict[str, None] = {}
     for i, token in enumerate(raw):
         loc = f"universe[{i}]"
-        if not _check_token_finding(findings, token, loc, "objective"):
+        if not _check_token_finding(findings, token, loc, "objective name"):
             continue
         if token in declared:
             _err(findings, loc, f"duplicate objective '{token}'")
@@ -281,6 +289,7 @@ def _validate_alternatives(doc, known, findings) -> list[tuple[str, list[str]]]:
 
 
 def _validate_membership(raw, loc, known, findings) -> dict[str, Fraction] | None:
+    """The positive weights of a valid membership object, as Fractions."""
     if not isinstance(raw, dict):
         _err(findings, loc, "'membership' must be an object of objective weights")
         return None
@@ -290,21 +299,18 @@ def _validate_membership(raw, loc, known, findings) -> dict[str, Fraction] | Non
         tloc = f"{loc}.{_shown(token)}"
         if not _check_declared(findings, token, tloc, known):
             bad = True
-            continue
-        weight = _valid_weight(value)
-        if weight is None:
+        elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             _err(findings, tloc, "membership value must be a number")
             bad = True
-            continue
-        if weight < 0 or weight > 1:
+        elif not 0 <= value <= 1:
             _err(findings, tloc,
                  f"membership out of range: {_plain_number(value)} is not in [0, 1]")
             bad = True
-            continue
-        mu[token] = weight
+        elif value:
+            mu[token] = Fraction(value)
     if bad:
         return None
-    if all(v == 0 for v in mu.values()):
+    if not mu:
         _err(findings, loc, "empty support: no objective has positive weight")
         return None
     return mu
@@ -361,7 +367,7 @@ def parse_scenario(text: str) -> Scenario | ValidationReport:
 def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
     findings: list[Finding] = []
     try:
-        doc = json.loads(text, parse_float=Fraction,
+        doc = json.loads(text, parse_float=_bounded_number,
                          parse_constant=_reject_constant,
                          object_pairs_hook=_pairs_hook)
     except _DuplicateKey as exc:
@@ -389,7 +395,8 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
         Alternative(alt_id, ObjectiveSet(universe, frozenset(members)))
         for alt_id, members in alternatives))
     society = Society(tuple(
-        Individual(ind_id, universe, mu) for ind_id, mu in individuals))
+        Individual._from_checked(ind_id, universe, mu)
+        for ind_id, mu in individuals))
     scenario = Scenario(universe, environment, society)
     return scenario, ValidationReport(tuple(findings))
 

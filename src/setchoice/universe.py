@@ -17,17 +17,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .measures import Environment, Society
 
 
-def check_token(token: object, what: str = "objective") -> str:
-    """Validate a symbolic token: a non-empty string of printable,
-    non-whitespace characters (reports echo tokens verbatim)."""
+def check_token(token: object, what: str = "objective name") -> str:
+    """Validate a symbolic token (``what``, e.g. ``"alternative id"``): a
+    non-empty string of printable, non-whitespace characters."""
     if not isinstance(token, str):
-        raise ScenarioError(f"{what} name must be a string, got {type(token).__name__}")
+        raise ScenarioError(f"{what} must be a string, got {type(token).__name__}")
     if not token:
-        raise ScenarioError(f"{what} name must be non-empty")
+        raise ScenarioError(f"{what} must be non-empty")
     if any(c.isspace() for c in token):
-        raise ScenarioError(f"{what} name {token!r} contains whitespace")
+        raise ScenarioError(f"{what} {token!r} contains whitespace")
     if not token.isprintable():
-        raise ScenarioError(f"{what} name {token!r} contains a non-printable character")
+        raise ScenarioError(f"{what} {token!r} contains a non-printable character")
     return token
 
 
@@ -43,15 +43,11 @@ class Universe:
             object.__setattr__(self, "objectives", tuple(self.objectives))
         if not self.objectives:
             raise ScenarioError("universe must declare at least one objective")
+        index: dict[str, int] = {}
         for token in self.objectives:
-            check_token(token)
-        index = {t: i for i, t in enumerate(self.objectives)}
-        if len(index) != len(self.objectives):
-            seen = set()
-            for t in self.objectives:
-                if t in seen:
-                    raise ScenarioError(f"duplicate objective {t!r} in universe")
-                seen.add(t)
+            if check_token(token) in index:
+                raise ScenarioError(f"duplicate objective {token!r} in universe")
+            index[token] = len(index)
         object.__setattr__(self, "_index", index)
 
     @property

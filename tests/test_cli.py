@@ -29,6 +29,8 @@ EXPECTED_LOCATIONS = {
     "token_control_character.json": "alternatives[1].id",
     "control_characters_in_keys.json": "individuals[0].membership.\\x1b[2J",
     "deeply_nested.json": "$",
+    "huge_exponent.json": "$",
+    "tiny_exponent.json": "$",
 }
 
 
@@ -61,6 +63,7 @@ class TestValidateVerb:
         proc = cli("validate", str(INVALID_DIR / name))
         assert proc.returncode == 1, proc.stdout
         assert EXPECTED_LOCATIONS[name] in proc.stdout
+        assert proc.stderr == "", proc.stderr
 
     def test_missing_file_exits_one(self):
         proc = cli("validate", str(INVALID_DIR / "no_such_file.json"))

@@ -16,7 +16,6 @@ from setchoice import (
 )
 from setchoice._core import (
     HAVE_FAST,
-    active_backend,
     encode,
     kernel_py,
     utility_matrix,
@@ -110,13 +109,3 @@ class TestKernelAgreement:
         nums, dens = utility_matrix(enc, "fuzzy")
         got = Fraction(nums[0][0], dens[0])
         assert got == individual_profile("fuzzy", env, ind, u).values[0]
-
-    def test_force_pure_env_var(self, monkeypatch):
-        monkeypatch.setenv("SETCHOICE_PURE_KERNEL", "1")
-        assert active_backend() == "pure"
-        rng = random.Random(404)
-        parts = random_scenario_parts(rng)
-        enc = encoded(parts)
-        assert utility_matrix(enc, "fuzzy") == kernel_py.utility_matrix(enc, "fuzzy")
-        monkeypatch.setenv("SETCHOICE_PURE_KERNEL", "0")
-        assert active_backend() == ("compiled" if HAVE_FAST else "pure")

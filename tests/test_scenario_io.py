@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setchoice import (
+    Individual,
     Scenario,
     UtilityMeasure,
     ValidationReport,
@@ -16,6 +18,7 @@ from setchoice import (
     run_pipeline,
     validate_scenario,
 )
+from setchoice.cli import main
 from setchoice.scenario_io import (
     compute_pipeline,
     format_ratio,
@@ -37,6 +40,33 @@ MINIMAL = '{"universe": ["a"], "alternatives": [{"id": "x", "offers": ["a"]}],' 
 
 def bundled(name: str) -> str:
     return (ROOT / "scenarios" / name).read_text(encoding="utf-8")
+
+
+def generated_document(seed: int, objectives: int = 32, alternatives: int = 4,
+                       individuals: int = 400) -> str:
+    """A tall scenario in the style of the pipeline benchmark: crisp
+    ``requires`` lists and decimal ``membership`` maps with spelled-out
+    zeros and exponent literals."""
+    rng = random.Random(seed)
+    universe = [f"o{i:03d}" for i in range(objectives)]
+
+    def subset():
+        return rng.sample(universe, rng.randint(1, objectives // 2))
+
+    alts = [{"id": f"a{j}", "offers": subset()} for j in range(alternatives)]
+    lines = []
+    for i in range(individuals):
+        if i % 2:
+            lines.append(json.dumps({"id": f"p{i}", "requires": subset()}))
+            continue
+        weights = {t: rng.choice(("0", "0.25", "5e-1", "0.1", "75E-2"))
+                   for t in subset()}
+        weights[rng.choice(universe)] = "1"
+        body = ", ".join(f'"{t}": {w}' for t, w in weights.items())
+        lines.append(f'{{"id": "p{i}", "membership": {{{body}}}}}')
+    return (f'{{"universe": {json.dumps(universe)}, '
+            f'"alternatives": {json.dumps(alts)}, '
+            f'"individuals": [{", ".join(lines)}]}}')
 
 
 class TestParse:
@@ -94,6 +124,20 @@ class TestParse:
             ("warning", f"{location}[2]", "objective 'a' listed twice"),
         ]
 
+    @pytest.mark.parametrize("literal", ["1e1001", "1E-1001", "0." + "0" * 999 + "1",
+                                         "9" * 600 + "." + "0" * 400 + "e1000"])
+    def test_number_literal_beyond_the_bound_is_invalid_json(self, literal):
+        text = MINIMAL.replace('"requires": ["a"]', f'"membership": {{"a": {literal}}}')
+        report = parse_scenario(text)
+        assert isinstance(report, ValidationReport)
+        assert [(f.location, f.message[:13]) for f in report.errors] == [
+            ("$", "invalid JSON:")]
+
+    def test_number_literal_at_the_bound_is_exact(self):
+        text = MINIMAL.replace('"requires": ["a"]', '"membership": {"a": 1e-1000}')
+        assert parse_scenario(text).society.individuals[0].mu("a") \
+            == Fraction(1, 10 ** 1000)
+
     def test_non_finite_numbers_rejected(self):
         text = MINIMAL.replace('{"id": "p", "requires": ["a"]}',
                                '{"id": "p", "membership": {"a": NaN}}')
@@ -118,7 +162,52 @@ EXPECTED_LOCATIONS = {
     "token_control_character.json": "alternatives[1].id",
     "control_characters_in_keys.json": "individuals[0].membership.\\x1b[2J",
     "deeply_nested.json": "$",
+    "huge_exponent.json": "$",
+    "tiny_exponent.json": "$",
 }
+
+
+class TestValidateOnce:
+    """The parser is the only validator of a file: it builds individuals
+    from its checked weights without running ``Individual.__init__``."""
+
+    def test_parse_never_runs_the_public_constructor(self, monkeypatch):
+        texts = [path.read_text(encoding="utf-8")
+                 for path in sorted((ROOT / "scenarios").glob("*.json"))]
+        texts.append(generated_document(3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Individual.__init__ ran while parsing")
+
+        monkeypatch.setattr(Individual, "__init__", refuse)
+        scenarios = [parse_scenario(text) for text in texts]
+        monkeypatch.undo()
+        for text, scenario in zip(texts, scenarios):
+            assert isinstance(scenario, Scenario)
+            entries = json.loads(text, parse_float=Fraction)["individuals"]
+            assert list(scenario.society) == [
+                Individual(e["id"], scenario.universe,
+                           e.get("membership") or dict.fromkeys(e["requires"], 1))
+                for e in entries]
+
+    def test_spelled_out_zero_weight_is_dropped(self, tmp_path, capsys):
+        universe = '{"universe": ["a", "b"], ' \
+                   '"alternatives": [{"id": "x", "offers": ["a"]}, ' \
+                   '{"id": "y", "offers": ["b"]}], "individuals": '
+        zero = universe + '[{"id": "p", "membership": {"a": 0, "b": 1}}]}'
+        crisp = universe + '[{"id": "p", "requires": ["b"]}]}'
+        individual = parse_scenario(zero).society.individuals[0]
+        assert individual.is_crisp
+        assert individual.support == frozenset({"b"})
+        assert individual == parse_scenario(crisp).society.individuals[0]
+        outputs = []
+        for name, text in (("zero.json", zero), ("crisp.json", crisp)):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            assert main(["rank", str(tmp_path / name),
+                         "--measure", "normalized"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "tier" in outputs[0]
 
 
 class TestInvalidCorpus:

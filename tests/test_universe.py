@@ -57,6 +57,18 @@ class TestUniverse:
         with pytest.raises(ScenarioError):
             Universe(("ok", token))
 
+    def test_id_messages_name_the_full_noun(self):
+        u = Universe(("a",))
+        with pytest.raises(ScenarioError) as exc:
+            Individual(["p"], u, {"a": 1})
+        assert str(exc.value) == "individual id must be a string, got list"
+        with pytest.raises(ScenarioError) as exc:
+            Alternative(["x"], u.full())
+        assert str(exc.value) == "alternative id must be a string, got list"
+        with pytest.raises(ScenarioError) as exc:
+            Universe(("a", 7))
+        assert str(exc.value) == "objective name must be a string, got int"
+
     def test_membership_and_position(self):
         u = Universe(("a", "b"))
         assert "a" in u and "zz" not in u
