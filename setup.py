@@ -5,8 +5,6 @@ is selected at import time), so any build failure here downgrades to a
 pure-Python install instead of aborting.
 """
 
-import os
-
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
@@ -28,22 +26,21 @@ class optional_build_ext(build_ext):
 
 
 ext_modules = []
-if os.environ.get("SETCHOICE_NO_EXTENSION") != "1":
-    try:
-        from Cython.Build import cythonize
+try:
+    from Cython.Build import cythonize
 
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "setchoice._core._fast",
-                    ["src/setchoice/_core/_fast.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        print("warning: Cython not available; installing with the "
-              "pure-Python kernel only")
+    ext_modules = cythonize(
+        [
+            Extension(
+                "setchoice._core._fast",
+                ["src/setchoice/_core/_fast.pyx"],
+                extra_compile_args=["-O3"],
+            )
+        ],
+        compiler_directives={"language_level": "3"},
+    )
+except ImportError:
+    print("warning: Cython not available; installing with the "
+          "pure-Python kernel only")
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

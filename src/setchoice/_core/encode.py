@@ -1,17 +1,16 @@
 """Integer encoding of a scenario for the utility-matrix kernels.
 
 Objective sets become bitmasks over universe positions.  Each individual's
-weights are scaled by the least common multiple of their denominators, so
-the kernels work purely on integers and every utility comes back as an
-exact numerator/denominator pair; the per-individual scale cancels in the
-ratio.  ``int64_safe`` records whether all magnitudes fit the compiled
+weights are placed as the integers over one scale that ``Individual``
+stores, so the kernels work purely on integers and every utility comes back
+as an exact numerator/denominator pair; the per-individual scale cancels in
+the ratio.  ``int64_safe`` records whether all magnitudes fit the compiled
 kernel's fixed-width arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from ..measures import Environment, Society
 from ..universe import Universe
@@ -28,7 +27,6 @@ class EncodedScenario:
     support_masks: tuple[int, ...]
     weights: tuple[tuple[int, ...], ...]
     totals: tuple[int, ...]
-    scales: tuple[int, ...]
     int64_safe: bool
 
     @property
@@ -58,24 +56,16 @@ def encode(universe: Universe, environment: Environment,
     support_masks = []
     weights = []
     totals = []
-    scales = []
-    safe = True
     for individual in society.individuals:
-        mu = individual.membership
-        scale = lcm(*(v.denominator for v in mu.values())) if mu else 1
         row = [0] * R
         mask = 0
-        for token, value in mu.items():
+        for token, weight in individual._weights.items():
             p = universe.position(token)
-            row[p] = value.numerator * (scale // value.denominator)
+            row[p] = weight
             mask |= 1 << p
-        total = sum(row)
-        if total >= INT64_LIMIT:
-            safe = False
         support_masks.append(mask)
         weights.append(tuple(row))
-        totals.append(total)
-        scales.append(scale)
+        totals.append(sum(row))
 
     return EncodedScenario(
         objective_count=R,
@@ -84,6 +74,5 @@ def encode(universe: Universe, environment: Environment,
         support_masks=tuple(support_masks),
         weights=tuple(weights),
         totals=tuple(totals),
-        scales=tuple(scales),
-        int64_safe=safe,
+        int64_safe=all(total < INT64_LIMIT for total in totals),
     )

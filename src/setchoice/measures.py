@@ -13,9 +13,9 @@ Three measures are provided:
   positive-weight objectives that nothing offers lowers the score; this is
   intentional and documented behaviour, not a bug.
 
-All arithmetic is exact: weights are stored as :class:`fractions.Fraction`
-and results are ``int`` or ``Fraction``.  Rendering to fixed-precision
-decimal happens only at the output layer.
+All arithmetic is exact: an individual stores its weights as integers over
+one scale, and results are ``int`` or ``Fraction``.  Rendering to
+fixed-precision decimal happens only at the output layer.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -32,9 +33,6 @@ from .errors import (
     ZeroMembershipMass,
 )
 from .universe import ObjectiveSet, Universe, check_token
-
-ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 class UtilityMeasure(str, Enum):
@@ -79,18 +77,25 @@ class Alternative:
         return self.offers.universe
 
 
+def _scaled(weights: Mapping[str, int | Fraction]) -> tuple[dict[str, int], int]:
+    """``({t: w * scale}, scale)``, scale the lcm of the weights' denominators."""
+    scale = lcm(*(w.denominator for w in weights.values()))
+    return {t: w.numerator * (scale // w.denominator)
+            for t, w in weights.items()}, scale
+
+
 class Individual:
     """An individual characterised by objective weights in [0, 1].
 
     ``membership`` maps objective tokens to weights; objectives of the
     universe that are absent weigh 0.  Explicit zero entries are dropped on
     construction, so two individuals that differ only in spelled-out zeros
-    compare equal.  An individual is *crisp* when every stored weight is 1.
-    The constructor checks every rule; the scenario parser reports the same
-    rules as located findings and builds through ``_from_checked``.
+    compare equal.  Weights are stored as integers over one scale (1 exactly
+    when *crisp*), scaled by ``_scaled`` in the checking constructor or in the
+    parser, which reports the same rules as findings (``_from_checked``).
     """
 
-    __slots__ = ("id", "universe", "_mu")
+    __slots__ = ("id", "universe", "_weights", "_scale")
 
     def __init__(self, id: str, universe: Universe,
                  membership: Mapping[str, object]):
@@ -108,17 +113,17 @@ class Individual:
         if not mu:
             raise ScenarioError(
                 f"individual '{id}' requires no objectives (empty support)")
-        self.id = id
-        self.universe = universe
-        self._mu = mu
+        self.id, self.universe = id, universe
+        self._weights, self._scale = _scaled(mu)
 
     @classmethod
     def _from_checked(cls, id: str, universe: Universe,
-                      mu: dict[str, Fraction]) -> "Individual":
-        """An individual from a valid id and a non-empty ``{declared token:
-        Fraction in (0, 1]}`` that the caller has checked; not re-checked."""
+                      weights: dict[str, int], scale: int) -> "Individual":
+        """An individual from a valid id and the ``_scaled`` form of checked
+        non-empty ``{declared token: weight in (0, 1]}``; not re-checked."""
         individual = cls.__new__(cls)
-        individual.id, individual.universe, individual._mu = id, universe, mu
+        individual.id, individual.universe = id, universe
+        individual._weights, individual._scale = weights, scale
         return individual
 
     @classmethod
@@ -130,16 +135,16 @@ class Individual:
     @property
     def membership(self) -> dict[str, Fraction]:
         """Positive weights only, keyed by objective token."""
-        return dict(self._mu)
+        return {t: Fraction(w, self._scale) for t, w in self._weights.items()}
 
     def mu(self, token: str) -> Fraction:
         if token not in self.universe:
             raise ScenarioError(f"unknown objective {token!r}")
-        return self._mu.get(token, ZERO)
+        return Fraction(self._weights.get(token, 0), self._scale)
 
     @property
     def support(self) -> frozenset[str]:
-        return frozenset(self._mu)
+        return frozenset(self._weights)
 
     @property
     def support_set(self) -> ObjectiveSet:
@@ -148,23 +153,24 @@ class Individual:
     @property
     def mass(self) -> Fraction:
         """Total weight over the universe (zeros contribute nothing)."""
-        return sum(self._mu.values(), ZERO)
+        return Fraction(sum(self._weights.values()), self._scale)
 
     @property
     def is_crisp(self) -> bool:
-        return all(v == 1 for v in self._mu.values())
+        return self._scale == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Individual):
             return NotImplemented
         return (self.id == other.id and self.universe == other.universe
-                and self._mu == other._mu)
+                and (self._scale, self._weights) == (other._scale, other._weights))
 
     def __hash__(self) -> int:
-        return hash((self.id, self.universe, frozenset(self._mu.items())))
+        return hash((self.id, self.universe, self._scale,
+                     frozenset(self._weights.items())))
 
     def __repr__(self) -> str:
-        weights = {t: str(v) for t, v in sorted(self._mu.items())}
+        weights = {t: str(v) for t, v in sorted(self.membership.items())}
         return f"Individual({self.id!r}, {weights})"
 
 
@@ -307,7 +313,7 @@ def fuzzy_utility(alternative: Alternative, individual: Individual,
     if alternative.universe != universe:
         raise ScenarioError("alternative does not belong to the given universe")
     _check_domain(UtilityMeasure.FUZZY, individual)
-    covered = sum((individual.mu(t) for t in alternative.offers.members), ZERO)
+    covered = sum(individual.mu(t) for t in alternative.offers.members)
     return covered / individual.mass
 
 

@@ -41,12 +41,12 @@ from .evaluation import (
     rank,
 )
 from .measures import (
-    ONE,
     Alternative,
     Environment,
     Individual,
     Society,
     UtilityMeasure,
+    _scaled,
 )
 from .universe import (
     ObjectiveSet,
@@ -64,6 +64,8 @@ WARNING = "warning"
 FORMATS = ("table", "json", "csv")
 DEFAULT_PRECISION = 6
 _NUMBER_BOUND = 1000  # most characters, and largest |exponent|, of a literal
+_JSON_KINDS = {bool: "boolean", int: "number", Fraction: "number",
+               list: "array", dict: "object", type(None): "null"}
 
 
 @dataclass(frozen=True)
@@ -138,14 +140,14 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name}")
 
 
-def _bounded_number(text: str) -> Fraction:
-    """``parse_float`` hook: a literal's exact value, refused before any
-    power of ten is built when it is beyond _NUMBER_BOUND."""
+def _bounded(text: str) -> str:
+    """A number literal, refused before any value is built when it is
+    beyond _NUMBER_BOUND; the ``parse_float`` and ``parse_int`` hooks."""
     exponent = text.lower().partition("e")[2] or "0"
     if len(text) > _NUMBER_BOUND or abs(int(exponent)) > _NUMBER_BOUND:
         raise ValueError(f"number literal longer than {_NUMBER_BOUND} characters "
                          f"or with |exponent| > {_NUMBER_BOUND}")
-    return Fraction(text)
+    return text
 
 
 def _err(findings, location, message):
@@ -163,6 +165,10 @@ def _shown(text: str) -> str:
 
 
 def _check_token_finding(findings, value, location, what) -> bool:
+    if not isinstance(value, str):
+        _err(findings, location,
+             f"{what} must be a string, got {_JSON_KINDS[type(value)]}")
+        return False
     try:
         check_token(value, what)
         return True
@@ -288,12 +294,12 @@ def _validate_alternatives(doc, known, findings) -> list[tuple[str, list[str]]]:
     return out
 
 
-def _validate_membership(raw, loc, known, findings) -> dict[str, Fraction] | None:
-    """The positive weights of a valid membership object, as Fractions."""
+def _validate_membership(raw, loc, known, findings) -> tuple[dict[str, int], int] | None:
+    """The positive weights of a valid membership object, ``_scaled``."""
     if not isinstance(raw, dict):
         _err(findings, loc, "'membership' must be an object of objective weights")
         return None
-    mu: dict[str, Fraction] = {}
+    mu: dict[str, int | Fraction] = {}
     bad = False
     for token, value in raw.items():
         tloc = f"{loc}.{_shown(token)}"
@@ -307,16 +313,16 @@ def _validate_membership(raw, loc, known, findings) -> dict[str, Fraction] | Non
                  f"membership out of range: {_plain_number(value)} is not in [0, 1]")
             bad = True
         elif value:
-            mu[token] = Fraction(value)
+            mu[token] = value
     if bad:
         return None
     if not mu:
         _err(findings, loc, "empty support: no objective has positive weight")
         return None
-    return mu
+    return _scaled(mu)
 
 
-def _validate_individuals(doc, known, findings) -> list[tuple[str, dict[str, Fraction]]]:
+def _validate_individuals(doc, known, findings) -> list[tuple[str, dict[str, int], int]]:
     raw = _top_array(doc, "individuals", "'individuals' must be an array",
                      "society must contain at least one individual", findings)
     out = []
@@ -330,21 +336,19 @@ def _validate_individuals(doc, known, findings) -> list[tuple[str, dict[str, Fra
             required = _objective_list(
                 entry, "requires", loc,
                 "empty support: individual requires no objectives", known, findings)
-            mu = None if required is None else dict.fromkeys(required, ONE)
+            scaled = None if required is None else (dict.fromkeys(required, 1), 1)
         else:
-            mu = _validate_membership(entry["membership"], f"{loc}.membership",
-                                      known, findings)
-        if mu is not None:
-            out.append((ind_id, mu))
+            scaled = _validate_membership(entry["membership"], f"{loc}.membership",
+                                          known, findings)
+        if scaled is not None:
+            out.append((ind_id, *scaled))
     return out
 
 
-def _plain_number(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return format_decimal(value, 6).rstrip("0").rstrip(".") or "0"
-    return str(value)
+def _plain_number(value: int | Fraction) -> str:
+    if value.denominator == 1:
+        return str(value)
+    return format_decimal(value, 6).rstrip("0").rstrip(".") or "0"
 
 
 def validate_scenario(text: str) -> ValidationReport:
@@ -367,7 +371,8 @@ def parse_scenario(text: str) -> Scenario | ValidationReport:
 def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
     findings: list[Finding] = []
     try:
-        doc = json.loads(text, parse_float=_bounded_number,
+        doc = json.loads(text, parse_float=lambda t: Fraction(_bounded(t)),
+                         parse_int=lambda t: int(_bounded(t)),
                          parse_constant=_reject_constant,
                          object_pairs_hook=_pairs_hook)
     except _DuplicateKey as exc:
@@ -395,8 +400,8 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
         Alternative(alt_id, ObjectiveSet(universe, frozenset(members)))
         for alt_id, members in alternatives))
     society = Society(tuple(
-        Individual._from_checked(ind_id, universe, mu)
-        for ind_id, mu in individuals))
+        Individual._from_checked(ind_id, universe, weights, scale)
+        for ind_id, weights, scale in individuals))
     scenario = Scenario(universe, environment, society)
     return scenario, ValidationReport(tuple(findings))
 

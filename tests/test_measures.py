@@ -1,7 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setchoice import (
     Alternative,
@@ -15,8 +18,10 @@ from setchoice import (
     cardinal_utility,
     fuzzy_utility,
     normalized_cardinal_utility,
+    parse_scenario,
     utility,
 )
+from setchoice.scenario_io import format_ratio
 
 from _gen import (
     oracle_cardinal,
@@ -53,7 +58,7 @@ def demanding(greek):
 def gutted(individual):
     """A copy whose weights were emptied behind the constructor's back,
     to reach the defensive error paths."""
-    individual._mu.clear()
+    individual._weights.clear()
     return individual
 
 
@@ -192,6 +197,39 @@ class TestConstruction:
         ind = Individual.crisp("v", other, ["x"])
         with pytest.raises(ScenarioError, match="different universes"):
             cardinal_utility(alt, ind)
+
+
+TOKENS = tuple(f"o{i}" for i in range(6))
+# weights over 2**a * 5**b, so each one has an exact decimal literal
+decimal_weights = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda ab: st.integers(0, 2 ** ab[0] * 5 ** ab[1]).map(
+        lambda n: Fraction(n, 2 ** ab[0] * 5 ** ab[1])))
+
+
+class TestStoredWeights:
+    """``Individual`` keeps its weights as integers over one scale; every
+    view of them is the exact weight map it was given."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights=st.dictionaries(st.sampled_from(TOKENS), decimal_weights,
+                                   min_size=1).filter(lambda m: any(m.values())))
+    def test_views_match_the_given_weights(self, weights):
+        universe = Universe(TOKENS)
+        ind = Individual("v", universe, weights)
+        positive = {t: v for t, v in weights.items() if v}
+        assert ind.membership == positive
+        assert ind.mass == sum(positive.values())
+        assert ind.is_crisp == all(v == 1 for v in positive.values())
+        assert all(ind.mu(t) == weights.get(t, 0) for t in TOKENS)
+
+        body = ", ".join(f"{json.dumps(t)}: {format_ratio(v.numerator, v.denominator, 12)}"
+                         for t, v in weights.items())
+        text = (f'{{"universe": {json.dumps(list(TOKENS))}, '
+                '"alternatives": [{"id": "x", "offers": ["o0"]}], '
+                f'"individuals": [{{"id": "v", "membership": {{{body}}}}}]}}')
+        parsed = parse_scenario(text).society.individuals[0]
+        assert parsed == ind
+        assert hash(parsed) == hash(ind)
 
 
 class TestMeasureProperties:

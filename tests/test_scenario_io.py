@@ -138,6 +138,34 @@ class TestParse:
         assert parse_scenario(text).society.individuals[0].mu("a") \
             == Fraction(1, 10 ** 1000)
 
+    def test_integer_literal_beyond_the_bound_is_invalid_json(self):
+        text = MINIMAL.replace('"requires": ["a"]',
+                               '"membership": {"a": 1' + "0" * 4000 + "}")
+        assert [(f.location, f.message) for f in validate_scenario(text).errors] == [
+            ("$", "invalid JSON: number literal longer than 1000 characters "
+                  "or with |exponent| > 1000")]
+
+    def test_integer_literal_at_the_bound_is_a_located_range_error(self):
+        text = MINIMAL.replace('"requires": ["a"]',
+                               '"membership": {"a": 1' + "0" * 999 + "}")
+        assert [f.location for f in validate_scenario(text).errors] == [
+            "individuals[0].membership.a"]
+
+    @pytest.mark.parametrize("literal,kind", [
+        ("1.5", "number"), ("7", "number"), ('["a"]', "array"),
+        ('{"a": 1}', "object"), ("true", "boolean"), ("null", "null")])
+    @pytest.mark.parametrize("location,old,new,what", [
+        ("universe[1]", '"universe": ["a"]', '"universe": ["a", {}]',
+         "objective name"),
+        ("alternatives[0].id", '"id": "x"', '"id": {}', "alternative id"),
+        ("individuals[0].id", '"id": "p"', '"id": {}', "individual id"),
+    ], ids=["universe", "alternative", "individual"])
+    def test_non_string_token_finding_names_its_json_kind(
+            self, location, old, new, what, literal, kind):
+        report = validate_scenario(MINIMAL.replace(old, new.format(literal)))
+        assert [(f.location, f.message) for f in report.errors] == [
+            (location, f"{what} must be a string, got {kind}")]
+
     def test_non_finite_numbers_rejected(self):
         text = MINIMAL.replace('{"id": "p", "requires": ["a"]}',
                                '{"id": "p", "membership": {"a": NaN}}')
@@ -163,6 +191,7 @@ EXPECTED_LOCATIONS = {
     "control_characters_in_keys.json": "individuals[0].membership.\\x1b[2J",
     "deeply_nested.json": "$",
     "huge_exponent.json": "$",
+    "huge_integer.json": "$",
     "tiny_exponent.json": "$",
 }
 
@@ -208,6 +237,67 @@ class TestValidateOnce:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert "tier" in outputs[0]
+
+
+json_values = st.recursive(
+    st.sampled_from([None, True, False, 0, 1, 2, -1, 10 ** 30, 0.25, 1.5, -0.5,
+                     1e-300, 1e300, "a", "b", "c", "d", "a1", "", "a b", "\x1b[2J"])
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "b", "id", "offers", "requires"]),
+                      children, max_size=3),
+    max_leaves=4)
+json_text = st.text(alphabet=st.sampled_from('{}[]":, 0123456789.eE-+abtrueflsn'),
+                    max_size=120)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled scenario with one to three values replaced by arbitrary
+    JSON values or array entries duplicated, as text."""
+    doc = json.loads(bundled(draw(st.sampled_from(
+        ["crisp_pair.json", "weighted_split.json", "partial_overlap.json"]))))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = []
+
+        def walk(node):
+            children = (node.items() if isinstance(node, dict)
+                        else enumerate(node) if isinstance(node, list) else ())
+            for key, child in children:
+                slots.append((node, key))
+                walk(child)
+
+        walk(doc)
+        node, key = draw(st.sampled_from(slots))
+        if isinstance(node, list) and draw(st.booleans()):
+            node.insert(key, node[key])
+        else:
+            node[key] = draw(json_values)
+    return json.dumps(doc)
+
+
+def assert_scenario_or_located_errors(text):
+    report = validate_scenario(text)
+    if report.errors:
+        assert all(f.location for f in report.errors), report.errors
+        assert parse_scenario(text) == report
+    else:
+        assert isinstance(parse_scenario(text), Scenario)
+
+
+class TestParserFuzz:
+    """Any input ends as a scenario or as located errors, never as an
+    exception."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.text(max_size=120) | json_text)
+    def test_random_text(self, text):
+        assert_scenario_or_located_errors(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=mutated_scenarios())
+    def test_mutated_bundled_scenarios(self, text):
+        assert_scenario_or_located_errors(text)
 
 
 class TestInvalidCorpus:
