@@ -1,11 +1,13 @@
 """Integer encoding of a scenario for the utility-matrix kernels.
 
-Objective sets become bitmasks over universe positions.  Each individual's
-weights are placed as the integers over one scale that ``Individual``
-stores, so the kernels work purely on integers and every utility comes back
-as an exact numerator/denominator pair; the per-individual scale cancels in
-the ratio.  ``int64_safe`` records whether all magnitudes fit the compiled
-kernel's fixed-width arithmetic.
+Objective sets are already bitmasks over universe positions, and each
+individual already holds its weights as integers over one scale, one per
+support bit in position order; ``encode`` gathers the masks and places each
+weight at its position in a dense row.  So the kernels work purely on
+integers and every utility comes back as an exact numerator/denominator
+pair; the per-individual scale cancels in the ratio.  ``int64_safe``
+records whether all magnitudes fit the compiled kernel's fixed-width
+arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..measures import Environment, Society
-from ..universe import Universe
+from ..universe import Universe, positions
 
 # Leave headroom below 2**63-1 so the compiled kernel can accumulate freely.
 INT64_LIMIT = 2 ** 62
@@ -41,37 +43,24 @@ class EncodedScenario:
 def encode(universe: Universe, environment: Environment,
            society: Society) -> EncodedScenario:
     R = universe.size
+    offer_masks = tuple(alternative.offers.mask
+                        for alternative in environment.alternatives)
 
-    offer_masks = []
-    offer_positions = []
-    for alternative in environment.alternatives:
-        positions = tuple(sorted(universe.position(t)
-                                 for t in alternative.offers.members))
-        mask = 0
-        for p in positions:
-            mask |= 1 << p
-        offer_masks.append(mask)
-        offer_positions.append(positions)
-
-    support_masks = []
+    support_masks = tuple(individual._mask for individual in society.individuals)
     weights = []
     totals = []
     for individual in society.individuals:
         row = [0] * R
-        mask = 0
-        for token, weight in individual._weights.items():
-            p = universe.position(token)
+        for p, weight in zip(positions(individual._mask), individual._weights):
             row[p] = weight
-            mask |= 1 << p
-        support_masks.append(mask)
         weights.append(tuple(row))
-        totals.append(sum(row))
+        totals.append(sum(individual._weights))
 
     return EncodedScenario(
         objective_count=R,
-        offer_masks=tuple(offer_masks),
-        offer_positions=tuple(offer_positions),
-        support_masks=tuple(support_masks),
+        offer_masks=offer_masks,
+        offer_positions=tuple(tuple(positions(mask)) for mask in offer_masks),
+        support_masks=support_masks,
         weights=tuple(weights),
         totals=tuple(totals),
         int64_safe=all(total < INT64_LIMIT for total in totals),

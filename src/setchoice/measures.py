@@ -13,9 +13,10 @@ Three measures are provided:
   positive-weight objectives that nothing offers lowers the score; this is
   intentional and documented behaviour, not a bug.
 
-All arithmetic is exact: an individual stores its weights as integers over
-one scale, and results are ``int`` or ``Fraction``.  Rendering to
-fixed-precision decimal happens only at the output layer.
+All arithmetic is exact: an individual stores its support as a
+universe-position mask and its weights as integers over one scale, and
+results are ``int`` or ``Fraction``.  Rendering to fixed-precision decimal
+happens only at the output layer.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     ScenarioError,
     ZeroMembershipMass,
 )
-from .universe import ObjectiveSet, Universe, check_token
+from .universe import ObjectiveSet, Universe, check_token, positions
 
 
 class UtilityMeasure(str, Enum):
@@ -69,7 +70,7 @@ class Alternative:
 
     def __post_init__(self):
         check_token(self.id, "alternative id")
-        if not self.offers.members:
+        if not self.offers.mask:
             raise ScenarioError(f"alternative '{self.id}' offers no objectives")
 
     @property
@@ -77,11 +78,15 @@ class Alternative:
         return self.offers.universe
 
 
-def _scaled(weights: Mapping[str, int | Fraction]) -> tuple[dict[str, int], int]:
-    """``({t: w * scale}, scale)``, scale the lcm of the weights' denominators."""
+def _scaled(weights: Mapping[int, int | Fraction]
+            ) -> tuple[int, tuple[int, ...], int]:
+    """``(mask, ints, scale)`` of positive ``{bit: weight}``: the bits OR-ed,
+    each weight times scale in ascending bit order, and scale the lcm of
+    the weights' denominators."""
     scale = lcm(*(w.denominator for w in weights.values()))
-    return {t: w.numerator * (scale // w.denominator)
-            for t, w in weights.items()}, scale
+    bits = sorted(weights)
+    return sum(bits), tuple(weights[b].numerator * (scale // weights[b].denominator)
+                            for b in bits), scale
 
 
 class Individual:
@@ -90,40 +95,42 @@ class Individual:
     ``membership`` maps objective tokens to weights; objectives of the
     universe that are absent weigh 0.  Explicit zero entries are dropped on
     construction, so two individuals that differ only in spelled-out zeros
-    compare equal.  Weights are stored as integers over one scale (1 exactly
-    when *crisp*), scaled by ``_scaled`` in the checking constructor or in the
-    parser, which reports the same rules as findings (``_from_checked``).
+    compare equal.  The support is stored as a universe-position mask, and
+    its weights as integers over one scale (1 exactly when *crisp*), one per
+    set bit in ascending position order.  ``_scaled`` builds that form in
+    the checking constructor and in the parser, which reports the same rules
+    as findings (``_from_checked``); every token-keyed view is built on read.
     """
 
-    __slots__ = ("id", "universe", "_weights", "_scale")
+    __slots__ = ("id", "universe", "_mask", "_weights", "_scale")
 
     def __init__(self, id: str, universe: Universe,
                  membership: Mapping[str, object]):
         check_token(id, "individual id")
-        mu: dict[str, Fraction] = {}
+        mu: dict[int, Fraction] = {}
         for token, raw in membership.items():
-            if token not in universe:
-                raise ScenarioError(f"unknown objective {token!r}")
+            bit = universe.bit(token)
             value = to_fraction(raw, f"membership of {token!r}")
             if value < 0 or value > 1:
                 raise ScenarioError(
                     f"membership out of range: {token!r} has value {value}")
             if value:
-                mu[token] = value
+                mu[bit] = value
         if not mu:
             raise ScenarioError(
                 f"individual '{id}' requires no objectives (empty support)")
         self.id, self.universe = id, universe
-        self._weights, self._scale = _scaled(mu)
+        self._mask, self._weights, self._scale = _scaled(mu)
 
     @classmethod
-    def _from_checked(cls, id: str, universe: Universe,
-                      weights: dict[str, int], scale: int) -> "Individual":
+    def _from_checked(cls, id: str, universe: Universe, mask: int,
+                      weights: tuple[int, ...], scale: int) -> "Individual":
         """An individual from a valid id and the ``_scaled`` form of checked
-        non-empty ``{declared token: weight in (0, 1]}``; not re-checked."""
+        non-empty ``{declared bit: weight in (0, 1]}``; not re-checked."""
         individual = cls.__new__(cls)
         individual.id, individual.universe = id, universe
-        individual._weights, individual._scale = weights, scale
+        individual._mask, individual._weights = mask, weights
+        individual._scale = scale
         return individual
 
     @classmethod
@@ -134,26 +141,31 @@ class Individual:
 
     @property
     def membership(self) -> dict[str, Fraction]:
-        """Positive weights only, keyed by objective token."""
-        return {t: Fraction(w, self._scale) for t, w in self._weights.items()}
+        """Positive weights only, keyed by objective token, in universe order."""
+        objectives, scale = self.universe.objectives, self._scale
+        return {objectives[p]: Fraction(w, scale)
+                for p, w in zip(positions(self._mask), self._weights)}
 
     def mu(self, token: str) -> Fraction:
-        if token not in self.universe:
-            raise ScenarioError(f"unknown objective {token!r}")
-        return Fraction(self._weights.get(token, 0), self._scale)
+        bit = self.universe.bit(token)
+        if not self._mask & bit:
+            return Fraction(0)
+        # the weight's index is the number of support bits below it
+        return Fraction(self._weights[(self._mask & (bit - 1)).bit_count()],
+                        self._scale)
 
     @property
     def support(self) -> frozenset[str]:
-        return frozenset(self._weights)
+        return self.support_set.members
 
     @property
     def support_set(self) -> ObjectiveSet:
-        return ObjectiveSet(self.universe, self.support)
+        return ObjectiveSet(self.universe, self._mask)
 
     @property
     def mass(self) -> Fraction:
         """Total weight over the universe (zeros contribute nothing)."""
-        return Fraction(sum(self._weights.values()), self._scale)
+        return Fraction(sum(self._weights), self._scale)
 
     @property
     def is_crisp(self) -> bool:
@@ -163,11 +175,12 @@ class Individual:
         if not isinstance(other, Individual):
             return NotImplemented
         return (self.id == other.id and self.universe == other.universe
-                and (self._scale, self._weights) == (other._scale, other._weights))
+                and (self._mask, self._weights, self._scale)
+                == (other._mask, other._weights, other._scale))
 
     def __hash__(self) -> int:
-        return hash((self.id, self.universe, self._scale,
-                     frozenset(self._weights.items())))
+        return hash((self.id, self.universe, self._mask, self._weights,
+                     self._scale))
 
     def __repr__(self) -> str:
         weights = {t: str(v) for t, v in sorted(self.membership.items())}
@@ -268,7 +281,7 @@ def _check_domain(measure: UtilityMeasure, individual: Individual) -> None:
     alternative: the crisp measures need a crisp individual with a
     non-empty support, ``fuzzy`` needs a positive weight total."""
     if measure is UtilityMeasure.FUZZY:
-        if not individual.support:  # stored weights are all positive
+        if not individual._mask:  # stored weights are all positive
             raise ZeroMembershipMass("membership weights sum to zero",
                                      individual_id=individual.id)
         return
@@ -279,7 +292,7 @@ def _check_domain(measure: UtilityMeasure, individual: Individual) -> None:
             f"{name} utility is defined only for crisp individuals "
             "(all weights 0 or 1)",
             individual_id=individual.id)
-    if not individual.support:
+    if not individual._mask:
         raise EmptyIndividual("individual requires no objectives",
                               individual_id=individual.id)
 
@@ -292,7 +305,7 @@ def cardinal_utility(alternative: Alternative, individual: Individual) -> int:
     """
     _check_pair(alternative, individual)
     _check_domain(UtilityMeasure.CARDINAL, individual)
-    return len(alternative.offers.members & individual.support)
+    return (alternative.offers.mask & individual._mask).bit_count()
 
 
 def normalized_cardinal_utility(alternative: Alternative,
@@ -301,8 +314,9 @@ def normalized_cardinal_utility(alternative: Alternative,
     objectives; 1 means every requirement is met, 0 means none is."""
     _check_pair(alternative, individual)
     _check_domain(UtilityMeasure.NORMALIZED, individual)
-    support = individual.support
-    return Fraction(len(alternative.offers.members & support), len(support))
+    support = individual._mask
+    return Fraction((alternative.offers.mask & support).bit_count(),
+                    support.bit_count())
 
 
 def fuzzy_utility(alternative: Alternative, individual: Individual,

@@ -56,6 +56,7 @@ from .universe import (
     exigence_universe,
     opportunity_universe,
     partition_universe,
+    token_bits,
 )
 
 ERROR = "error"
@@ -64,6 +65,7 @@ WARNING = "warning"
 FORMATS = ("table", "json", "csv")
 DEFAULT_PRECISION = 6
 _NUMBER_BOUND = 1000  # most characters, and largest |exponent|, of a literal
+_EXPONENT_FROM = 10 ** 21  # findings quote larger magnitudes in exponent form
 _JSON_KINDS = {bool: "boolean", int: "number", Fraction: "number",
                list: "array", dict: "object", type(None): "null"}
 
@@ -234,9 +236,10 @@ def _entries(raw, section, what, allowed, findings):
         yield loc, entry, entry_id
 
 
-def _objective_list(entry, key, loc, empty, known, findings) -> list[str] | None:
-    """The distinct objectives of the array ``entry[key]`` in order, warning
-    on repeats; None if it is not a non-empty array of declared objectives."""
+def _objective_list(entry, key, loc, empty, known, findings) -> int | None:
+    """The mask of the objectives of the array ``entry[key]`` (``known``
+    maps each declared token to its bit), warning on repeats; None if it is
+    not a non-empty array of declared objectives."""
     raw = entry[key]
     loc = f"{loc}.{key}"
     if not isinstance(raw, list):
@@ -258,7 +261,7 @@ def _objective_list(entry, key, loc, empty, known, findings) -> list[str] | None
             _warn(findings, tloc, f"objective '{token}' listed twice")
         else:
             members[token] = None
-    return None if bad else list(members)
+    return None if bad else sum(map(known.__getitem__, members))
 
 
 def _validate_universe(doc, findings) -> list[str]:
@@ -277,7 +280,7 @@ def _validate_universe(doc, findings) -> list[str]:
     return list(declared)
 
 
-def _validate_alternatives(doc, known, findings) -> list[tuple[str, list[str]]]:
+def _validate_alternatives(doc, known, findings) -> list[tuple[str, int]]:
     raw = _top_array(doc, "alternatives", "'alternatives' must be an array",
                      "environment must contain at least one alternative",
                      findings)
@@ -286,20 +289,21 @@ def _validate_alternatives(doc, known, findings) -> list[tuple[str, list[str]]]:
                                        ("id", "offers"), findings):
         if not _check_present(findings, entry, "offers", loc):
             continue
-        members = _objective_list(entry, "offers", loc,
-                                  f"alternative '{alt_id}' offers no objectives",
-                                  known, findings)
-        if members is not None:
-            out.append((alt_id, members))
+        mask = _objective_list(entry, "offers", loc,
+                               f"alternative '{alt_id}' offers no objectives",
+                               known, findings)
+        if mask is not None:
+            out.append((alt_id, mask))
     return out
 
 
-def _validate_membership(raw, loc, known, findings) -> tuple[dict[str, int], int] | None:
+def _validate_membership(raw, loc, known,
+                         findings) -> tuple[int, tuple[int, ...], int] | None:
     """The positive weights of a valid membership object, ``_scaled``."""
     if not isinstance(raw, dict):
         _err(findings, loc, "'membership' must be an object of objective weights")
         return None
-    mu: dict[str, int | Fraction] = {}
+    mu: dict[int, int | Fraction] = {}
     bad = False
     for token, value in raw.items():
         tloc = f"{loc}.{_shown(token)}"
@@ -313,7 +317,7 @@ def _validate_membership(raw, loc, known, findings) -> tuple[dict[str, int], int
                  f"membership out of range: {_plain_number(value)} is not in [0, 1]")
             bad = True
         elif value:
-            mu[token] = value
+            mu[known[token]] = value
     if bad:
         return None
     if not mu:
@@ -322,7 +326,8 @@ def _validate_membership(raw, loc, known, findings) -> tuple[dict[str, int], int
     return _scaled(mu)
 
 
-def _validate_individuals(doc, known, findings) -> list[tuple[str, dict[str, int], int]]:
+def _validate_individuals(doc, known,
+                          findings) -> list[tuple[str, int, tuple[int, ...], int]]:
     raw = _top_array(doc, "individuals", "'individuals' must be an array",
                      "society must contain at least one individual", findings)
     out = []
@@ -333,10 +338,10 @@ def _validate_individuals(doc, known, findings) -> list[tuple[str, dict[str, int
                  "exactly one of 'membership' or 'requires' must be given")
             continue
         if "requires" in entry:
-            required = _objective_list(
+            mask = _objective_list(
                 entry, "requires", loc,
                 "empty support: individual requires no objectives", known, findings)
-            scaled = None if required is None else (dict.fromkeys(required, 1), 1)
+            scaled = None if mask is None else (mask, (1,) * mask.bit_count(), 1)
         else:
             scaled = _validate_membership(entry["membership"], f"{loc}.membership",
                                           known, findings)
@@ -346,6 +351,13 @@ def _validate_individuals(doc, known, findings) -> list[tuple[str, dict[str, int
 
 
 def _plain_number(value: int | Fraction) -> str:
+    """A number as a finding quotes it: from 10**21 in magnitude, its six
+    leading digits (truncated) in exponent form, so a short literal such as
+    ``1e999`` is not echoed as a thousand digits."""
+    if abs(value) >= _EXPONENT_FROM:
+        digits = str(abs(value.numerator) // value.denominator)
+        sign = "-" if value < 0 else ""
+        return f"{sign}{digits[0]}.{digits[1:6]}e+{len(digits) - 1}"
     if value.denominator == 1:
         return str(value)
     return format_decimal(value, 6).rstrip("0").rstrip(".") or "0"
@@ -388,7 +400,7 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
 
     _warn_unknown_keys(findings, doc, ("universe", "alternatives", "individuals"))
     declared = _validate_universe(doc, findings)
-    known = set(declared)
+    known = token_bits(declared)
     alternatives = _validate_alternatives(doc, known, findings)
     individuals = _validate_individuals(doc, known, findings)
 
@@ -397,11 +409,11 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
 
     universe = Universe(tuple(declared))
     environment = Environment(tuple(
-        Alternative(alt_id, ObjectiveSet(universe, frozenset(members)))
-        for alt_id, members in alternatives))
+        Alternative(alt_id, ObjectiveSet(universe, mask))
+        for alt_id, mask in alternatives))
     society = Society(tuple(
-        Individual._from_checked(ind_id, universe, weights, scale)
-        for ind_id, weights, scale in individuals))
+        Individual._from_checked(ind_id, universe, mask, weights, scale)
+        for ind_id, mask, weights, scale in individuals))
     scenario = Scenario(universe, environment, society)
     return scenario, ValidationReport(tuple(findings))
 

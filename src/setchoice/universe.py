@@ -2,8 +2,12 @@
 
 Objectives are interned symbolic tokens. A :class:`Universe` fixes the
 declared objectives and their canonical order; every other set in a
-scenario is a subset of one universe, and all set-valued results iterate
-in universe declaration order so output is deterministic.
+scenario is a subset of one universe, stored as a bitmask over universe
+positions: bit p stands for ``universe.objectives[p]``.  Which token maps
+to which bit is decided here alone (:func:`token_bits`, :func:`positions`).
+Set algebra is integer ``&``, ``|`` and ``& ~``; tokens are built only
+when a set is read, in universe declaration order, so output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -31,24 +35,34 @@ def check_token(token: object, what: str = "objective name") -> str:
     return token
 
 
+def token_bits(tokens: Iterable[str]) -> dict[str, int]:
+    """``{token: 1 << p}`` for distinct tokens declared in this order."""
+    return {token: 1 << p for p, token in enumerate(tokens)}
+
+
+def positions(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    return [p for p, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
 @dataclass(frozen=True)
 class Universe:
     """The declared objectives of a scenario, in canonical order."""
 
     objectives: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _bits: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.objectives, tuple):
             object.__setattr__(self, "objectives", tuple(self.objectives))
         if not self.objectives:
             raise ScenarioError("universe must declare at least one objective")
-        index: dict[str, int] = {}
+        seen: set[str] = set()
         for token in self.objectives:
-            if check_token(token) in index:
+            if check_token(token) in seen:
                 raise ScenarioError(f"duplicate objective {token!r} in universe")
-            index[token] = len(index)
-        object.__setattr__(self, "_index", index)
+            seen.add(token)
+        object.__setattr__(self, "_bits", token_bits(self.objectives))
 
     @property
     def size(self) -> int:
@@ -61,50 +75,63 @@ class Universe:
         return iter(self.objectives)
 
     def __contains__(self, token: object) -> bool:
-        return token in self._index
+        return token in self._bits
 
-    def position(self, token: str) -> int:
+    def bit(self, token: str) -> int:
+        """``1 << position(token)``."""
         try:
-            return self._index[token]
+            return self._bits[token]
         except KeyError:
             raise ScenarioError(f"unknown objective {token!r}") from None
 
+    def position(self, token: str) -> int:
+        return self.bit(token).bit_length() - 1
+
     def subset(self, members: Iterable[str]) -> "ObjectiveSet":
-        return ObjectiveSet(self, frozenset(members))
+        """The set of the given tokens, each checked to be declared."""
+        mask = 0
+        for token in members:
+            mask |= self.bit(token)
+        return ObjectiveSet(self, mask)
 
     def empty(self) -> "ObjectiveSet":
-        return ObjectiveSet(self, frozenset())
+        return ObjectiveSet(self, 0)
 
     def full(self) -> "ObjectiveSet":
-        return ObjectiveSet(self, frozenset(self.objectives))
+        return ObjectiveSet(self, (1 << self.size) - 1)
 
 
 @dataclass(frozen=True)
 class ObjectiveSet:
-    """A subset of one universe's objectives."""
+    """A subset of one universe's objectives: bit p of ``mask`` stands for
+    ``universe.objectives[p]``."""
 
     universe: Universe
-    members: frozenset[str]
+    mask: int
 
     def __post_init__(self):
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
-        for token in self.members:
-            if token not in self.universe:
-                raise ScenarioError(f"unknown objective {token!r}")
+        mask = self.mask
+        if not isinstance(mask, int) or mask < 0 or mask >> self.universe.size:
+            raise ScenarioError(f"objective set mask must be an int with bits "
+                                f"below {self.universe.size}, got {mask!r}")
+
+    @property
+    def members(self) -> frozenset[str]:
+        return frozenset(self.ordered())
 
     def ordered(self) -> tuple[str, ...]:
         """Members in universe declaration order."""
-        return tuple(t for t in self.universe.objectives if t in self.members)
+        return tuple(map(self.universe.objectives.__getitem__,
+                         positions(self.mask)))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.ordered())
 
     def __contains__(self, token: object) -> bool:
-        return token in self.members
+        return bool(self.mask & self.universe._bits.get(token, 0))
 
     def _check_same_universe(self, other: "ObjectiveSet") -> None:
         if self.universe != other.universe:
@@ -112,19 +139,19 @@ class ObjectiveSet:
 
     def __and__(self, other: "ObjectiveSet") -> "ObjectiveSet":
         self._check_same_universe(other)
-        return ObjectiveSet(self.universe, self.members & other.members)
+        return ObjectiveSet(self.universe, self.mask & other.mask)
 
     def __or__(self, other: "ObjectiveSet") -> "ObjectiveSet":
         self._check_same_universe(other)
-        return ObjectiveSet(self.universe, self.members | other.members)
+        return ObjectiveSet(self.universe, self.mask | other.mask)
 
     def __sub__(self, other: "ObjectiveSet") -> "ObjectiveSet":
         self._check_same_universe(other)
-        return ObjectiveSet(self.universe, self.members - other.members)
+        return ObjectiveSet(self.universe, self.mask & ~other.mask)
 
     def __le__(self, other: "ObjectiveSet") -> bool:
         self._check_same_universe(other)
-        return self.members <= other.members
+        return not self.mask & ~other.mask
 
 
 @dataclass(frozen=True)
@@ -140,21 +167,19 @@ class UniversePartition:
 
 def opportunity_universe(environment: "Environment") -> ObjectiveSet:
     """Union of every alternative's offered objectives."""
-    universe = environment.universe
-    members: frozenset[str] = frozenset()
+    mask = 0
     for alternative in environment.alternatives:
-        members |= alternative.offers.members
-    return ObjectiveSet(universe, members)
+        mask |= alternative.offers.mask
+    return ObjectiveSet(environment.universe, mask)
 
 
 def exigence_universe(society: "Society") -> ObjectiveSet:
     """Union of every individual's required objectives (the support of its
     membership weights: objectives with weight > 0)."""
-    universe = society.universe
-    members: frozenset[str] = frozenset()
+    mask = 0
     for individual in society.individuals:
-        members |= individual.support
-    return ObjectiveSet(universe, members)
+        mask |= individual._mask
+    return ObjectiveSet(society.universe, mask)
 
 
 def partition_universe(environment: "Environment",

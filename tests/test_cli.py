@@ -31,6 +31,7 @@ EXPECTED_LOCATIONS = {
     "deeply_nested.json": "$",
     "huge_exponent.json": "$",
     "huge_integer.json": "$",
+    "huge_value_echo.json": "individuals[0].membership.a",
     "tiny_exponent.json": "$",
 }
 

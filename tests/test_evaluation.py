@@ -121,7 +121,7 @@ class TestBuildProcess:
 
     def test_zero_mass_error_names_individual(self, reference):
         u, env, soc = reference
-        soc.individuals[1]._weights.clear()
+        soc.individuals[1]._mask, soc.individuals[1]._weights = 0, ()
         with pytest.raises(ZeroMembershipMass) as exc_info:
             build_process("fuzzy", "mean", env, soc, u)
         assert exc_info.value.individual_id == "q"

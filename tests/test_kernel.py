@@ -42,7 +42,7 @@ class TestEncoding:
         assert enc.offer_positions == ((0, 2),)
         assert enc.support_masks == (0b101,)
         assert (soc.individuals[0]._weights, soc.individuals[0]._scale) == (
-            {"a": 3, "c": 2}, 6)
+            (3, 2), 6)
         assert enc.weights == ((3, 0, 2),)
         assert enc.totals == (5,)
         assert enc.int64_safe

@@ -58,7 +58,7 @@ def demanding(greek):
 def gutted(individual):
     """A copy whose weights were emptied behind the constructor's back,
     to reach the defensive error paths."""
-    individual._weights.clear()
+    individual._mask, individual._weights = 0, ()
     return individual
 
 
@@ -221,6 +221,11 @@ class TestStoredWeights:
         assert ind.mass == sum(positive.values())
         assert ind.is_crisp == all(v == 1 for v in positive.values())
         assert all(ind.mu(t) == weights.get(t, 0) for t in TOKENS)
+        assert all(ind.mu(t) == ind.membership.get(t, 0) for t in TOKENS)
+        assert list(ind.membership) == [t for t in TOKENS if t in positive]
+        again = Individual("v", universe, ind.membership)
+        assert again == ind
+        assert hash(again) == hash(ind)
 
         body = ", ".join(f"{json.dumps(t)}: {format_ratio(v.numerator, v.denominator, 12)}"
                          for t, v in weights.items())

@@ -151,6 +151,18 @@ class TestParse:
         assert [f.location for f in validate_scenario(text).errors] == [
             "individuals[0].membership.a"]
 
+    @pytest.mark.parametrize("literal,shown", [
+        ("999999999999999999999", "999999999999999999999"),
+        ("1e21", "1.00000e+21"),
+        ("-1234567.89e20", "-1.23456e+26"),
+        ("1e999", "1.00000e+999"),
+        ("2.5", "2.5"),
+    ])
+    def test_out_of_range_value_is_quoted_briefly(self, literal, shown):
+        text = MINIMAL.replace('"requires": ["a"]', f'"membership": {{"a": {literal}}}')
+        assert [f.message for f in validate_scenario(text).errors] == [
+            f"membership out of range: {shown} is not in [0, 1]"]
+
     @pytest.mark.parametrize("literal,kind", [
         ("1.5", "number"), ("7", "number"), ('["a"]', "array"),
         ('{"a": 1}', "object"), ("true", "boolean"), ("null", "null")])
@@ -192,6 +204,7 @@ EXPECTED_LOCATIONS = {
     "deeply_nested.json": "$",
     "huge_exponent.json": "$",
     "huge_integer.json": "$",
+    "huge_value_echo.json": "individuals[0].membership.a",
     "tiny_exponent.json": "$",
 }
 
@@ -314,6 +327,13 @@ class TestInvalidCorpus:
         report = validate_scenario((INVALID_DIR / name).read_text())
         table = render_validation(report, "table")
         assert all(c == "\n" or c.isprintable() for c in table), table
+
+    def test_huge_value_is_quoted_in_exponent_form(self):
+        report = validate_scenario((INVALID_DIR / "huge_value_echo.json").read_text())
+        assert [(f.location, f.message) for f in report.errors] == [
+            ("individuals[0].membership.a",
+             "membership out of range: 1.00000e+999 is not in [0, 1]")]
+        assert len(render_validation(report, "table").encode()) < 200
 
     def test_findings_order_is_deterministic(self):
         text = (INVALID_DIR / "unknown_objective_offer.json").read_text()

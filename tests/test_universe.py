@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setchoice import (
     Alternative,
     Environment,
     Individual,
+    ObjectiveSet,
     ScenarioError,
     Society,
     Universe,
@@ -22,6 +25,7 @@ from _gen import (
     random_scenario_parts,
     random_society,
     random_universe,
+    token_pool,
 )
 
 
@@ -95,6 +99,48 @@ class TestObjectiveSet:
         assert (x | y).ordered() == ("a", "b", "c")
         assert (x - y).ordered() == ("a",)
         assert u.subset(["a"]) <= x
+
+
+@st.composite
+def two_subsets(draw):
+    """A universe of 1 to 130 objectives, so masks cross 64 and 128 bits,
+    and two token lists over it (repeats allowed, possibly empty)."""
+    tokens = token_pool(draw(st.integers(1, 130)))
+    lists = st.lists(st.sampled_from(tokens), max_size=2 * len(tokens))
+    return tokens, draw(lists), draw(lists)
+
+
+class TestMaskAlgebra:
+    """The bitmask set algebra agrees with the plain token-list oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_subsets())
+    def test_matches_token_oracles(self, case):
+        tokens, xs, ys = case
+        u = Universe(tokens)
+        x, y = u.subset(xs), u.subset(ys)
+
+        def agrees(got, expected):
+            assert got.ordered() == tuple(sorted(expected, key=tokens.index))
+            assert got.members == frozenset(expected)
+            assert list(got) == list(got.ordered())
+            assert len(got) == len(expected)
+
+        agrees(x, oracle_union([xs]))
+        agrees(x & y, oracle_intersection(oracle_union([xs]), ys))
+        agrees(x | y, oracle_union([xs, ys]))
+        agrees(x - y, oracle_difference(oracle_union([xs]), ys))
+        assert (x <= y) == all(t in ys for t in xs)
+        assert all((t in x) == (t in xs) for t in tokens)
+        assert "zz" not in x
+
+    @pytest.mark.parametrize("size", [1, 64, 130])
+    def test_rejects_a_mask_outside_the_universe(self, size):
+        u = Universe(token_pool(size))
+        for mask in (-1, 1 << size, frozenset()):
+            with pytest.raises(ScenarioError):
+                ObjectiveSet(u, mask)
+        assert ObjectiveSet(u, (1 << size) - 1) == u.full()
 
 
 class TestOpportunityUniverse:
