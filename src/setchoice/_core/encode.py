@@ -2,8 +2,9 @@
 
 Objective sets are already bitmasks over universe positions, and each
 individual already holds its weights as integers over one scale, one per
-support bit in position order; ``encode`` gathers the masks and places each
-weight at its position in a dense row.  So the kernels work purely on
+support bit in position order; ``encode`` only gathers them.  The dense
+weight rows and the offer positions, which only the fuzzy kernels read,
+are built from those on first read.  So the kernels work purely on
 integers and every utility comes back as an exact numerator/denominator
 pair; the per-individual scale cancels in the ratio.  ``int64_safe``
 records whether all magnitudes fit the compiled kernel's fixed-width
@@ -13,6 +14,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..measures import Environment, Society
 from ..universe import Universe, positions
@@ -25,9 +27,9 @@ INT64_LIMIT = 2 ** 62
 class EncodedScenario:
     objective_count: int
     offer_masks: tuple[int, ...]
-    offer_positions: tuple[tuple[int, ...], ...]
     support_masks: tuple[int, ...]
-    weights: tuple[tuple[int, ...], ...]
+    # each individual's weights, one per bit of its support mask, ascending
+    support_weights: tuple[tuple[int, ...], ...]
     totals: tuple[int, ...]
     int64_safe: bool
 
@@ -39,29 +41,32 @@ class EncodedScenario:
     def individual_count(self) -> int:
         return len(self.support_masks)
 
+    @cached_property
+    def offer_positions(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(positions(mask)) for mask in self.offer_masks)
+
+    @cached_property
+    def weights(self) -> tuple[tuple[int, ...], ...]:
+        """One dense row of R weights per individual."""
+        rows = []
+        for mask, weights in zip(self.support_masks, self.support_weights):
+            row = [0] * self.objective_count
+            for p, weight in zip(positions(mask), weights):
+                row[p] = weight
+            rows.append(tuple(row))
+        return tuple(rows)
+
 
 def encode(universe: Universe, environment: Environment,
            society: Society) -> EncodedScenario:
-    R = universe.size
-    offer_masks = tuple(alternative.offers.mask
-                        for alternative in environment.alternatives)
-
-    support_masks = tuple(individual._mask for individual in society.individuals)
-    weights = []
-    totals = []
-    for individual in society.individuals:
-        row = [0] * R
-        for p, weight in zip(positions(individual._mask), individual._weights):
-            row[p] = weight
-        weights.append(tuple(row))
-        totals.append(sum(individual._weights))
-
+    individuals = society.individuals
+    totals = tuple(sum(individual._weights) for individual in individuals)
     return EncodedScenario(
-        objective_count=R,
-        offer_masks=offer_masks,
-        offer_positions=tuple(tuple(positions(mask)) for mask in offer_masks),
-        support_masks=support_masks,
-        weights=tuple(weights),
-        totals=tuple(totals),
+        objective_count=universe.size,
+        offer_masks=tuple(alternative.offers.mask
+                          for alternative in environment.alternatives),
+        support_masks=tuple(individual._mask for individual in individuals),
+        support_weights=tuple(individual._weights for individual in individuals),
+        totals=totals,
         int64_safe=all(total < INT64_LIMIT for total in totals),
     )

@@ -33,6 +33,7 @@ from .errors import (
     ScenarioError,
     ZeroMembershipMass,
 )
+from .literals import _bounded, _plain_number
 from .universe import ObjectiveSet, Universe, check_token, positions
 
 
@@ -48,14 +49,16 @@ def to_fraction(value: object, where: str = "membership value") -> Fraction:
     Strings and Decimals convert exactly.  Floats are read as the decimal
     literal they print as (``0.4`` means 4/10, not its binary expansion),
     matching the scenario-file semantics.  Booleans are rejected (JSON
-    ``true`` is not a weight).
+    ``true`` is not a weight), and so is a string beyond the scenario
+    files' number bound, before any value is built.
     """
     if isinstance(value, bool):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
     if isinstance(value, float):
         value = repr(value)
     try:
-        return Fraction(value)  # type: ignore[arg-type]
+        return Fraction(_bounded(value) if isinstance(value, str)
+                        else value)  # type: ignore[arg-type]
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{where} must be a number, got {value!r}") from None
 
@@ -113,7 +116,8 @@ class Individual:
             value = to_fraction(raw, f"membership of {token!r}")
             if value < 0 or value > 1:
                 raise ScenarioError(
-                    f"membership out of range: {token!r} has value {value}")
+                    f"membership out of range: {token!r} has value "
+                    f"{_plain_number(value)}")
             if value:
                 mu[bit] = value
         if not mu:

@@ -40,6 +40,7 @@ from .evaluation import (
     get_aggregator,
     rank,
 )
+from .literals import DEFAULT_PRECISION, _bounded, _plain_number, format_ratio
 from .measures import (
     Alternative,
     Environment,
@@ -63,9 +64,6 @@ ERROR = "error"
 WARNING = "warning"
 
 FORMATS = ("table", "json", "csv")
-DEFAULT_PRECISION = 6
-_NUMBER_BOUND = 1000  # most characters, and largest |exponent|, of a literal
-_EXPONENT_FROM = 10 ** 21  # findings quote larger magnitudes in exponent form
 _JSON_KINDS = {bool: "boolean", int: "number", Fraction: "number",
                list: "array", dict: "object", type(None): "null"}
 
@@ -142,16 +140,6 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name}")
 
 
-def _bounded(text: str) -> str:
-    """A number literal, refused before any value is built when it is
-    beyond _NUMBER_BOUND; the ``parse_float`` and ``parse_int`` hooks."""
-    exponent = text.lower().partition("e")[2] or "0"
-    if len(text) > _NUMBER_BOUND or abs(int(exponent)) > _NUMBER_BOUND:
-        raise ValueError(f"number literal longer than {_NUMBER_BOUND} characters "
-                         f"or with |exponent| > {_NUMBER_BOUND}")
-    return text
-
-
 def _err(findings, location, message):
     findings.append(Finding(ERROR, location, message))
 
@@ -177,13 +165,6 @@ def _check_token_finding(findings, value, location, what) -> bool:
     except ScenarioError as exc:
         _err(findings, location, str(exc))
         return False
-
-
-def _check_declared(findings, token, location, known) -> bool:
-    if token in known:
-        return True
-    _err(findings, location, f"unknown objective '{_shown(token)}'")
-    return False
 
 
 def _check_present(findings, obj, key, location) -> bool:
@@ -238,8 +219,10 @@ def _entries(raw, section, what, allowed, findings):
 
 def _objective_list(entry, key, loc, empty, known, findings) -> int | None:
     """The mask of the objectives of the array ``entry[key]`` (``known``
-    maps each declared token to its bit), warning on repeats; None if it is
-    not a non-empty array of declared objectives."""
+    maps each declared token to its bit), built in one pass: a token whose
+    bit is set already is warned about as a repeat, and a location is built
+    only for a finding.  None if it is not a non-empty array of declared
+    objectives."""
     raw = entry[key]
     loc = f"{loc}.{key}"
     if not isinstance(raw, list):
@@ -248,20 +231,20 @@ def _objective_list(entry, key, loc, empty, known, findings) -> int | None:
     if not raw:
         _err(findings, loc, empty)
         return None
-    members: dict[str, None] = {}
+    mask = 0
     bad = False
     for j, token in enumerate(raw):
-        tloc = f"{loc}[{j}]"
         if not isinstance(token, str):
-            _err(findings, tloc, "objective name must be a string")
+            _err(findings, f"{loc}[{j}]", "objective name must be a string")
             bad = True
-        elif not _check_declared(findings, token, tloc, known):
+        elif (bit := known.get(token)) is None:
+            _err(findings, f"{loc}[{j}]", f"unknown objective '{_shown(token)}'")
             bad = True
-        elif token in members:
-            _warn(findings, tloc, f"objective '{token}' listed twice")
+        elif mask & bit:
+            _warn(findings, f"{loc}[{j}]", f"objective '{token}' listed twice")
         else:
-            members[token] = None
-    return None if bad else sum(map(known.__getitem__, members))
+            mask |= bit
+    return None if bad else mask
 
 
 def _validate_universe(doc, findings) -> list[str]:
@@ -306,18 +289,20 @@ def _validate_membership(raw, loc, known,
     mu: dict[int, int | Fraction] = {}
     bad = False
     for token, value in raw.items():
-        tloc = f"{loc}.{_shown(token)}"
-        if not _check_declared(findings, token, tloc, known):
-            bad = True
+        bit = known.get(token)
+        if bit is None:
+            message = f"unknown objective '{_shown(token)}'"
         elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            _err(findings, tloc, "membership value must be a number")
-            bad = True
-        elif not 0 <= value <= 1:
-            _err(findings, tloc,
-                 f"membership out of range: {_plain_number(value)} is not in [0, 1]")
-            bad = True
-        elif value:
-            mu[known[token]] = value
+            message = "membership value must be a number"
+        elif not 0 <= value.numerator <= value.denominator:
+            message = (f"membership out of range: {_plain_number(value)} "
+                       "is not in [0, 1]")
+        else:
+            if value:
+                mu[bit] = value
+            continue
+        _err(findings, f"{loc}.{_shown(token)}", message)
+        bad = True
     if bad:
         return None
     if not mu:
@@ -348,19 +333,6 @@ def _validate_individuals(doc, known,
         if scaled is not None:
             out.append((ind_id, *scaled))
     return out
-
-
-def _plain_number(value: int | Fraction) -> str:
-    """A number as a finding quotes it: from 10**21 in magnitude, its six
-    leading digits (truncated) in exponent form, so a short literal such as
-    ``1e999`` is not echoed as a thousand digits."""
-    if abs(value) >= _EXPONENT_FROM:
-        digits = str(abs(value.numerator) // value.denominator)
-        sign = "-" if value < 0 else ""
-        return f"{sign}{digits[0]}.{digits[1:6]}e+{len(digits) - 1}"
-    if value.denominator == 1:
-        return str(value)
-    return format_decimal(value, 6).rstrip("0").rstrip(".") or "0"
 
 
 def validate_scenario(text: str) -> ValidationReport:
@@ -420,21 +392,6 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
 
 # ---------------------------------------------------------------------------
 # number rendering
-
-
-def format_ratio(num: int, den: int, digits: int = DEFAULT_PRECISION) -> str:
-    """Exact fixed-point rendering of ``num / den`` (``den > 0``), rounded
-    half to even, in integer arithmetic only."""
-    scale = 10 ** digits if digits > 0 else 1
-    scaled, rest = divmod(num * scale, den)
-    rest += rest
-    if rest > den or (rest == den and scaled & 1):
-        scaled += 1
-    if digits <= 0:
-        return str(scaled)
-    sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), scale)
-    return f"{sign}{whole}.{frac:0{digits}d}"
 
 
 def format_decimal(value, digits: int = DEFAULT_PRECISION) -> str:

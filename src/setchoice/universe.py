@@ -28,11 +28,12 @@ def check_token(token: object, what: str = "objective name") -> str:
         raise ScenarioError(f"{what} must be a string, got {type(token).__name__}")
     if not token:
         raise ScenarioError(f"{what} must be non-empty")
+    # every whitespace character but " " is also non-printable
+    if token.isprintable() and " " not in token:
+        return token
     if any(c.isspace() for c in token):
         raise ScenarioError(f"{what} {token!r} contains whitespace")
-    if not token.isprintable():
-        raise ScenarioError(f"{what} {token!r} contains a non-printable character")
-    return token
+    raise ScenarioError(f"{what} {token!r} contains a non-printable character")
 
 
 def token_bits(tokens: Iterable[str]) -> dict[str, int]:

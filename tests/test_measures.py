@@ -167,6 +167,18 @@ class TestConstruction:
         with pytest.raises(ScenarioError, match="must be a number"):
             Individual("v", greek, {"alpha": "high"})
 
+    @pytest.mark.parametrize("literal,message", [
+        ("1e999", "membership out of range: 'alpha' has value 1.00000e+999"),
+        ("1e5000", "membership of 'alpha' must be a number, got '1e5000'"),
+        ("1e-3000000", "membership of 'alpha' must be a number, got '1e-3000000'"),
+        (10 ** 5000, "membership out of range: 'alpha' has value 1.00000e+5000"),
+    ], ids=["1e999", "1e5000", "1e-3000000", "10**5000"])
+    def test_number_literals_are_bounded_and_quoted_briefly(self, greek, literal,
+                                                            message):
+        with pytest.raises(ScenarioError) as exc:
+            Individual("v", greek, {"alpha": literal})
+        assert str(exc.value) == message
+
     def test_unknown_objective(self, greek):
         with pytest.raises(ScenarioError, match="unknown objective"):
             Individual("v", greek, {"delta": 1})

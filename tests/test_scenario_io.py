@@ -313,6 +313,66 @@ class TestParserFuzz:
         assert_scenario_or_located_errors(text)
 
 
+DECLARED = ("a", "b", "c")
+objective_lists = st.lists(
+    st.sampled_from(DECLARED + ("zz", "\x1b[2J")) | st.text(max_size=3)
+    | st.none() | st.booleans()
+    | st.sampled_from([0, 2, -1, 0.5, 10 ** 30])
+    | st.lists(st.sampled_from(DECLARED), max_size=2)
+    | st.dictionaries(st.sampled_from(DECLARED), st.integers(0, 1), max_size=2),
+    max_size=8)
+
+
+def objective_list_spec(values, location, empty):
+    """The findings, as (severity, location, message), and the mask that an
+    ``offers`` or ``requires`` list over DECLARED gives; None for the mask
+    of a list with an error."""
+    if not values:
+        return [("error", location, empty)], None
+    findings, listed, bad = [], [], False
+    for j, value in enumerate(values):
+        where = f"{location}[{j}]"
+        if not isinstance(value, str):
+            findings.append(("error", where, "objective name must be a string"))
+            bad = True
+        elif value not in DECLARED:
+            shown = value if value.isprintable() else repr(value)[1:-1]
+            findings.append(("error", where, f"unknown objective '{shown}'"))
+            bad = True
+        elif value in listed:
+            findings.append(("warning", where, f"objective '{value}' listed twice"))
+        else:
+            listed.append(value)
+    return findings, None if bad else sum(1 << DECLARED.index(t) for t in listed)
+
+
+class TestObjectiveLists:
+    """``offers`` and ``requires`` lists give the findings and the mask of
+    a spec written out in this test."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(offers=objective_lists, requires=objective_lists)
+    def test_findings_and_mask_match_the_spec(self, offers, requires):
+        text = json.dumps({
+            "universe": list(DECLARED),
+            "alternatives": [{"id": "x", "offers": offers}],
+            "individuals": [{"id": "p", "requires": requires}]})
+        offer_findings, offer_mask = objective_list_spec(
+            offers, "alternatives[0].offers", "alternative 'x' offers no objectives")
+        require_findings, require_mask = objective_list_spec(
+            requires, "individuals[0].requires",
+            "empty support: individual requires no objectives")
+        report = validate_scenario(text)
+        assert [(f.severity, f.location, f.message) for f in report.findings] == (
+            offer_findings + require_findings)
+        scenario = parse_scenario(text)
+        if offer_mask is None or require_mask is None:
+            assert scenario == report
+        else:
+            assert scenario.environment.alternatives[0].offers.mask == offer_mask
+            assert scenario.society.individuals[0]._mask == require_mask
+
+
 class TestInvalidCorpus:
     @pytest.mark.parametrize("name", sorted(EXPECTED_LOCATIONS))
     def test_error_with_location_and_no_partial_result(self, name):

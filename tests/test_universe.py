@@ -16,6 +16,7 @@ from setchoice import (
     opportunity_universe,
     partition_universe,
 )
+from setchoice.universe import check_token
 
 from _gen import (
     oracle_difference,
@@ -60,6 +61,25 @@ class TestUniverse:
     def test_rejects_bad_tokens(self, token):
         with pytest.raises(ScenarioError):
             Universe(("ok", token))
+
+    def test_one_character_tokens_follow_both_character_rules(self):
+        """Over every code point, a one-character token is accepted exactly
+        when it is neither whitespace nor non-printable, and a refusal names
+        the first of those rules it breaks."""
+        wrong = []
+        for point in range(0x110000):
+            char = chr(point)
+            expected = ("contains whitespace" if char.isspace()
+                        else None if char.isprintable()
+                        else "contains a non-printable character")
+            try:
+                check_token(char)
+                got = None
+            except ScenarioError as exc:
+                got = str(exc).rpartition("' ")[2]
+            if got != expected:
+                wrong.append((hex(point), got, expected))
+        assert wrong == []
 
     def test_id_messages_name_the_full_noun(self):
         u = Universe(("a",))
