@@ -2,13 +2,12 @@
 
 Objective sets are already bitmasks over universe positions, and each
 individual already holds its weights as integers over one scale, one per
-support bit in position order; ``encode`` only gathers them.  The dense
-weight rows and the offer positions, which only the fuzzy kernels read,
-are built from those on first read.  So the kernels work purely on
+support bit in position order; ``encode`` only gathers them, and the
+pure kernel reads them as they are.  So the kernels work purely on
 integers and every utility comes back as an exact numerator/denominator
-pair; the per-individual scale cancels in the ratio.  ``int64_safe``
-records whether all magnitudes fit the compiled kernel's fixed-width
-arithmetic.
+pair; the per-individual scale cancels in the ratio.  The dense weight
+rows (``weights``, built on first read) and ``int64_safe``, whether all
+magnitudes fit fixed-width arithmetic, serve the compiled kernel alone.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ class EncodedScenario:
     # each individual's weights, one per bit of its support mask, ascending
     support_weights: tuple[tuple[int, ...], ...]
     totals: tuple[int, ...]
+    # read by the compiled kernel's dispatch and by perfbench's tracer only
     int64_safe: bool
 
     @property
@@ -42,12 +42,9 @@ class EncodedScenario:
         return len(self.support_masks)
 
     @cached_property
-    def offer_positions(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(positions(mask)) for mask in self.offer_masks)
-
-    @cached_property
     def weights(self) -> tuple[tuple[int, ...], ...]:
-        """One dense row of R weights per individual."""
+        """One dense row of R weights per individual; only the compiled
+        kernel reads it."""
         rows = []
         for mask, weights in zip(self.support_masks, self.support_weights):
             row = [0] * self.objective_count

@@ -33,7 +33,7 @@ from .errors import (
     ScenarioError,
     ZeroMembershipMass,
 )
-from .literals import _bounded, _plain_number
+from .literals import _BeyondBound, _bounded_number, _plain_number, _quoted
 from .universe import ObjectiveSet, Universe, check_token, positions
 
 
@@ -49,18 +49,20 @@ def to_fraction(value: object, where: str = "membership value") -> Fraction:
     Strings and Decimals convert exactly.  Floats are read as the decimal
     literal they print as (``0.4`` means 4/10, not its binary expansion),
     matching the scenario-file semantics.  Booleans are rejected (JSON
-    ``true`` is not a weight), and so is a string beyond the scenario
-    files' number bound, before any value is built.
+    ``true`` is not a weight), and so is a value beyond the scenario files'
+    number bound, before any value or scale is built from it.
     """
     if isinstance(value, bool):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
     if isinstance(value, float):
         value = repr(value)
     try:
-        return Fraction(_bounded(value) if isinstance(value, str)
-                        else value)  # type: ignore[arg-type]
+        return Fraction(_bounded_number(value))  # type: ignore[arg-type]
+    except _BeyondBound as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
     except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{where} must be a number, got {value!r}") from None
+        raise ScenarioError(
+            f"{where} must be a number, got {_quoted(value)}") from None
 
 
 @dataclass(frozen=True)
@@ -113,10 +115,10 @@ class Individual:
         mu: dict[int, Fraction] = {}
         for token, raw in membership.items():
             bit = universe.bit(token)
-            value = to_fraction(raw, f"membership of {token!r}")
+            value = to_fraction(raw, f"membership of {_quoted(token)}")
             if value < 0 or value > 1:
                 raise ScenarioError(
-                    f"membership out of range: {token!r} has value "
+                    f"membership out of range: {_quoted(token)} has value "
                     f"{_plain_number(value)}")
             if value:
                 mu[bit] = value

@@ -40,7 +40,13 @@ from .evaluation import (
     get_aggregator,
     rank,
 )
-from .literals import DEFAULT_PRECISION, _bounded, _plain_number, format_ratio
+from .literals import (
+    DEFAULT_PRECISION,
+    _bounded,
+    _plain_number,
+    _quoted,
+    format_ratio,
+)
 from .measures import (
     Alternative,
     Environment,
@@ -148,10 +154,14 @@ def _warn(findings, location, message):
     findings.append(Finding(WARNING, location, message))
 
 
-def _shown(text: str) -> str:
-    """Input text as a finding quotes it: unchanged when printable, else
-    escaped, so no control character reaches a terminal."""
-    return text if text.isprintable() else repr(text)[1:-1]
+def _shown(text: str, quote: str = "'") -> str:
+    """Input text as a finding quotes it, between ``quote`` marks: unchanged
+    when printable, else escaped, so no control character reaches a
+    terminal; a long text is cut, and its length stated, by ``_quoted``."""
+    def form(part: str) -> str:
+        escaped = part if part.isprintable() else repr(part)[1:-1]
+        return f"{quote}{escaped}{quote}"
+    return _quoted(text, form)
 
 
 def _check_token_finding(findings, value, location, what) -> bool:
@@ -177,8 +187,8 @@ def _check_present(findings, obj, key, location) -> bool:
 def _warn_unknown_keys(findings, obj, allowed, prefix="") -> None:
     for key in obj:
         if key not in allowed:
-            shown = _shown(key)
-            _warn(findings, prefix + shown, f"unknown key '{shown}'")
+            _warn(findings, prefix + _shown(key, ""),
+                  f"unknown key {_shown(key)}")
 
 
 def _top_array(doc, key, not_array, empty, findings) -> list:
@@ -211,7 +221,8 @@ def _entries(raw, section, what, allowed, findings):
         if not _check_token_finding(findings, entry_id, f"{loc}.id", f"{what} id"):
             continue
         if entry_id in ids:
-            _err(findings, f"{loc}.id", f"duplicate {what} id '{entry_id}'")
+            _err(findings, f"{loc}.id",
+                 f"duplicate {what} id {_shown(entry_id)}")
             continue
         ids.add(entry_id)
         yield loc, entry, entry_id
@@ -238,10 +249,11 @@ def _objective_list(entry, key, loc, empty, known, findings) -> int | None:
             _err(findings, f"{loc}[{j}]", "objective name must be a string")
             bad = True
         elif (bit := known.get(token)) is None:
-            _err(findings, f"{loc}[{j}]", f"unknown objective '{_shown(token)}'")
+            _err(findings, f"{loc}[{j}]", f"unknown objective {_shown(token)}")
             bad = True
         elif mask & bit:
-            _warn(findings, f"{loc}[{j}]", f"objective '{token}' listed twice")
+            _warn(findings, f"{loc}[{j}]",
+                  f"objective {_shown(token)} listed twice")
         else:
             mask |= bit
     return None if bad else mask
@@ -257,7 +269,7 @@ def _validate_universe(doc, findings) -> list[str]:
         if not _check_token_finding(findings, token, loc, "objective name"):
             continue
         if token in declared:
-            _err(findings, loc, f"duplicate objective '{token}'")
+            _err(findings, loc, f"duplicate objective {_shown(token)}")
             continue
         declared[token] = None
     return list(declared)
@@ -272,9 +284,10 @@ def _validate_alternatives(doc, known, findings) -> list[tuple[str, int]]:
                                        ("id", "offers"), findings):
         if not _check_present(findings, entry, "offers", loc):
             continue
-        mask = _objective_list(entry, "offers", loc,
-                               f"alternative '{alt_id}' offers no objectives",
-                               known, findings)
+        mask = _objective_list(
+            entry, "offers", loc,
+            f"alternative {_shown(alt_id)} offers no objectives", known,
+            findings)
         if mask is not None:
             out.append((alt_id, mask))
     return out
@@ -291,7 +304,7 @@ def _validate_membership(raw, loc, known,
     for token, value in raw.items():
         bit = known.get(token)
         if bit is None:
-            message = f"unknown objective '{_shown(token)}'"
+            message = f"unknown objective {_shown(token)}"
         elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             message = "membership value must be a number"
         elif not 0 <= value.numerator <= value.denominator:
@@ -301,7 +314,7 @@ def _validate_membership(raw, loc, known,
             if value:
                 mu[bit] = value
             continue
-        _err(findings, f"{loc}.{_shown(token)}", message)
+        _err(findings, f"{loc}.{_shown(token, '')}", message)
         bad = True
     if bad:
         return None
@@ -360,7 +373,7 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
                          parse_constant=_reject_constant,
                          object_pairs_hook=_pairs_hook)
     except _DuplicateKey as exc:
-        _err(findings, "$", f"duplicate key '{_shown(exc.key)}'")
+        _err(findings, "$", f"duplicate key {_shown(exc.key)}")
         return None, ValidationReport(tuple(findings))
     except (ValueError, RecursionError) as exc:
         _err(findings, "$", f"invalid JSON: {exc}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import ScenarioError
+from .literals import _quoted
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .measures import Environment, Society
@@ -32,8 +33,9 @@ def check_token(token: object, what: str = "objective name") -> str:
     if token.isprintable() and " " not in token:
         return token
     if any(c.isspace() for c in token):
-        raise ScenarioError(f"{what} {token!r} contains whitespace")
-    raise ScenarioError(f"{what} {token!r} contains a non-printable character")
+        raise ScenarioError(f"{what} {_quoted(token)} contains whitespace")
+    raise ScenarioError(
+        f"{what} {_quoted(token)} contains a non-printable character")
 
 
 def token_bits(tokens: Iterable[str]) -> dict[str, int]:
@@ -61,7 +63,8 @@ class Universe:
         seen: set[str] = set()
         for token in self.objectives:
             if check_token(token) in seen:
-                raise ScenarioError(f"duplicate objective {token!r} in universe")
+                raise ScenarioError(
+                    f"duplicate objective {_quoted(token)} in universe")
             seen.add(token)
         object.__setattr__(self, "_bits", token_bits(self.objectives))
 
@@ -83,7 +86,7 @@ class Universe:
         try:
             return self._bits[token]
         except KeyError:
-            raise ScenarioError(f"unknown objective {token!r}") from None
+            raise ScenarioError(f"unknown objective {_quoted(token)}") from None
 
     def position(self, token: str) -> int:
         return self.bit(token).bit_length() - 1

@@ -67,6 +67,25 @@ class TestValidateVerb:
         assert EXPECTED_LOCATIONS[name] in proc.stdout
         assert proc.stderr == "", proc.stderr
 
+    def test_long_tokens_are_quoted_briefly(self, tmp_path):
+        # a whitespace token and two unknown objectives of 5000 characters
+        # each: the report quotes the first 40 and the length of each
+        spaced, unknown = "x " * 2500, "y" * 5000
+        path = tmp_path / "long_tokens.json"
+        path.write_text(json.dumps({
+            "universe": ["a", spaced],
+            "alternatives": [{"id": "x", "offers": ["a", unknown]}],
+            "individuals": [{"id": "p", "membership": {unknown: 1}}],
+        }), encoding="utf-8")
+        assert path.stat().st_size > 15000
+        proc = cli("validate", str(path))
+        assert proc.returncode == 1
+        assert len(proc.stdout.encode()) < 1024, proc.stdout
+        assert f"'{spaced[:40]}'... (5000 characters) contains whitespace" in (
+            proc.stdout)
+        assert f"unknown objective '{unknown[:40]}'... (5000 characters)" in (
+            proc.stdout)
+
     def test_missing_file_exits_one(self):
         proc = cli("validate", str(INVALID_DIR / "no_such_file.json"))
         assert proc.returncode == 1

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setchoice import (
     Alternative,
@@ -20,10 +22,49 @@ from setchoice._core import (
     kernel_py,
     utility_matrix,
 )
+from setchoice._core.encode import INT64_LIMIT
 
-from _gen import random_scenario_parts
+from _gen import DENOMS, random_scenario_parts, token_pool
 
 MEASURES = ("cardinal", "normalized", "fuzzy")
+
+# row totals at the edge of each packed field width (16, 32, 64 bits, then
+# whole bytes): the largest total that fits one width and the first that
+# needs the next
+WIDTH_EDGES = (2 ** 16 - 1, 2 ** 16, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64)
+SMALL_WEIGHT = Fraction(1, 10 ** 20)  # a scale beyond int64 on its own
+small_weights = st.builds(lambda den, num: Fraction(num % den + 1, den),
+                          st.sampled_from(DENOMS), st.integers(0, 99))
+
+
+@st.composite
+def weighted_parts(draw, alternatives, largest=None, weights=small_weights):
+    """A universe, ``alternatives`` random alternatives, and individuals
+    weighted by ``weights``; with ``largest``, one more whose integer
+    weights sum to exactly ``largest`` (all others sum to less)."""
+    universe = Universe(token_pool(draw(st.integers(2, 6))))
+    subsets = st.lists(st.sampled_from(universe.objectives), min_size=1,
+                       unique=True)
+    environment = Environment(tuple(
+        Alternative(f"alt{m}", universe.subset(draw(subsets)))
+        for m in range(alternatives)))
+    memberships = [{token: draw(weights) for token in draw(subsets)}
+                   for _ in range(draw(st.integers(largest is None, 3)))]
+    if largest is not None:
+        # parts 1, then the gaps between distinct cuts: the weight 1/largest
+        # makes the scale largest, and the parts sum to it
+        tokens = draw(st.lists(st.sampled_from(universe.objectives),
+                               min_size=2, unique=True))
+        cuts = sorted(draw(st.lists(st.integers(2, largest - 1), unique=True,
+                                    min_size=len(tokens) - 2,
+                                    max_size=len(tokens) - 2)))
+        bounds = [1, *cuts, largest]
+        parts = [1] + [b - a for a, b in zip(bounds, bounds[1:])]
+        memberships.insert(draw(st.integers(0, len(memberships))), {
+            token: Fraction(part, largest) for token, part in zip(tokens, parts)})
+    society = Society(tuple(Individual(f"ind{n}", universe, membership)
+                            for n, membership in enumerate(memberships)))
+    return universe, environment, society
 
 
 def encoded(parts):
@@ -39,8 +80,8 @@ class TestEncoding:
                                            "c": Fraction(1, 3)}),))
         enc = encode(u, env, soc)
         assert enc.offer_masks == (0b101,)
-        assert enc.offer_positions == ((0, 2),)
         assert enc.support_masks == (0b101,)
+        assert enc.support_weights == ((3, 2),)
         assert (soc.individuals[0]._weights, soc.individuals[0]._scale) == (
             (3, 2), 6)
         assert enc.weights == ((3, 0, 2),)
@@ -56,6 +97,15 @@ class TestEncoding:
         assert not enc.int64_safe
 
 
+def assert_fuzzy_matches_reference(parts, enc):
+    universe, environment, society = parts
+    nums, dens = kernel_py.utility_matrix(enc, "fuzzy")
+    assert len(nums) == len(dens) == society.size
+    for n, ind in enumerate(society.individuals):
+        ref = individual_profile("fuzzy", environment, ind, universe)
+        assert [Fraction(num, dens[n]) for num in nums[n]] == list(ref.values)
+
+
 class TestKernelAgreement:
     def test_pure_kernel_matches_reference(self):
         rng = random.Random(401)
@@ -68,6 +118,29 @@ class TestKernelAgreement:
                     ref = individual_profile(measure, parts[1], ind, parts[0])
                     got = [Fraction(num, dens[n]) for num in nums[n]]
                     assert got == [Fraction(v) for v in ref.values]
+
+    @pytest.mark.parametrize("alternatives", [1, 4])
+    @pytest.mark.parametrize("largest", WIDTH_EDGES)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_packed_fuzzy_matches_reference(self, largest, alternatives, data):
+        parts = data.draw(weighted_parts(alternatives, largest))
+        enc = encoded(parts)
+        assert max(enc.totals) == largest
+        assert enc.int64_safe == (largest < INT64_LIMIT)
+        assert_fuzzy_matches_reference(parts, enc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(alternatives=st.integers(1, 5), data=st.data())
+    def test_packed_fuzzy_matches_reference_beyond_int64(self, alternatives,
+                                                         data):
+        parts = data.draw(weighted_parts(alternatives, weights=st.one_of(
+            small_weights, st.just(SMALL_WEIGHT))))
+        assert_fuzzy_matches_reference(parts, encoded(parts))
+
+    def test_packed_field_widths(self):
+        assert [kernel_py._field_width(total) for total in (0, *WIDTH_EDGES)] == [
+            16, 16, 32, 32, 64, 64, 72]
 
     @pytest.mark.skipif(not HAVE_FAST, reason="compiled kernel not built")
     def test_compiled_matches_pure(self):

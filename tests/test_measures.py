@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,9 @@ from setchoice import (
     utility,
 )
 from setchoice.scenario_io import format_ratio
+
+BEYOND_BOUND = ("number literal longer than 1000 characters or with "
+                "|exponent| > 1000")
 
 from _gen import (
     oracle_cardinal,
@@ -169,15 +173,47 @@ class TestConstruction:
 
     @pytest.mark.parametrize("literal,message", [
         ("1e999", "membership out of range: 'alpha' has value 1.00000e+999"),
-        ("1e5000", "membership of 'alpha' must be a number, got '1e5000'"),
-        ("1e-3000000", "membership of 'alpha' must be a number, got '1e-3000000'"),
-        (10 ** 5000, "membership out of range: 'alpha' has value 1.00000e+5000"),
-    ], ids=["1e999", "1e5000", "1e-3000000", "10**5000"])
+        ("1e5000", f"membership of 'alpha': {BEYOND_BOUND}"),
+        ("1e-3000000", f"membership of 'alpha': {BEYOND_BOUND}"),
+        (10 ** 5000, f"membership of 'alpha': {BEYOND_BOUND}"),
+        (10 ** 999, "membership out of range: 'alpha' has value 1.00000e+999"),
+        (Fraction(1, 10 ** 1000), f"membership of 'alpha': {BEYOND_BOUND}"),
+        (Fraction(1, 10 ** 999), None),
+        (Decimal("1e-300000"), f"membership of 'alpha': {BEYOND_BOUND}"),
+        (Decimal("1e-3000000"), f"membership of 'alpha': {BEYOND_BOUND}"),
+        (Decimal("1" * 1001), f"membership of 'alpha': {BEYOND_BOUND}"),
+        (Decimal("1e-1000"), None),
+        (Decimal("NaN"), "membership of 'alpha' must be a number, got Decimal('NaN')"),
+        ("x" * 2000, f"membership of 'alpha': {BEYOND_BOUND}"),
+        ("x" * 999, "membership of 'alpha' must be a number, got "
+                    f"'{'x' * 40}'... (999 characters)"),
+    ], ids=["1e999", "1e5000", "1e-3000000", "10**5000", "10**999",
+            "Fraction(1,10**1000)", "Fraction(1,10**999)", "Decimal(1e-300000)",
+            "Decimal(1e-3000000)", "Decimal(1001 digits)", "Decimal(1e-1000)",
+            "Decimal(NaN)", "x*2000", "x*999"])
     def test_number_literals_are_bounded_and_quoted_briefly(self, greek, literal,
                                                             message):
+        if message is None:  # within the bound and in range
+            assert Individual("v", greek, {"alpha": literal}).mu("alpha") == (
+                Fraction(literal))
+            return
         with pytest.raises(ScenarioError) as exc:
             Individual("v", greek, {"alpha": literal})
         assert str(exc.value) == message
+
+    def test_long_tokens_are_quoted_briefly(self, greek):
+        long = "x" * 2000
+        quoted = f"'{'x' * 40}'... (2000 characters)"
+        for call, message in [
+            (lambda: greek.bit(long), f"unknown objective {quoted}"),
+            (lambda: Individual(long[:-1] + " ", greek, {"alpha": 1}),
+             f"individual id {quoted} contains whitespace"),
+            (lambda: Individual("v", Universe((long,)), {long: "high"}),
+             f"membership of {quoted} must be a number, got 'high'"),
+        ]:
+            with pytest.raises(ScenarioError) as exc:
+                call()
+            assert str(exc.value) == message
 
     def test_unknown_objective(self, greek):
         with pytest.raises(ScenarioError, match="unknown objective"):
