@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 
 from . import _core
 from .errors import LengthMismatch, MeasureError, ScenarioError
+from .literals import _quoted_id
 from .measures import (
     Environment,
     Individual,
@@ -181,10 +182,10 @@ class EvaluationProcess:
             if profile.individual_id != individual.id:
                 raise ScenarioError(
                     f"profile order disagrees with society order at "
-                    f"'{profile.individual_id}'")
+                    f"{_quoted_id(profile.individual_id)}")
             if len(profile) != self.environment.size:
                 raise LengthMismatch(
-                    f"profile of '{profile.individual_id}' has "
+                    f"profile of {_quoted_id(profile.individual_id)} has "
                     f"{len(profile)} values for {self.environment.size} "
                     "alternatives")
 

@@ -5,9 +5,11 @@ A number is read only within ``_NUMBER_BOUND`` (``_bounded`` for a literal,
 ``_bounded_number`` for any value), so a short text such as ``1e-3000000``
 never builds a huge integer; a message quotes a value briefly
 (``_plain_number``, ``_quoted``), so neither ``1e999`` nor a 5000-character
-token is echoed whole.  The scenario parser and the library's checking
-constructor ``Individual`` both apply these rules; ``format_ratio`` writes
-every rational the program prints, exactly.
+token is echoed whole.  The scenario parser, which reads a decimal literal as
+an exact ``Decimal``, and the library's checking constructor ``Individual``
+both apply these rules.  ``format_ratios`` writes every rational the
+program prints, exactly, a whole row of them in one pass; ``format_ratio``
+is that rule for one value.
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ class _BeyondBound(ValueError):
 def _bounded(text: str) -> str:
     """A number literal, refused with ``_BeyondBound`` before any value is
     built when it is beyond _NUMBER_BOUND."""
-    exponent = text.lower().partition("e")[2] or "0"
-    if len(text) > _NUMBER_BOUND or abs(int(exponent)) > _NUMBER_BOUND:
+    if len(text) > _NUMBER_BOUND:
         raise _BeyondBound
+    if "e" in text or "E" in text:
+        exponent = text.lower().partition("e")[2] or "0"
+        if abs(int(exponent)) > _NUMBER_BOUND:
+            raise _BeyondBound
     return text
 
 
@@ -59,27 +64,52 @@ def _bounded_number(value: object) -> object:
 
 
 def _quoted(value: object, form=repr) -> str:
-    """``value`` as a message quotes it, ``form(value)``; a string longer
-    than _QUOTE_BOUND characters is cut to its first _QUOTE_BOUND and its
-    length is stated, so a message does not grow with its input."""
-    if isinstance(value, str) and len(value) > _QUOTE_BOUND:
-        return f"{form(value[:_QUOTE_BOUND])}... ({len(value)} characters)"
-    return form(value)
+    """``value`` as a message quotes it, ``form(value)``, so that a message
+    does not grow with its input: a string longer than _QUOTE_BOUND
+    characters is cut to its first _QUOTE_BOUND, any other value's text to
+    its first _QUOTE_BOUND characters, and the full length is stated."""
+    if isinstance(value, str):
+        if len(value) > _QUOTE_BOUND:
+            return f"{form(value[:_QUOTE_BOUND])}... ({len(value)} characters)"
+        return form(value)
+    text = form(value)
+    if len(text) > _QUOTE_BOUND:
+        return f"{text[:_QUOTE_BOUND]}... ({len(text)} characters)"
+    return text
+
+
+def _quoted_id(value: object) -> str:
+    """An id as a library message quotes it: between single quotes, and
+    cut by ``_quoted`` when long."""
+    return _quoted(value, "'{}'".format)
+
+
+def format_ratios(nums, den: int,
+                  digits: int = DEFAULT_PRECISION) -> list[str]:
+    """Exact fixed-point rendering of each ``num / den`` (``den > 0``) in
+    ``nums``, rounded half to even, in integer arithmetic only: one
+    ``divmod`` per value rounds half up, and an exact tie that landed on an
+    odd digit steps back to the even one."""
+    scale = 10 ** digits if digits > 0 else 1
+    twice = den + den
+    out = []
+    for num in nums:
+        q, r = divmod(2 * num * scale + den, twice)
+        if not r and q & 1:
+            q -= 1
+        out.append(q)
+    if digits <= 0:
+        return [str(q) for q in out]
+    pattern = f"%d.%0{digits}d"
+    return ["0." + str(q + scale)[1:] if 0 <= q < scale
+            else pattern % divmod(q, scale) if q > 0
+            else "-" + pattern % divmod(-q, scale) for q in out]
 
 
 def format_ratio(num: int, den: int, digits: int = DEFAULT_PRECISION) -> str:
     """Exact fixed-point rendering of ``num / den`` (``den > 0``), rounded
-    half to even, in integer arithmetic only."""
-    scale = 10 ** digits if digits > 0 else 1
-    scaled, rest = divmod(num * scale, den)
-    rest += rest
-    if rest > den or (rest == den and scaled & 1):
-        scaled += 1
-    if digits <= 0:
-        return str(scaled)
-    sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), scale)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    half to even: ``format_ratios`` of one value."""
+    return format_ratios((num,), den, digits)[0]
 
 
 def _plain_number(value: int | Fraction) -> str:

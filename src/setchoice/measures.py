@@ -15,13 +15,16 @@ Three measures are provided:
 
 All arithmetic is exact: an individual stores its support as a
 universe-position mask and its weights as integers over one scale, and
-results are ``int`` or ``Fraction``.  Rendering to fixed-precision decimal
-happens only at the output layer.
+results are ``int`` or ``Fraction``.  ``_scaled`` builds that scale from
+each weight's ``as_integer_ratio()``, so the parser's exact ``Decimal``
+weights and the constructor's ``Fraction``s share one definition.
+Rendering to fixed-precision decimal happens only at the output layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -33,7 +36,13 @@ from .errors import (
     ScenarioError,
     ZeroMembershipMass,
 )
-from .literals import _BeyondBound, _bounded_number, _plain_number, _quoted
+from .literals import (
+    _BeyondBound,
+    _bounded_number,
+    _plain_number,
+    _quoted,
+    _quoted_id,
+)
 from .universe import ObjectiveSet, Universe, check_token, positions
 
 
@@ -76,22 +85,25 @@ class Alternative:
     def __post_init__(self):
         check_token(self.id, "alternative id")
         if not self.offers.mask:
-            raise ScenarioError(f"alternative '{self.id}' offers no objectives")
+            raise ScenarioError(
+                f"alternative {_quoted_id(self.id)} offers no objectives")
 
     @property
     def universe(self) -> Universe:
         return self.offers.universe
 
 
-def _scaled(weights: Mapping[int, int | Fraction]
+def _scaled(weights: Mapping[int, int | Decimal | Fraction]
             ) -> tuple[int, tuple[int, ...], int]:
     """``(mask, ints, scale)`` of positive ``{bit: weight}``: the bits OR-ed,
     each weight times scale in ascending bit order, and scale the lcm of
-    the weights' denominators."""
-    scale = lcm(*(w.denominator for w in weights.values()))
+    the weights' denominators.  Each weight is read exactly through
+    ``as_integer_ratio()``, which the parser's Decimals and ints and the
+    constructor's Fractions all have."""
     bits = sorted(weights)
-    return sum(bits), tuple(weights[b].numerator * (scale // weights[b].denominator)
-                            for b in bits), scale
+    ratios = [weights[b].as_integer_ratio() for b in bits]
+    scale = lcm(*(den for _, den in ratios))
+    return sum(bits), tuple(num * (scale // den) for num, den in ratios), scale
 
 
 class Individual:
@@ -124,7 +136,8 @@ class Individual:
                 mu[bit] = value
         if not mu:
             raise ScenarioError(
-                f"individual '{id}' requires no objectives (empty support)")
+                f"individual {_quoted_id(id)} requires no objectives "
+                "(empty support)")
         self.id, self.universe = id, universe
         self._mask, self._weights, self._scale = _scaled(mu)
 
@@ -197,7 +210,7 @@ def _unique_ids(items, what: str) -> None:
     seen = set()
     for item in items:
         if item.id in seen:
-            raise ScenarioError(f"duplicate {what} id '{item.id}'")
+            raise ScenarioError(f"duplicate {what} id {_quoted_id(item.id)}")
         seen.add(item.id)
 
 
@@ -205,7 +218,8 @@ def _shared_universe(items, what: str) -> Universe:
     universe = items[0].universe
     for item in items[1:]:
         if item.universe != universe:
-            raise ScenarioError(f"{what} '{item.id}' uses a different universe")
+            raise ScenarioError(
+                f"{what} {_quoted_id(item.id)} uses a different universe")
     return universe
 
 
@@ -278,8 +292,8 @@ class Society:
 def _check_pair(alternative: Alternative, individual: Individual) -> None:
     if alternative.universe != individual.universe:
         raise ScenarioError(
-            f"alternative '{alternative.id}' and individual "
-            f"'{individual.id}' use different universes")
+            f"alternative {_quoted_id(alternative.id)} and individual "
+            f"{_quoted_id(individual.id)} use different universes")
 
 
 def _check_domain(measure: UtilityMeasure, individual: Individual) -> None:

@@ -12,13 +12,15 @@ A scenario is one JSON document::
     }
 
 ``requires`` is the crisp shorthand for a membership of 1 on the listed
-objectives.  Numeric literals are parsed exactly (decimal notation never
-goes through binary floating point), so evaluation is exact end to end.
+objectives.  Numeric literals are parsed exactly: a decimal literal is read
+as a ``Decimal`` and an integer as an ``int``, never through binary
+floating point, so evaluation is exact end to end.
 The parser is the one validator of a file: it reports each rule as a
 located finding and builds individuals from the weights it checked,
 without ``Individual.__init__`` checking them again.
 Reports render as ``table``, ``json``, or ``csv``; json is the source of
-truth and the other two are projections of the same numbers.
+truth and the other two are projections of the same numbers.  Each
+profile's integer row is formatted in one pass (``format_ratios``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ScenarioError
@@ -46,6 +49,7 @@ from .literals import (
     _plain_number,
     _quoted,
     format_ratio,
+    format_ratios,
 )
 from .measures import (
     Alternative,
@@ -70,7 +74,7 @@ ERROR = "error"
 WARNING = "warning"
 
 FORMATS = ("table", "json", "csv")
-_JSON_KINDS = {bool: "boolean", int: "number", Fraction: "number",
+_JSON_KINDS = {bool: "boolean", int: "number", Decimal: "number",
                list: "array", dict: "object", type(None): "null"}
 
 
@@ -299,17 +303,17 @@ def _validate_membership(raw, loc, known,
     if not isinstance(raw, dict):
         _err(findings, loc, "'membership' must be an object of objective weights")
         return None
-    mu: dict[int, int | Fraction] = {}
+    mu: dict[int, int | Decimal] = {}
     bad = False
     for token, value in raw.items():
         bit = known.get(token)
         if bit is None:
             message = f"unknown objective {_shown(token)}"
-        elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        elif isinstance(value, bool) or not isinstance(value, (int, Decimal)):
             message = "membership value must be a number"
-        elif not 0 <= value.numerator <= value.denominator:
-            message = (f"membership out of range: {_plain_number(value)} "
-                       "is not in [0, 1]")
+        elif not 0 <= value <= 1:
+            message = (f"membership out of range: "
+                       f"{_plain_number(Fraction(value))} is not in [0, 1]")
         else:
             if value:
                 mu[bit] = value
@@ -368,7 +372,7 @@ def parse_scenario(text: str) -> Scenario | ValidationReport:
 def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
     findings: list[Finding] = []
     try:
-        doc = json.loads(text, parse_float=lambda t: Fraction(_bounded(t)),
+        doc = json.loads(text, parse_float=lambda t: Decimal(_bounded(t)),
                          parse_int=lambda t: int(_bounded(t)),
                          parse_constant=_reject_constant,
                          object_pairs_hook=_pairs_hook)
@@ -428,8 +432,7 @@ def _profile_cells(profile: IndividualProfile, precision: int) -> list[str]:
     """One profile's rendered utilities, formatted from its integer row."""
     if profile.integral:
         return [str(num) for num in profile.nums]
-    den = profile.den
-    return [format_ratio(num, den, precision) for num in profile.nums]
+    return format_ratios(profile.nums, profile.den, precision)
 
 
 # ---------------------------------------------------------------------------

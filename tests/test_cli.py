@@ -86,6 +86,22 @@ class TestValidateVerb:
         assert f"unknown objective '{unknown[:40]}'... (5000 characters)" in (
             proc.stdout)
 
+    @pytest.mark.parametrize("verb", ["validate", "evaluate"])
+    def test_decimal_id_is_a_finding(self, tmp_path, verb):
+        # a decimal literal where an id belongs is read as a number like a
+        # weight is, and must end as a finding, not as a traceback
+        path = tmp_path / "decimal_id.json"
+        path.write_text('{"universe": ["a"], '
+                        '"alternatives": [{"id": 1.5, "offers": ["a"]}], '
+                        '"individuals": [{"id": "p", "requires": ["a"]}]}',
+                        encoding="utf-8")
+        options = ["--measure", "fuzzy"] if verb == "evaluate" else []
+        proc = cli(verb, str(path), "--format", "csv", *options)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[1:] == [
+            'error,alternatives[0].id,"alternative id must be a string, got number"']
+
     def test_missing_file_exits_one(self):
         proc = cli("validate", str(INVALID_DIR / "no_such_file.json"))
         assert proc.returncode == 1

@@ -162,6 +162,27 @@ class TestBuildProcess:
             EvaluationProcess(env, soc, (short, good.profiles[1]),
                               good.aggregator, good.measure)
 
+    @pytest.mark.parametrize("length", [40, 5000])
+    def test_profile_ids_are_quoted_briefly(self, greek, length):
+        def shown(text):
+            return (f"'{text}'" if len(text) <= 40
+                    else f"'{text[:40]}'... ({len(text)} characters)")
+        name, stray = "p" * length, "q" * length
+        env = Environment((Alternative("m", greek.subset(["alpha"])),))
+        soc = Society((Individual.crisp(name, greek, ["alpha"]),))
+        good = build_process("cardinal", "mean", env, soc, greek)
+        for profiles, message in [
+            ((IndividualProfile(stray, (1,)),),
+             f"profile order disagrees with society order at {shown(stray)}"),
+            ((IndividualProfile(name, ()),),
+             f"profile of {shown(name)} has 0 values for 1 alternatives"),
+        ]:
+            with pytest.raises(ScenarioError) as exc:
+                EvaluationProcess(env, soc, profiles, good.aggregator,
+                                  good.measure)
+            assert str(exc.value) == message
+            assert len(str(exc.value)) < 200
+
 
 class TestEvaluate:
     def test_single_individual_is_identity(self, greek):

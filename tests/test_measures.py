@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from setchoice import (
     Alternative,
     EmptyIndividual,
+    Environment,
     Individual,
     NonCrispIndividual,
     ScenarioError,
+    Society,
     Universe,
     UtilityMeasure,
     ZeroMembershipMass,
@@ -214,6 +216,57 @@ class TestConstruction:
             with pytest.raises(ScenarioError) as exc:
                 call()
             assert str(exc.value) == message
+
+    def test_long_values_are_quoted_briefly(self, greek):
+        # a non-string value is cut by the length of its text, as a string is
+        weights = [0] * 10000
+        key = ("alpha",) * 5000
+        for call, value, message in [
+            (lambda: Individual("v", greek, {"alpha": weights}), weights,
+             "membership of 'alpha' must be a number, got {}"),
+            (lambda: greek.bit(key), key, "unknown objective {}"),
+        ]:
+            text = repr(value)
+            with pytest.raises(ScenarioError) as exc:
+                call()
+            assert str(exc.value) == message.format(
+                f"{text[:40]}... ({len(text)} characters)")
+            assert len(str(exc.value)) < 200
+        # a short one is quoted whole
+        with pytest.raises(ScenarioError) as exc:
+            Individual("v", greek, {"alpha": [0] * 3})
+        assert str(exc.value) == (
+            "membership of 'alpha' must be a number, got [0, 0, 0]")
+
+    @pytest.mark.parametrize("length", [1, 40, 41, 5000])
+    def test_constructor_ids_are_quoted_briefly(self, greek, length):
+        # ids up to 40 characters are quoted whole, as they always were
+        name = "m" * length
+        shown = (f"'{name}'" if length <= 40
+                 else f"'{'m' * 40}'... ({length} characters)")
+        other = Universe(("x",))
+        alt = Alternative(name, greek.subset(["alpha"]))
+        ind = Individual.crisp(name, greek, ["alpha"])
+        for call, message in [
+            (lambda: Environment((alt, alt)), f"duplicate alternative id {shown}"),
+            (lambda: Society((ind, ind)), f"duplicate individual id {shown}"),
+            (lambda: Environment((Alternative("a", greek.subset(["alpha"])),
+                                  Alternative(name, other.subset(["x"])))),
+             f"alternative {shown} uses a different universe"),
+            (lambda: Society((Individual.crisp("p", greek, ["alpha"]),
+                              Individual.crisp(name, other, ["x"]))),
+             f"individual {shown} uses a different universe"),
+            (lambda: Alternative(name, greek.empty()),
+             f"alternative {shown} offers no objectives"),
+            (lambda: Individual(name, greek, {}),
+             f"individual {shown} requires no objectives (empty support)"),
+            (lambda: cardinal_utility(Alternative(name, other.subset(["x"])), ind),
+             f"alternative {shown} and individual {shown} use different universes"),
+        ]:
+            with pytest.raises(ScenarioError) as exc:
+                call()
+            assert str(exc.value) == message
+            assert len(str(exc.value)) < 200
 
     def test_unknown_objective(self, greek):
         with pytest.raises(ScenarioError, match="unknown objective"):

@@ -19,9 +19,11 @@ from setchoice import (
     validate_scenario,
 )
 from setchoice.cli import main
+from setchoice.measures import _scaled
 from setchoice.scenario_io import (
     compute_pipeline,
     format_ratio,
+    format_ratios,
     render_ranking,
     render_report,
     render_universes,
@@ -177,6 +179,19 @@ class TestParse:
         report = validate_scenario(MINIMAL.replace(old, new.format(literal)))
         assert [(f.location, f.message) for f in report.errors] == [
             (location, f"{what} must be a string, got {kind}")]
+
+    @pytest.mark.parametrize("text", ["0.35", "3.5e-1", "1E+0", "1.000", "-0.0",
+                                      "0.0", "1e-1000"])
+    def test_weight_spellings_store_the_exact_rational(self, text):
+        scenario = parse_scenario(
+            '{"universe": ["a", "b"], '
+            '"alternatives": [{"id": "x", "offers": ["a"]}], '
+            f'"individuals": [{{"id": "p", "membership": {{"a": {text}, "b": 1}}}}]}}')
+        individual = scenario.society.individuals[0]
+        assert individual.mu("a") == Fraction(text)
+        weights = {1: Fraction(text), 2: Fraction(1)}
+        assert (individual._mask, individual._weights, individual._scale) == (
+            _scaled({bit: w for bit, w in weights.items() if w}))
 
     def test_non_finite_numbers_rejected(self):
         text = MINIMAL.replace('{"id": "p", "requires": ["a"]}',
@@ -402,6 +417,16 @@ class TestInvalidCorpus:
         assert first == second
 
 
+def exactly_rounded(num: int, den: int, digits: int) -> str:
+    """``num / den`` to ``digits`` places by ``round`` of a Fraction, which
+    rounds half to even exactly; the oracle for the row formatter."""
+    value = round(Fraction(num, den), digits)
+    if digits == 0:
+        return str(int(value))
+    whole, frac = divmod(int(abs(value) * 10 ** digits), 10 ** digits)
+    return f"{'-' if value < 0 else ''}{whole}.{frac:0{digits}d}"
+
+
 class TestNumberFormatting:
     @pytest.mark.parametrize("value,digits,expected", [
         (Fraction(3, 5), 6, "0.600000"),
@@ -428,6 +453,31 @@ class TestNumberFormatting:
         expected = reference_format_decimal(Fraction(num, den), digits)
         assert format_ratio(num, den, digits) == expected
         assert format_decimal(Fraction(num, den), digits) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(base=st.integers(1, 10 ** 20), digits=st.integers(0, 18),
+           unit=st.booleans(),
+           cells=st.lists(st.tuples(st.integers(-10 ** 25, 10 ** 25),
+                                    st.booleans()), min_size=1, max_size=12))
+    def test_row_formatter_matches_exact_rounding(self, base, digits, unit,
+                                                  cells):
+        # over den = 2 * 10**digits * base, an odd multiple of base is an
+        # exact half one place past the last digit; k alone is any value,
+        # negative, in [0, 1) or beyond 1, within one row
+        den = base if unit else 2 * 10 ** digits * base
+        nums = [(2 * k + 1) * base if tie else k for k, tie in cells]
+        expected = [exactly_rounded(num, den, digits) for num in nums]
+        assert format_ratios(nums, den, digits) == expected
+        assert [format_ratio(num, den, digits) for num in nums] == expected
+
+    @pytest.mark.parametrize("nums,den,digits,expected", [
+        ((0, 1, 2, 3, 4), 4, 2, ["0.00", "0.25", "0.50", "0.75", "1.00"]),
+        ((-1, -3, 5, 7, -5), 2, 0, ["0", "-2", "2", "4", "-2"]),
+        ((1, -1, 3, -3), 8, 2, ["0.12", "-0.12", "0.38", "-0.38"]),
+        ((-1, 12345678), 10 ** 7, 6, ["0.000000", "1.234568"]),
+    ])
+    def test_row_formatter_cases(self, nums, den, digits, expected):
+        assert format_ratios(nums, den, digits) == expected
 
     def test_format_utility_keeps_counts_integral(self):
         assert format_utility(3) == "3"
