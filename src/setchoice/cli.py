@@ -16,7 +16,6 @@ from .measures import UtilityMeasure
 from .scenario_io import (
     DEFAULT_PRECISION,
     FORMATS,
-    Scenario,
     ValidationReport,
     compute_pipeline,
     parse_scenario,
@@ -76,36 +75,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path_text: str, output_format: str) -> Scenario | None:
+def _read(path_text: str) -> str | None:
+    """The file's text, or None after saying on stderr why it cannot be
+    read."""
     path = Path(path_text)
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return None
-    scenario = parse_scenario(text)
-    if isinstance(scenario, ValidationReport):
-        sys.stdout.write(render_validation(scenario, output_format))
-        return None
-    return scenario
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    text = _read(args.file)
+    if text is None:
+        return EXIT_INVALID
 
     if args.command == "validate":
-        path = Path(args.file)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"cannot read {path}: {exc}", file=sys.stderr)
-            return EXIT_INVALID
         report = validate_scenario(text)
         sys.stdout.write(render_validation(report, args.format))
         return EXIT_OK if report.ok else EXIT_INVALID
 
-    scenario = _load(args.file, args.format)
-    if scenario is None:
+    scenario = parse_scenario(text)
+    del text  # a large file's text is not held while the pipeline runs
+    if isinstance(scenario, ValidationReport):
+        sys.stdout.write(render_validation(scenario, args.format))
         return EXIT_INVALID
 
     try:

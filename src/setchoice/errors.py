@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .literals import _quoted_id
+
 
 class ScenarioError(ValueError):
     """A scenario value violates a structural invariant (bad token, empty
@@ -17,7 +19,8 @@ class MeasureError(Exception):
 
     Carries optional context naming the individual and the alternative at
     which the failure surfaced; profile builders fill these in so errors
-    from deep inside a batch point at the offending scenario member.
+    from deep inside a batch point at the offending scenario member.  The
+    message quotes both ids briefly (``literals._quoted_id``).
     """
 
     def __init__(self, message: str, *, individual_id: str | None = None,
@@ -30,9 +33,9 @@ class MeasureError(Exception):
     def __str__(self) -> str:
         parts = [self.message]
         if self.individual_id is not None:
-            parts.append(f"individual '{self.individual_id}'")
+            parts.append(f"individual {_quoted_id(self.individual_id)}")
         if self.alternative_id is not None:
-            parts.append(f"alternative '{self.alternative_id}'")
+            parts.append(f"alternative {_quoted_id(self.alternative_id)}")
         return " | ".join(parts)
 
     def with_context(self, *, individual_id: str | None = None,

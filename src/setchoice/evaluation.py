@@ -7,9 +7,11 @@ scaled weight total for ``fuzzy``, 1 for ``cardinal``), so a profile is
 held as an integer numerator row over that one positive denominator,
 exactly as the kernel returns it.  A process bundles environment, society,
 all profiles, and the aggregator; evaluating it applies the aggregator
-column-wise to the integer rows (one social utility per alternative).
-``Fraction``s are built only for the social values, and for a profile's
-``values`` when a caller reads them.  Batch profile construction runs
+column-wise to the integer rows, and the social profile it returns is
+held the same way: one integer numerator per alternative over one
+denominator.  A ``Fraction`` is built only for a profile's or the social
+profile's ``values`` when a caller reads them, and once per ranking tier;
+ranking groups equal numerators.  Batch profile construction runs
 through the integer kernel; the per-pair functions in
 :mod:`setchoice.measures` are the semantic reference and the two are held
 equal by the test suite.  Before the kernel runs, ``build_process`` checks
@@ -25,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import groupby
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from . import _core
@@ -40,11 +44,6 @@ from .measures import (
     utility,
 )
 from .universe import Universe
-
-#: Grouping tolerance when ranking float-valued profiles; exact values
-#: (int/Fraction) are grouped by equality.
-FLOAT_TIE_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class IndividualProfile:
@@ -104,22 +103,36 @@ class IndividualProfile:
 
 @dataclass(frozen=True)
 class SocialProfile:
-    values: tuple[Fraction, ...]
+    """The social utilities: ``nums[m] / den`` for alternative m.
+
+    ``den`` is positive; ``values`` are the Fractions, built on first
+    access.
+    """
+
+    nums: tuple[int, ...]
+    den: int
     measure: UtilityMeasure
     aggregator: str
     out_of_domain: bool = False
 
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(num, self.den) for num in self.nums)
+
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.nums)
 
 
 def exact_mean(rows: Sequence[Sequence[int]],
-               dens: Sequence[int]) -> tuple[Fraction, ...]:
-    """Column means of the matrix ``rows[i][m] / dens[i]``, exactly.
+               dens: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Column means of the matrix ``rows[i][m] / dens[i]``, exactly, as
+    ``(nums, den)`` in lowest terms.
 
     Rows sharing a denominator are summed as plain ints; each group's sums
-    are scaled to the lcm L of the distinct denominators, so only the M
-    results ``total[m] / (L * N)`` become Fractions.
+    are scaled to the lcm L of the distinct denominators, so the means are
+    the M column totals over the one denominator ``L * N``, divided by
+    their common gcd (equal means give equal rows, so social profiles
+    compare by value).
     """
     groups: dict[int, list[Sequence[int]]] = {}
     for row, den in zip(rows, dens):
@@ -130,7 +143,8 @@ def exact_mean(rows: Sequence[Sequence[int]],
         scale = common // den
         totals = [t + scale * s for t, s in zip(totals, map(sum, zip(*members)))]
     count = common * len(rows)
-    return tuple(Fraction(t, count) for t in totals)
+    g = gcd(count, *totals)
+    return tuple(t // g for t in totals), count // g
 
 
 @dataclass(frozen=True)
@@ -138,18 +152,14 @@ class Aggregator:
     """A named reduction of N individual utility rows to M social utilities.
 
     ``fn(rows, dens)`` receives integer numerator rows with one positive
-    denominator per row.  Only the arithmetic mean ships; the registry is
-    the extension point.
+    denominator per row, and returns the social row as ``(nums, den)``:
+    M integer numerators over one positive denominator.  Only the
+    arithmetic mean ships; the registry is the extension point.
     """
 
     name: str
-    fn: Callable[[Sequence[Sequence[int]], Sequence[int]], tuple[Fraction, ...]]
-
-    def __call__(self, values: Sequence[int | Fraction]) -> Fraction:
-        """Reduce one column of utilities."""
-        ratios = [Fraction(v) for v in values]
-        return self.fn([(r.numerator,) for r in ratios],
-                       [r.denominator for r in ratios])[0]
+    fn: Callable[[Sequence[Sequence[int]], Sequence[int]],
+                 tuple[Sequence[int], int]]
 
 
 AGGREGATORS: dict[str, Aggregator] = {
@@ -192,7 +202,7 @@ class EvaluationProcess:
 
 @dataclass(frozen=True)
 class RankingTier:
-    value: object
+    value: Fraction
     ids: tuple[str, ...]
 
 
@@ -262,10 +272,10 @@ def evaluate(process: EvaluationProcess) -> SocialProfile:
     flag any utility outside [0, 1]."""
     rows = [profile.nums for profile in process.profiles]
     dens = [profile.den for profile in process.profiles]
-    values = process.aggregator.fn(rows, dens)
     out_of_domain = any(row and (min(row) < 0 or max(row) > den)
                         for row, den in zip(rows, dens))
-    return SocialProfile(values=values, measure=process.measure,
+    nums, den = process.aggregator.fn(rows, dens)
+    return SocialProfile(nums=tuple(nums), den=den, measure=process.measure,
                          aggregator=process.aggregator.name,
                          out_of_domain=out_of_domain)
 
@@ -273,31 +283,14 @@ def evaluate(process: EvaluationProcess) -> SocialProfile:
 def rank(profile: SocialProfile, environment: Environment) -> Ranking:
     """Order alternatives by decreasing social utility, grouping ties.
 
-    Exact values group by equality; if any value is a float, values within
-    FLOAT_TIE_TOLERANCE of a tier's leading value join that tier.  Ids
-    inside a tier are sorted lexicographically.
+    Equal values (equal numerators over the profile's one denominator)
+    form a tier; ids inside a tier are sorted lexicographically.
     """
-    if len(profile.values) != environment.size:
+    if len(profile) != environment.size:
         raise LengthMismatch(
-            f"social profile has {len(profile.values)} values for "
+            f"social profile has {len(profile)} values for "
             f"{environment.size} alternatives")
-    approximate = any(isinstance(v, float) for v in profile.values)
-    pairs = sorted(zip(profile.values, environment.ids),
-                   key=lambda pair: (-pair[0], pair[1]))
-    tiers: list[RankingTier] = []
-    current_value = None
-    current_ids: list[str] = []
-    for value, alt_id in pairs:
-        if current_ids and (
-            value == current_value
-            or (approximate and abs(current_value - value) <= FLOAT_TIE_TOLERANCE)
-        ):
-            current_ids.append(alt_id)
-        else:
-            if current_ids:
-                tiers.append(RankingTier(current_value, tuple(sorted(current_ids))))
-            current_value = value
-            current_ids = [alt_id]
-    if current_ids:
-        tiers.append(RankingTier(current_value, tuple(sorted(current_ids))))
-    return Ranking(tuple(tiers))
+    ordered = sorted(zip([-num for num in profile.nums], environment.ids))
+    return Ranking(tuple(
+        RankingTier(Fraction(-neg, profile.den), tuple(i for _, i in tier))
+        for neg, tier in groupby(ordered, key=itemgetter(0))))

@@ -20,7 +20,8 @@ located finding and builds individuals from the weights it checked,
 without ``Individual.__init__`` checking them again.
 Reports render as ``table``, ``json``, or ``csv``; json is the source of
 truth and the other two are projections of the same numbers.  Each
-profile's integer row is formatted in one pass (``format_ratios``).
+profile's integer row, and the social row, is formatted in one pass
+(``format_ratios``).
 """
 
 from __future__ import annotations
@@ -423,8 +424,6 @@ def format_utility(value, precision: int = DEFAULT_PRECISION) -> str:
         raise TypeError("utility values are numbers")
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return f"{value:.{precision}f}"
     return format_decimal(value, precision)
 
 
@@ -668,8 +667,8 @@ def render_report(result: PipelineResult, output_format: str = "table",
     scenario = result.scenario
     alt_ids = scenario.environment.ids
     profiles = _profiles_section(result.process.profiles, alt_ids, precision)
-    social = {"values": {a: format_utility(v, precision)
-                         for a, v in zip(alt_ids, result.social.values)},
+    social = {"values": dict(zip(alt_ids, format_ratios(
+                  result.social.nums, result.social.den, precision))),
               "out_of_domain": result.social.out_of_domain}
     ranking = _ranking_section(result.ranking, precision)
     if output_format == "csv":

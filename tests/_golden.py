@@ -24,6 +24,9 @@ for fmt in ("table", "json", "csv"):
          ["utilities", "--measure", "cardinal", "--format", fmt]),
         (f"crisp_pair.evaluate.normalized.{fmt}.txt", "crisp_pair.json",
          ["evaluate", "--measure", "normalized", "--format", fmt]),
+        # counts above 1: the out-of-domain note and a social mean of 2
+        (f"crisp_pair.evaluate.cardinal.{fmt}.txt", "crisp_pair.json",
+         ["evaluate", "--measure", "cardinal", "--format", fmt]),
         (f"weighted_split.evaluate.fuzzy.{fmt}.txt", "weighted_split.json",
          ["evaluate", "--measure", "fuzzy", "--format", fmt]),
         (f"weighted_split.rank.fuzzy.{fmt}.txt", "weighted_split.json",

@@ -102,10 +102,17 @@ class TestValidateVerb:
         assert proc.stdout.splitlines()[1:] == [
             'error,alternatives[0].id,"alternative id must be a string, got number"']
 
-    def test_missing_file_exits_one(self):
-        proc = cli("validate", str(INVALID_DIR / "no_such_file.json"))
+
+class TestUnreadableFile:
+    @pytest.mark.parametrize(
+        "verb", ["validate", "universes", "utilities", "evaluate", "rank"])
+    def test_missing_file_exits_one(self, verb):
+        path = INVALID_DIR / "no_such_file.json"
+        measured = verb in ("utilities", "evaluate", "rank")
+        proc = cli(verb, str(path), *(["--measure", "fuzzy"] if measured else []))
         assert proc.returncode == 1
-        assert "cannot read" in proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"cannot read {path}: ")
 
 
 class TestPipelineVerbs:
@@ -122,6 +129,22 @@ class TestPipelineVerbs:
         assert proc.returncode == 1
         assert "crisp" in proc.stderr
         assert "v1" in proc.stderr
+
+    def test_long_id_in_measure_error_is_quoted_briefly(self, tmp_path):
+        name = "v" * 5000
+        path = tmp_path / "long_id.json"
+        path.write_text(json.dumps({
+            "universe": ["a"],
+            "alternatives": [{"id": "x", "offers": ["a"]}],
+            "individuals": [{"id": name, "membership": {"a": 0.5}}],
+        }), encoding="utf-8")
+        proc = cli("rank", str(path), "--measure", "cardinal")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: cardinal utility is defined only for crisp individuals "
+            f"(all weights 0 or 1) | individual '{'v' * 40}'... "
+            "(5000 characters) | alternative 'x'\n")
 
     def test_precision_flag(self):
         proc = cli("rank", str(SCENARIOS / "weighted_split.json"),

@@ -18,6 +18,7 @@ from setchoice import (
     Universe,
     UtilityMeasure,
     ZeroMembershipMass,
+    build_process,
     cardinal_utility,
     fuzzy_utility,
     normalized_cardinal_utility,
@@ -268,6 +269,22 @@ class TestConstruction:
             assert str(exc.value) == message
             assert len(str(exc.value)) < 200
 
+    @pytest.mark.parametrize("length", [1, 40, 41, 5000])
+    def test_measure_error_ids_are_quoted_briefly(self, greek, length):
+        # the context a measure error names is quoted like every other id
+        name = "w" * length
+        shown = (f"'{name}'" if length <= 40
+                 else f"'{'w' * 40}'... ({length} characters)")
+        env = Environment((Alternative(name, greek.subset(["alpha"])),))
+        soc = Society((Individual(name, greek, {"alpha": "0.5"}),))
+        with pytest.raises(NonCrispIndividual) as exc:
+            build_process("cardinal", "mean", env, soc, greek)
+        assert exc.value.individual_id == exc.value.alternative_id == name
+        assert str(exc.value) == (
+            "cardinal utility is defined only for crisp individuals "
+            f"(all weights 0 or 1) | individual {shown} | alternative {shown}")
+        assert len(str(exc.value)) < 300
+
     def test_unknown_objective(self, greek):
         with pytest.raises(ScenarioError, match="unknown objective"):
             Individual("v", greek, {"delta": 1})
@@ -287,6 +304,23 @@ class TestConstruction:
     def test_exact_decimal_weights(self, greek):
         ind = Individual("v", greek, {"alpha": "0.1"})
         assert ind.mu("alpha") == Fraction(1, 10)
+
+    def test_empty_collections_rejected(self):
+        with pytest.raises(ScenarioError) as exc:
+            Environment(())
+        assert str(exc.value) == "environment must contain at least one alternative"
+        with pytest.raises(ScenarioError) as exc:
+            Society(())
+        assert str(exc.value) == "society must contain at least one individual"
+
+    def test_list_inputs_are_stored_as_tuples(self, offer_all, modest):
+        env, soc = Environment([offer_all]), Society([modest])
+        assert type(env.alternatives) is tuple and type(soc.individuals) is tuple
+        # stored as tuples, they compare and hash like tuple-built ones
+        assert env == Environment((offer_all,))
+        assert hash(env) == hash(Environment((offer_all,)))
+        assert soc == Society((modest,))
+        assert hash(soc) == hash(Society((modest,)))
 
     def test_alternative_requires_offers(self, greek):
         with pytest.raises(ScenarioError, match="offers no objectives"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from setchoice import (
     Individual,
     Scenario,
+    ScenarioError,
     UtilityMeasure,
     ValidationReport,
     format_decimal,
@@ -98,6 +99,16 @@ class TestParse:
             '"requires": ["a"]', '"membership": {"a": 1}'))
         assert (via_requires.society.individuals[0]
                 == via_membership.society.individuals[0])
+
+    def test_scenario_rejects_parts_of_another_universe(self):
+        scenario = parse_scenario(MINIMAL)
+        other = parse_scenario(MINIMAL.replace('["a"]', '["b"]'))
+        with pytest.raises(ScenarioError) as exc:
+            Scenario(scenario.universe, other.environment, scenario.society)
+        assert str(exc.value) == "environment does not use the scenario universe"
+        with pytest.raises(ScenarioError) as exc:
+            Scenario(scenario.universe, scenario.environment, other.society)
+        assert str(exc.value) == "society does not use the scenario universe"
 
     def test_warnings_do_not_block_parsing(self):
         text = MINIMAL.replace('"universe"', '"note": "hi", "universe"')

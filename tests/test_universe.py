@@ -52,6 +52,12 @@ class TestUniverse:
         with pytest.raises(ScenarioError, match="at least one objective"):
             Universe(())
 
+    def test_list_input_is_stored_as_tuple(self):
+        u = Universe(["gamma", "alpha"])
+        assert u.objectives == ("gamma", "alpha")
+        assert isinstance(u.objectives, tuple)
+        assert u == Universe(("gamma", "alpha"))
+
     def test_rejects_duplicates(self):
         with pytest.raises(ScenarioError, match="duplicate objective"):
             Universe(("a", "b", "a"))
