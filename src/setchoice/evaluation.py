@@ -2,24 +2,35 @@
 
 A profile is one individual's utility vector over the environment's
 alternatives, in environment order.  Every utility of one individual is a
-ratio over one denominator (the support size for ``normalized``, the
+ratio over one denominator T_i (the support size for ``normalized``, the
 scaled weight total for ``fuzzy``, 1 for ``cardinal``), so a profile is
 held as an integer numerator row over that one positive denominator,
-exactly as the kernel returns it.  A process bundles environment, society,
-all profiles, and the aggregator; evaluating it applies the aggregator
-column-wise to the integer rows, and the social profile it returns is
-held the same way: one integer numerator per alternative over one
-denominator.  A ``Fraction`` is built only for a profile's or the social
-profile's ``values`` when a caller reads them, and once per ranking tier;
-ranking groups equal numerators.  Batch profile construction runs
-through the integer kernel; the per-pair functions in
-:mod:`setchoice.measures` are the semantic reference and the two are held
-equal by the test suite.  Before the kernel runs, ``build_process`` checks
-each individual against the measure's domain rules, the ones the per-pair
-functions apply: ``cardinal`` and ``normalized`` need a crisp individual
-with a non-empty support, ``fuzzy`` a non-empty support (positive weight
-total).  The first failing individual in society order is reported at the
-first alternative, as the per-pair path would report it.
+exactly as the kernel returns it.  A process bundles environment,
+society, the profiles and the aggregator.  ``build_process`` checks each
+individual against the measure's domain rules, the ones the per-pair
+functions apply (``cardinal`` and ``normalized`` need a crisp individual
+with a non-empty support, ``fuzzy`` a non-empty support; the first
+failing individual in society order is reported at the first
+alternative, as the per-pair path would report it), and keeps the
+kernel encoding; the N x M kernel matrix and the profiles are built on
+the first read of ``profiles``.
+
+Evaluating applies the aggregator column-wise to the integer rows, and
+the social profile it returns is held the same way: one integer numerator
+per alternative over one denominator.  The exact mean of a kernel-built
+process needs no rows: the mean is linear in each individual's weights,
+so with L the lcm of the T_i and ``W[p] = sum_i w_i[p] * L / T_i`` the
+social numerator of alternative m is the sum of W over m's offer, over
+``L * N``.  That is the kernel row of one pseudo-individual with weights
+W, so ``rank`` builds no profile and runs no N x M matrix.  Hand-built
+processes and other aggregators take ``fn(rows, dens)`` over every row,
+with ``exact_mean`` as the mean's definition.
+
+A ``Fraction`` is built only for a profile's or the social profile's
+``values`` when a caller reads them, and once per ranking tier; ranking
+groups equal numerators.  The per-pair functions in
+:mod:`setchoice.measures` are the semantic reference for the kernel, and
+the two are held equal by the test suite.
 """
 
 from __future__ import annotations
@@ -29,10 +40,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from math import gcd, lcm
-from operator import itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Callable, Sequence
 
 from . import _core
+from ._core.encode import INT64_LIMIT, EncodedScenario
 from .errors import LengthMismatch, MeasureError, ScenarioError
 from .literals import _quoted_id
 from .measures import (
@@ -43,7 +55,7 @@ from .measures import (
     _check_domain,
     utility,
 )
-from .universe import Universe
+from .universe import Universe, positions
 
 @dataclass(frozen=True, init=False, eq=False)
 class IndividualProfile:
@@ -177,27 +189,64 @@ def get_aggregator(name: str | Aggregator) -> Aggregator:
         raise ScenarioError(f"unknown aggregator '{name}' (known: {known})") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class EvaluationProcess:
+    """Environment, society, one profile per individual, and aggregator,
+    under one measure.
+
+    ``EvaluationProcess(environment, society, profiles, aggregator,
+    measure)`` checks hand-made profiles against the society and the
+    environment; its ``encoding`` is None.  ``build_process`` keeps the
+    kernel ``encoding`` instead, and ``profiles`` are computed from it on
+    first read.
+    """
+
     environment: Environment
     society: Society
-    profiles: tuple[IndividualProfile, ...]
     aggregator: Aggregator
     measure: UtilityMeasure
+    encoding: EncodedScenario | None
 
-    def __post_init__(self):
-        if len(self.profiles) != self.society.size:
+    def __init__(self, environment: Environment, society: Society,
+                 profiles: Sequence[IndividualProfile], aggregator: Aggregator,
+                 measure: UtilityMeasure):
+        profiles = tuple(profiles)
+        if len(profiles) != society.size:
             raise LengthMismatch("one profile per individual is required")
-        for profile, individual in zip(self.profiles, self.society.individuals):
+        for profile, individual in zip(profiles, society.individuals):
             if profile.individual_id != individual.id:
                 raise ScenarioError(
                     f"profile order disagrees with society order at "
                     f"{_quoted_id(profile.individual_id)}")
-            if len(profile) != self.environment.size:
+            if len(profile) != environment.size:
                 raise LengthMismatch(
                     f"profile of {_quoted_id(profile.individual_id)} has "
-                    f"{len(profile)} values for {self.environment.size} "
+                    f"{len(profile)} values for {environment.size} "
                     "alternatives")
+        # frozen: fill the instance dict directly, ``profiles`` included
+        self.__dict__.update(environment=environment, society=society,
+                             aggregator=aggregator, measure=measure,
+                             encoding=None, profiles=profiles)
+
+    @classmethod
+    def _from_encoding(cls, environment: Environment, society: Society,
+                       aggregator: Aggregator, measure: UtilityMeasure,
+                       encoding: EncodedScenario) -> "EvaluationProcess":
+        """A process over the society's own encoding; not re-checked."""
+        process = cls.__new__(cls)
+        process.__dict__.update(environment=environment, society=society,
+                                aggregator=aggregator, measure=measure,
+                                encoding=encoding)
+        return process
+
+    @cached_property
+    def profiles(self) -> tuple[IndividualProfile, ...]:
+        nums, dens = _core.utility_matrix(self.encoding, self.measure.value)
+        integral = self.measure is UtilityMeasure.CARDINAL
+        return tuple(
+            IndividualProfile.from_row(individual.id, num_row, den, integral)
+            for individual, num_row, den
+            in zip(self.society.individuals, nums, dens))
 
 
 @dataclass(frozen=True)
@@ -234,12 +283,23 @@ def individual_profile(measure: UtilityMeasure | str, environment: Environment,
     return IndividualProfile(individual.id, tuple(values))
 
 
+_MASK = attrgetter("_mask")
+_SCALE = attrgetter("_scale")
+
+
 def _precheck(measure: UtilityMeasure, society: Society,
               environment: Environment) -> None:
-    # Surface per-individual failures exactly where the sequential
-    # per-pair path would: at the first alternative.
+    individuals = society.individuals
+    # _check_domain's rules as two C-level passes: every support is
+    # non-empty and, for the crisp measures, every scale is 1
+    if all(map(_MASK, individuals)) and (
+            measure is UtilityMeasure.FUZZY
+            or all(map((1).__eq__, map(_SCALE, individuals)))):
+        return
+    # Surface the first failure exactly where the sequential per-pair path
+    # would: at the first alternative.
     first = environment.alternatives[0].id
-    for individual in society.individuals:
+    for individual in individuals:
         try:
             _check_domain(measure, individual)
         except MeasureError as err:
@@ -250,31 +310,111 @@ def _precheck(measure: UtilityMeasure, society: Society,
 def build_process(measure: UtilityMeasure | str, aggregator: str | Aggregator,
                   environment: Environment, society: Society,
                   universe: Universe) -> EvaluationProcess:
-    """Compute every individual's profile (via the kernel) and bundle the
-    evaluation quadruple."""
+    """Check every individual against the measure's domain, encode the
+    scenario for the kernel, and bundle the evaluation quadruple; the
+    profiles are computed on first read."""
     measure = UtilityMeasure(measure)
     aggregator = get_aggregator(aggregator)
     if environment.universe != universe or society.universe != universe:
         raise ScenarioError("environment and society must share the given universe")
     _precheck(measure, society, environment)
-
     enc = _core.encode(universe, environment, society)
-    nums, dens = _core.utility_matrix(enc, measure.value)
-    integral = measure is UtilityMeasure.CARDINAL
-    profiles = tuple(
-        IndividualProfile.from_row(individual.id, num_row, den, integral)
-        for individual, num_row, den in zip(society.individuals, nums, dens))
-    return EvaluationProcess(environment, society, profiles, aggregator, measure)
+    return EvaluationProcess._from_encoding(environment, society, aggregator,
+                                            measure, enc)
+
+
+def _pseudo_weights(measure: UtilityMeasure,
+                    enc: EncodedScenario) -> tuple[list[int], int]:
+    """``(W, L)``: L the lcm of the row denominators T_i, and
+    ``W[p] = sum_i w_i[p] * L / T_i`` per objective p."""
+    size = enc.objective_count
+    if measure is UtilityMeasure.FUZZY:
+        common = lcm(*set(enc.totals))
+        weights = [0] * size
+        for mask, row, total in zip(enc.support_masks, enc.support_weights,
+                                    enc.totals):
+            scale = common // total
+            for p, weight in zip(positions(mask), row):
+                weights[p] += scale * weight
+        return weights, common
+    # Crisp: every weight is 1 and T_i is 1 or the support size (the weight
+    # total).  Per group of equal T_i, the masks laid end to end in fields
+    # of ``width`` bytes give each objective's count in one shift, ``&`` and
+    # popcount (bit slicing).
+    if measure is UtilityMeasure.CARDINAL:
+        groups = {1: enc.support_masks}
+    else:
+        groups = {}
+        for mask, total in zip(enc.support_masks, enc.totals):
+            groups.setdefault(total, []).append(mask)
+    common = lcm(*groups)
+    width = -(-size // 8)
+    weights = [0] * size
+    for total, masks in groups.items():
+        joined = int.from_bytes(b"".join(mask.to_bytes(width, "little")
+                                         for mask in masks), "little")
+        ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(masks), "little")
+        counts = map(int.bit_count,
+                     map(ones.__and__, map(joined.__rshift__, range(size))))
+        weights = list(map(add, weights,
+                           map((common // total).__mul__, counts)))
+    return weights, common
+
+
+#: Bits per limb of the pseudo-individual's weights.  A limb row's total
+#: stays below 2**64 for universes of fewer than 2**16 objectives, so the
+#: packed kernel keeps fields of at most 64 bits however wide W is.
+_LIMB = 48
+
+
+def _mean_row(measure: UtilityMeasure,
+              enc: EncodedScenario) -> tuple[tuple[int, ...], int]:
+    """``exact_mean`` of the kernel rows of ``enc``: the fuzzy kernel row
+    of weights W over ``L * N``, with W split into ``_LIMB``-bit limbs,
+    one row each in one kernel call, recombined by shifts."""
+    weights, common = _pseudo_weights(measure, enc)
+    low = (1 << _LIMB) - 1
+    limbs = [[(weight >> shift) & low for weight in weights]
+             for shift in range(0, max(weights).bit_length() or 1, _LIMB)]
+    support_weights = tuple(tuple(filter(None, limb)) for limb in limbs)
+    totals = tuple(map(sum, support_weights))
+    pseudo = EncodedScenario(
+        objective_count=enc.objective_count,
+        offer_masks=enc.offer_masks,
+        support_masks=tuple(sum(1 << p for p, part in enumerate(limb) if part)
+                            for limb in limbs),
+        support_weights=support_weights,
+        totals=totals,
+        int64_safe=all(total < INT64_LIMIT for total in totals))
+    rows, _ = _core.utility_matrix(pseudo, "fuzzy")
+    nums = rows[-1]
+    for row in reversed(rows[:-1]):
+        nums = [(num << _LIMB) + part for num, part in zip(nums, row)]
+    count = common * enc.individual_count
+    g = gcd(count, *nums)
+    return tuple(num // g for num in nums), count // g
 
 
 def evaluate(process: EvaluationProcess) -> SocialProfile:
     """Apply the aggregator per alternative across all individual profiles;
-    flag any utility outside [0, 1]."""
-    rows = [profile.nums for profile in process.profiles]
-    dens = [profile.den for profile in process.profiles]
-    out_of_domain = any(row and (min(row) < 0 or max(row) > den)
-                        for row, den in zip(rows, dens))
-    nums, den = process.aggregator.fn(rows, dens)
+    flag any utility outside [0, 1].
+
+    Kernel rows of ``normalized`` and ``fuzzy`` never leave [0, 1]; a
+    ``cardinal`` count does exactly when an individual shares two or more
+    objectives with an alternative.
+    """
+    enc, measure = process.encoding, process.measure
+    if enc is not None and process.aggregator.fn is exact_mean:
+        nums, den = _mean_row(measure, enc)
+        out_of_domain = measure is UtilityMeasure.CARDINAL and any(
+            (support & offer).bit_count() > 1
+            for support in enc.support_masks for offer in enc.offer_masks)
+    else:
+        rows = [profile.nums for profile in process.profiles]
+        dens = [profile.den for profile in process.profiles]
+        out_of_domain = any(row and (min(row) < 0 or max(row) > den)
+                            for row, den in zip(rows, dens))
+        nums, den = process.aggregator.fn(rows, dens)
     return SocialProfile(nums=tuple(nums), den=den, measure=process.measure,
                          aggregator=process.aggregator.name,
                          out_of_domain=out_of_domain)

@@ -3,9 +3,12 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setchoice import (
     AGGREGATORS,
+    Aggregator,
     Alternative,
     Environment,
     EvaluationProcess,
@@ -14,6 +17,7 @@ from setchoice import (
     LengthMismatch,
     NonCrispIndividual,
     Ranking,
+    Scenario,
     ScenarioError,
     SocialProfile,
     Society,
@@ -21,15 +25,26 @@ from setchoice import (
     UtilityMeasure,
     ZeroMembershipMass,
     build_process,
+    compute_pipeline,
     evaluate,
     get_aggregator,
     individual_profile,
     rank,
 )
+from setchoice import _core
 from setchoice._core import encode
-from setchoice.evaluation import exact_mean
+from setchoice.evaluation import _LIMB, _pseudo_weights, exact_mean
+from setchoice.scenario_io import render_ranking, render_report
 
-from _gen import oracle_mean, oracle_ranking, random_scenario_parts
+from _gen import (
+    DENOMS,
+    oracle_mean,
+    oracle_ranking,
+    random_scenario_parts,
+    token_pool,
+)
+
+MEASURES = ("cardinal", "normalized", "fuzzy")
 
 
 @pytest.fixture
@@ -77,6 +92,71 @@ def mean_oracle_edge_cases():
     return [("fuzzy", (u, env, huge)), ("normalized", (u, env, nested)),
             ("fuzzy", (u, env, nested)), ("cardinal", (u, env, nested)),
             ("cardinal", (u, env, singles))]
+
+
+def many_limb_parts():
+    """Fuzzy individuals whose weight totals T_i are twelve distinct numbers
+    of about 21 bits, so L = lcm(T_i), and the pseudo-individual's weights,
+    are several limbs wide."""
+    u = Universe(tuple(f"g{i}" for i in range(4)))
+    env = Environment((Alternative("a", u.subset(["g0"])),
+                       Alternative("b", u.subset(["g1", "g3"])),
+                       Alternative("c", u.subset(u.objectives))))
+    # weights (q, 2, q) over scale 2q for odd q, so T_i = 2q + 2, and
+    # (q/2, 1, q/2) over q for even q, so T_i = q + 1
+    soc = Society(tuple(
+        Individual(f"w{q}", u, {"g0": Fraction(1, 2), "g1": Fraction(1, q),
+                                "g3": Fraction(1, 2)})
+        for q in range(10 ** 6 + 1, 10 ** 6 + 13)))
+    return u, env, soc
+
+
+def one_individual_parts(measure):
+    u = Universe(tuple(f"g{i}" for i in range(4)))
+    env = Environment((Alternative("a", u.subset(["g0", "g1"])),
+                       Alternative("b", u.subset(["g2"]))))
+    weights = ({"g0": 1, "g1": 1, "g3": 1} if measure != "fuzzy" else
+               {"g0": Fraction(1, 3), "g1": Fraction(7, 10 ** 21), "g3": 1})
+    return u, env, Society((Individual("solo", u, weights),))
+
+
+# weights from the files' two decimals to denominators far beyond int64,
+# so that the row totals T_i are many and mostly distinct
+wide_weights = st.one_of(
+    st.sampled_from(DENOMS).flatmap(
+        lambda den: st.integers(1, den).map(lambda num: Fraction(num, den))),
+    st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(10 ** 6, 10 ** 24)))
+
+
+@st.composite
+def scenario_parts(draw, crisp):
+    universe = Universe(token_pool(draw(st.integers(1, 7))))
+    subsets = st.lists(st.sampled_from(universe.objectives), min_size=1,
+                       unique=True)
+    environment = Environment(tuple(
+        Alternative(f"alt{m}", universe.subset(draw(subsets)))
+        for m in range(draw(st.integers(1, 5)))))
+    individuals = []
+    for i in range(draw(st.integers(1, 7))):
+        tokens = draw(subsets)
+        individuals.append(
+            Individual.crisp(f"p{i}", universe, tokens) if crisp else
+            Individual(f"p{i}", universe,
+                       {t: draw(wide_weights) for t in tokens}))
+    return universe, environment, Society(tuple(individuals))
+
+
+def assert_matches_kernel_mean(measure, u, env, soc):
+    """evaluate's social row and out-of-domain flag equal exact_mean and
+    the per-cell scan over the full kernel matrix, without reading a
+    profile."""
+    process = build_process(measure, "mean", env, soc, u)
+    social = evaluate(process)
+    assert "profiles" not in vars(process)
+    nums, dens = _core.utility_matrix(encode(u, env, soc), measure)
+    assert (social.nums, social.den) == exact_mean(nums, dens)
+    assert social.out_of_domain == any(min(row) < 0 or max(row) > den
+                                       for row, den in zip(nums, dens))
 
 
 class TestIndividualProfile:
@@ -150,6 +230,35 @@ class TestBuildProcess:
                 process = build_process(measure, "mean", env, soc, u)
                 for ind, profile in zip(soc.individuals, process.profiles):
                     assert profile == individual_profile(measure, env, ind, u)
+
+    @pytest.mark.parametrize("measure", ["cardinal", "normalized"])
+    def test_first_failing_individual_is_reported_per_pair(self, greek,
+                                                           measure):
+        env = Environment((Alternative("first", greek.subset(["alpha"])),
+                           Alternative("second", greek.subset(["beta"]))))
+        soc = Society((Individual.crisp("c", greek, ["alpha"]),
+                       Individual("w1", greek, {"beta": 0.5}),
+                       Individual("w2", greek, {"alpha": 0.25})))
+        with pytest.raises(NonCrispIndividual) as built:
+            build_process(measure, "mean", env, soc, greek)
+        with pytest.raises(NonCrispIndividual) as per_pair:
+            individual_profile(measure, env, soc.individuals[1], greek)
+        assert str(built.value) == str(per_pair.value)
+        assert (built.value.individual_id, built.value.alternative_id) == (
+            "w1", "first")
+
+    def test_profiles_are_built_on_first_read(self, reference):
+        u, env, soc = reference
+        process = build_process("cardinal", "mean", env, soc, u)
+        assert process.encoding == encode(u, env, soc)
+        assert "profiles" not in vars(process)
+        profiles = process.profiles
+        assert process.profiles is profiles
+        assert [p.values for p in profiles] == [(1,), (3,)]
+        hand_made = EvaluationProcess(env, soc, profiles, process.aggregator,
+                                      process.measure)
+        assert hand_made.encoding is None
+        assert hand_made.profiles == profiles
 
     def test_universe_mismatch_rejected(self, reference):
         u, env, soc = reference
@@ -272,6 +381,90 @@ class TestEvaluate:
         assert not normalized.out_of_domain
 
 
+class TestPseudoIndividualRow:
+    @settings(max_examples=150, deadline=None)
+    @given(measure=st.sampled_from(MEASURES), data=st.data())
+    def test_matches_exact_mean_of_the_kernel_matrix(self, measure, data):
+        u, env, soc = data.draw(scenario_parts(crisp=measure != "fuzzy"))
+        assert_matches_kernel_mean(measure, u, env, soc)
+
+    @pytest.mark.parametrize("measure, parts", mean_oracle_edge_cases()
+                             + [("fuzzy", many_limb_parts())]
+                             + [(m, one_individual_parts(m)) for m in MEASURES])
+    def test_edge_cases(self, measure, parts):
+        assert_matches_kernel_mean(measure, *parts)
+
+    def test_weights_span_several_limbs(self):
+        u, env, soc = many_limb_parts()
+        weights, _ = _pseudo_weights(UtilityMeasure.FUZZY, encode(u, env, soc))
+        assert max(weights).bit_length() > 3 * _LIMB
+
+    @pytest.mark.parametrize("measure", ["cardinal", "normalized"])
+    def test_crisp_groups_wider_than_a_byte(self, measure):
+        u = Universe(token_pool(13))
+        env = Environment((Alternative("lo", u.subset(u.objectives[:1])),
+                           Alternative("hi", u.subset(u.objectives[8:]))))
+        soc = Society(tuple(Individual.crisp(f"p{i}", u, u.objectives[i % 13:])
+                            for i in range(40)))
+        assert_matches_kernel_mean(measure, u, env, soc)
+
+
+class TestKernelCalls:
+    """Which kernel matrices and profiles a CLI verb's pipeline builds."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Row counts of every kernel call, and the profiles built."""
+        seen = {"rows": [], "profiles": 0}
+        kernel = _core.utility_matrix
+
+        def counting_kernel(enc, measure):
+            seen["rows"].append(enc.individual_count)
+            return kernel(enc, measure)
+
+        from_row, init = IndividualProfile.from_row, IndividualProfile.__init__
+
+        def counting_from_row(cls, *args):
+            seen["profiles"] += 1
+            return from_row(*args)
+
+        def counting_init(self, *args):
+            seen["profiles"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(_core, "utility_matrix", counting_kernel)
+        monkeypatch.setattr(IndividualProfile, "from_row",
+                            classmethod(counting_from_row))
+        monkeypatch.setattr(IndividualProfile, "__init__", counting_init)
+        return seen
+
+    @pytest.fixture(params=MEASURES)
+    def scenario(self, request):
+        rng = random.Random(f"kernel-calls:{request.param}")
+        u, env, soc = random_scenario_parts(
+            rng, max_universe=8, max_alternatives=6, max_individuals=1,
+            crisp=request.param != "fuzzy")
+        individuals = tuple(
+            Individual(f"p{i}", u, soc.individuals[0].membership)
+            for i in range(12))
+        return request.param, Scenario(u, env, Society(individuals))
+
+    def test_ranking_builds_no_profile_and_no_matrix(self, calls, scenario):
+        measure, scenario = scenario
+        for output_format in ("table", "json", "csv"):
+            render_ranking(compute_pipeline(scenario, measure), output_format)
+        assert calls["profiles"] == 0
+        assert calls["rows"] and all(rows < 12 for rows in calls["rows"])
+
+    def test_report_runs_the_matrix_once(self, calls, scenario):
+        measure, scenario = scenario
+        result = compute_pipeline(scenario, measure)
+        for output_format in ("table", "json", "csv"):
+            render_report(result, output_format)
+        assert calls["rows"].count(12) == 1
+        assert calls["profiles"] == 12
+
+
 class TestAggregators:
     def test_registry_contains_mean_only(self):
         assert sorted(AGGREGATORS) == ["mean"]
@@ -279,6 +472,25 @@ class TestAggregators:
     def test_unknown_aggregator(self):
         with pytest.raises(ScenarioError, match="unknown aggregator"):
             get_aggregator("median")
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_custom_aggregator_gets_every_kernel_row(self, measure):
+        u, env, soc = one_individual_parts(measure)
+        soc = Society(soc.individuals + (
+            Individual.crisp("other", u, ["g1", "g2"]),))
+        seen = []
+
+        def first(rows, dens):
+            seen.append(([list(row) for row in rows], list(dens)))
+            return rows[0], dens[0]
+
+        process = build_process(measure, Aggregator("first", first), env,
+                                soc, u)
+        social = evaluate(process)
+        assert seen == [_core.utility_matrix(encode(u, env, soc), measure)]
+        assert (social.nums, social.den) == (process.profiles[0].nums,
+                                             process.profiles[0].den)
+        assert social.aggregator == "first"
 
     def test_mean_stays_within_input_range(self):
         rng = random.Random(307)
