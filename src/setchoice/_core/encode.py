@@ -2,12 +2,10 @@
 
 Objective sets are already bitmasks over universe positions, and each
 individual already holds its weights as integers over one scale, one per
-support bit in position order; ``encode`` only gathers them, and the
-pure kernel reads them as they are.  So the kernels work purely on
-integers and every utility comes back as an exact numerator/denominator
-pair; the per-individual scale cancels in the ratio.  The dense weight
-rows (``weights``, built on first read) and ``int64_safe``, whether all
-magnitudes fit fixed-width arithmetic, serve the compiled kernel alone.
+support bit in position order; ``encode`` only gathers them, so every
+utility comes back as an exact numerator/denominator pair (the scale
+cancels in the ratio).  ``weights``, the dense rows, and ``int64_safe``,
+from the row totals, serve the compiled kernel alone.
 """
 
 from __future__ import annotations
@@ -30,8 +28,11 @@ class EncodedScenario:
     # each individual's weights, one per bit of its support mask, ascending
     support_weights: tuple[tuple[int, ...], ...]
     totals: tuple[int, ...]
-    # read by the compiled kernel's dispatch and by perfbench's tracer only
-    int64_safe: bool
+
+    @property
+    def int64_safe(self) -> bool:
+        """Whether every row total fits the compiled kernel's int64 math."""
+        return all(total < INT64_LIMIT for total in self.totals)
 
     @property
     def alternative_count(self) -> int:
@@ -57,13 +58,11 @@ class EncodedScenario:
 def encode(universe: Universe, environment: Environment,
            society: Society) -> EncodedScenario:
     individuals = society.individuals
-    totals = tuple(sum(individual._weights) for individual in individuals)
     return EncodedScenario(
         objective_count=universe.size,
         offer_masks=tuple(alternative.offers.mask
                           for alternative in environment.alternatives),
         support_masks=tuple(individual._mask for individual in individuals),
         support_weights=tuple(individual._weights for individual in individuals),
-        totals=totals,
-        int64_safe=all(total < INT64_LIMIT for total in totals),
+        totals=tuple(sum(individual._weights) for individual in individuals),
     )

@@ -6,13 +6,13 @@ utility matrix as integer numerators (one row per individual) plus one
 denominator per individual.
 
 ``cardinal`` and ``normalized`` count the bits an individual's support
-mask shares with each offer mask.  ``fuzzy`` packs a whole row into one
-integer (Kronecker substitution): objective p becomes ``cols[p]``, an
-integer with a 1 in the field of every alternative that offers p, so
-``sum(w * cols[p])`` over an individual's support holds, in field m, its
-weight on alternative m's offer.  A field is wide enough for the largest
-row total and every cell is at most its row's total, so no field carries
-into the next; the fields are read back as little-endian bytes.
+mask shares with each offer mask.  ``fuzzy`` packs a row into one integer
+(Kronecker substitution): ``cols[p]``, column p of the offer masks with a
+field per alternative, so ``sum(w * cols[p])`` over a support holds, in
+field m, the weight on alternative m's offer.  Fields are 16, 32 or 64
+bits, for the largest row total, which no cell exceeds.  A row over 64
+bits is summed in limbs of ``64 - R.bit_length()`` bits, R of which stay
+below 2**64, and recombined by shifts.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from __future__ import annotations
 import struct
 from operator import mul
 
-from ..universe import positions
+from ..universe import bit_columns, positions
 from .encode import EncodedScenario
 
 MEASURE_CODES = {"cardinal": 0, "normalized": 1, "fuzzy": 2}
 
-# struct codes of the field widths in bits that unpack natively; "<" gives
-# them these standard sizes on every platform
+# struct codes of the field widths in bits, standard sizes under "<"
 _FIELD_CODES = {16: "H", 32: "I", 64: "Q"}
 
 
@@ -45,31 +44,32 @@ def utility_matrix(enc: EncodedScenario,
 
 
 def _field_width(largest: int) -> int:
-    """Bits per packed field for cells up to ``largest``: 16, 32 or 64, else
-    the next whole number of bytes."""
-    bits = largest.bit_length()
-    for width in _FIELD_CODES:
-        if bits <= width:
-            return width
-    return -(-bits // 8) * 8
+    """Bits per packed field for cells up to ``largest``: 16, 32, else 64."""
+    return next((w for w in (16, 32) if largest.bit_length() <= w), 64)
 
 
 def _fuzzy_matrix(enc: EncodedScenario) -> list[list[int]]:
     count = enc.alternative_count
-    size = _field_width(max(enc.totals, default=0)) // 8
-    fields = [bytearray(count * size) for _ in range(enc.objective_count)]
-    for m, offer in enumerate(enc.offer_masks):
-        for p in positions(offer):
-            fields[p][m * size] = 1
-    cols = [int.from_bytes(field, "little") for field in fields]
-    if size * 8 in _FIELD_CODES:
-        unpack = struct.Struct(f"<{count}{_FIELD_CODES[size * 8]}").unpack
-    else:
-        def unpack(raw):
-            return [int.from_bytes(raw[i:i + size], "little")
-                    for i in range(0, len(raw), size)]
+    width = _field_width(max(enc.totals, default=0))
+    cols = bit_columns(enc.offer_masks, enc.objective_count, width)
+    size = count * width // 8
+    unpack = struct.Struct(f"<{count}{_FIELD_CODES[width]}").unpack
+    limb = 64 - enc.objective_count.bit_length()
+    low = (1 << limb) - 1
     nums = []
-    for mask, weights in zip(enc.support_masks, enc.support_weights):
-        packed = sum(map(mul, map(cols.__getitem__, positions(mask)), weights))
-        nums.append(list(unpack(packed.to_bytes(count * size, "little"))))
+    for mask, weights, total in zip(enc.support_masks, enc.support_weights,
+                                    enc.totals):
+        if total.bit_length() <= 64:
+            packed = sum(map(mul, map(cols.__getitem__, positions(mask)),
+                             weights))
+            nums.append(list(unpack(packed.to_bytes(size, "little"))))
+            continue
+        support = list(map(cols.__getitem__, positions(mask)))
+        row = [0] * count
+        for shift in reversed(range(0, total.bit_length(), limb)):
+            packed = sum(map(mul, support,
+                             [(weight >> shift) & low for weight in weights]))
+            row = [(num << limb) + part for num, part
+                   in zip(row, unpack(packed.to_bytes(size, "little")))]
+        nums.append(row)
     return nums

@@ -15,7 +15,9 @@ from .errors import MeasureError, ScenarioError
 from .measures import UtilityMeasure
 from .scenario_io import (
     DEFAULT_PRECISION,
+    ERROR,
     FORMATS,
+    Finding,
     ValidationReport,
     compute_pipeline,
     parse_scenario,
@@ -75,20 +77,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path_text: str) -> str | None:
-    """The file's text, or None after saying on stderr why it cannot be
-    read."""
+def _read(path_text: str, output_format: str) -> str | None:
+    """The file's text, or None after saying why it cannot be read."""
     path = Path(path_text)
     try:
         return path.read_text(encoding="utf-8")
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return None
+    except UnicodeDecodeError as exc:
+        sys.stdout.write(render_validation(ValidationReport((Finding(
+            ERROR, "$", f"file is not UTF-8: {exc.reason} at byte {exc.start}"),)),
+            output_format))
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    text = _read(args.file)
+    text = _read(args.file, args.format)
     if text is None:
         return EXIT_INVALID
 

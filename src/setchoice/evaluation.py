@@ -35,7 +35,7 @@ the two are held equal by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -44,7 +44,7 @@ from operator import add, attrgetter, itemgetter
 from typing import Callable, Sequence
 
 from . import _core
-from ._core.encode import INT64_LIMIT, EncodedScenario
+from ._core.encode import EncodedScenario
 from .errors import LengthMismatch, MeasureError, ScenarioError
 from .literals import _quoted_id
 from .measures import (
@@ -55,7 +55,7 @@ from .measures import (
     _check_domain,
     utility,
 )
-from .universe import Universe, positions
+from .universe import Universe, bit_columns, positions
 
 @dataclass(frozen=True, init=False, eq=False)
 class IndividualProfile:
@@ -338,9 +338,8 @@ def _pseudo_weights(measure: UtilityMeasure,
                 weights[p] += scale * weight
         return weights, common
     # Crisp: every weight is 1 and T_i is 1 or the support size (the weight
-    # total).  Per group of equal T_i, the masks laid end to end in fields
-    # of ``width`` bytes give each objective's count in one shift, ``&`` and
-    # popcount (bit slicing).
+    # total), so W[p] sums, over the groups of equal T_i, the group's count
+    # of supports holding p (the popcount of column p) times L / T_i.
     if measure is UtilityMeasure.CARDINAL:
         groups = {1: enc.support_masks}
     else:
@@ -348,48 +347,25 @@ def _pseudo_weights(measure: UtilityMeasure,
         for mask, total in zip(enc.support_masks, enc.totals):
             groups.setdefault(total, []).append(mask)
     common = lcm(*groups)
-    width = -(-size // 8)
+    width = 8 * -(-size // 8)
     weights = [0] * size
     for total, masks in groups.items():
-        joined = int.from_bytes(b"".join(mask.to_bytes(width, "little")
-                                         for mask in masks), "little")
-        ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(masks), "little")
-        counts = map(int.bit_count,
-                     map(ones.__and__, map(joined.__rshift__, range(size))))
+        counts = map(int.bit_count, bit_columns(masks, size, width))
         weights = list(map(add, weights,
                            map((common // total).__mul__, counts)))
     return weights, common
 
 
-#: Bits per limb of the pseudo-individual's weights.  A limb row's total
-#: stays below 2**64 for universes of fewer than 2**16 objectives, so the
-#: packed kernel keeps fields of at most 64 bits however wide W is.
-_LIMB = 48
-
-
 def _mean_row(measure: UtilityMeasure,
               enc: EncodedScenario) -> tuple[tuple[int, ...], int]:
-    """``exact_mean`` of the kernel rows of ``enc``: the fuzzy kernel row
-    of weights W over ``L * N``, with W split into ``_LIMB``-bit limbs,
-    one row each in one kernel call, recombined by shifts."""
+    """``exact_mean`` of the kernel rows of ``enc``: the one fuzzy kernel
+    row of weights W, over ``L * N``, in lowest terms."""
     weights, common = _pseudo_weights(measure, enc)
-    low = (1 << _LIMB) - 1
-    limbs = [[(weight >> shift) & low for weight in weights]
-             for shift in range(0, max(weights).bit_length() or 1, _LIMB)]
-    support_weights = tuple(tuple(filter(None, limb)) for limb in limbs)
-    totals = tuple(map(sum, support_weights))
-    pseudo = EncodedScenario(
-        objective_count=enc.objective_count,
-        offer_masks=enc.offer_masks,
-        support_masks=tuple(sum(1 << p for p, part in enumerate(limb) if part)
-                            for limb in limbs),
-        support_weights=support_weights,
-        totals=totals,
-        int64_safe=all(total < INT64_LIMIT for total in totals))
-    rows, _ = _core.utility_matrix(pseudo, "fuzzy")
-    nums = rows[-1]
-    for row in reversed(rows[:-1]):
-        nums = [(num << _LIMB) + part for num, part in zip(nums, row)]
+    support = tuple(filter(None, weights))
+    pseudo = replace(enc, support_masks=(sum(
+        1 << p for p, weight in enumerate(weights) if weight),),
+        support_weights=(support,), totals=(sum(support),))
+    (nums,), _ = _core.utility_matrix(pseudo, "fuzzy")
     count = common * enc.individual_count
     g = gcd(count, *nums)
     return tuple(num // g for num in nums), count // g

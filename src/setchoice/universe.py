@@ -4,16 +4,16 @@ Objectives are interned symbolic tokens. A :class:`Universe` fixes the
 declared objectives and their canonical order; every other set in a
 scenario is a subset of one universe, stored as a bitmask over universe
 positions: bit p stands for ``universe.objectives[p]``.  Which token maps
-to which bit is decided here alone (:func:`token_bits`, :func:`positions`).
-Set algebra is integer ``&``, ``|`` and ``& ~``; tokens are built only
-when a set is read, in universe declaration order, so output is
-deterministic.
+to which bit is decided here alone (:func:`token_bits`, :func:`positions`,
+:func:`bit_columns`).  Set algebra is integer ``&``, ``|`` and ``& ~``;
+tokens are built only when a set is read, in universe declaration order,
+so output is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import ScenarioError
 from .literals import _quoted
@@ -46,6 +46,23 @@ def token_bits(tokens: Iterable[str]) -> dict[str, int]:
 def positions(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, ascending."""
     return [p for p, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def bit_columns(masks: Sequence[int], size: int, width: int) -> list[int]:
+    """Column p < ``size`` of the bit matrix with rows ``masks``: bit p of
+    ``masks[i]`` at bit ``i * width``, ``width`` a multiple of 8.  Per chunk
+    of ``width`` positions, one join of the masks gives each column."""
+    step = width // 8
+    ones = int.from_bytes((b"\1" + bytes(step - 1)) * len(masks), "little")
+    low = (1 << width) - 1
+    columns: list[int] = []
+    for start in range(0, size, width):
+        chunk = masks if size <= width else [(m >> start) & low for m in masks]
+        joined = int.from_bytes(b"".join(m.to_bytes(step, "little")
+                                         for m in chunk), "little")
+        columns += map(ones.__and__, map(joined.__rshift__,
+                                         range(min(width, size - start))))
+    return columns
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,30 @@ class TestUnreadableFile:
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"cannot read {path}: ")
 
+    # written to tmp_path, not to the invalid corpus, which is read as text
+    @pytest.mark.parametrize("output_format", ["table", "json", "csv"])
+    @pytest.mark.parametrize(
+        "verb", ["validate", "universes", "utilities", "evaluate", "rank"])
+    def test_non_utf8_file_is_one_finding(self, tmp_path, capsys, verb,
+                                          output_format):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"universe": ["\xff"]}')
+        measured = verb in ("utilities", "evaluate", "rank")
+        assert main([verb, str(path), "--format", output_format,
+                     *(["--measure", "fuzzy"] if measured else [])]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        message = "file is not UTF-8: invalid start byte at byte 15"
+        assert out == {
+            "table": f"INVALID: 1 error(s), 0 warning(s)\nerror  $  {message}\n",
+            "json": json.dumps({"ok": False, "errors": 1, "warnings": 0,
+                                "findings": [{"severity": "error",
+                                              "location": "$",
+                                              "message": message}]},
+                               indent=2) + "\n",
+            "csv": f"severity,location,message\nerror,$,{message}\n",
+        }[output_format]
+
 
 class TestPipelineVerbs:
     def test_evaluate_on_invalid_file_shows_report_only(self):

@@ -33,7 +33,7 @@ from setchoice import (
 )
 from setchoice import _core
 from setchoice._core import encode
-from setchoice.evaluation import _LIMB, _pseudo_weights, exact_mean
+from setchoice.evaluation import _pseudo_weights, exact_mean
 from setchoice.scenario_io import render_ranking, render_report
 
 from _gen import (
@@ -397,7 +397,9 @@ class TestPseudoIndividualRow:
     def test_weights_span_several_limbs(self):
         u, env, soc = many_limb_parts()
         weights, _ = _pseudo_weights(UtilityMeasure.FUZZY, encode(u, env, soc))
-        assert max(weights).bit_length() > 3 * _LIMB
+        # the packed kernel's limb: R limbs of it stay below 2**64
+        limb = 64 - u.size.bit_length()
+        assert max(weights).bit_length() > 3 * limb
 
     @pytest.mark.parametrize("measure", ["cardinal", "normalized"])
     def test_crisp_groups_wider_than_a_byte(self, measure):

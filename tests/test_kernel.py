@@ -24,13 +24,20 @@ from setchoice._core import (
 )
 from setchoice._core.encode import INT64_LIMIT
 
-from _gen import DENOMS, random_scenario_parts, token_pool
+from _gen import (
+    DENOMS,
+    random_environment,
+    random_scenario_parts,
+    random_society,
+    random_universe,
+    token_pool,
+)
 
 MEASURES = ("cardinal", "normalized", "fuzzy")
 
 # row totals at the edge of each packed field width (16, 32, 64 bits, then
-# whole bytes): the largest total that fits one width and the first that
-# needs the next
+# 64-bit fields summed in limbs): the largest total that fits one width and
+# the first that needs the next
 WIDTH_EDGES = (2 ** 16 - 1, 2 ** 16, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64)
 SMALL_WEIGHT = Fraction(1, 10 ** 20)  # a scale beyond int64 on its own
 small_weights = st.builds(lambda den, num: Fraction(num % den + 1, den),
@@ -140,7 +147,35 @@ class TestKernelAgreement:
 
     def test_packed_field_widths(self):
         assert [kernel_py._field_width(total) for total in (0, *WIDTH_EDGES)] == [
-            16, 16, 32, 32, 64, 64, 72]
+            16, 16, 32, 32, 64, 64, 64]
+
+    def test_one_call_mixes_narrow_and_wide_rows(self):
+        # universes of 65-130 objectives, rows of totals up to 2**64 beside
+        # rows beyond it, which are summed in limbs; "full" holds every
+        # objective with all-ones limbs, the largest fields a limb row makes,
+        # and "top" a weight whose top limb is its one top bit
+        rng = random.Random(404)
+        for _ in range(10):
+            universe = random_universe(rng, max_size=130, min_size=65)
+            environment = random_environment(rng, universe, 6)
+            individuals = list(random_society(rng, universe, 4).individuals)
+            for k in range(3):
+                den = rng.randrange(2 ** 70, 2 ** 90)
+                individuals.append(Individual(f"wide{k}", universe, {
+                    token: Fraction(rng.randrange(1, den), den)
+                    for token in rng.sample(universe.objectives,
+                                            rng.randint(1, universe.size))}))
+            individuals.append(Individual("full", universe, dict.fromkeys(
+                universe.objectives, Fraction(2 ** 200 - 1, 2 ** 200))))
+            top = 3 * (64 - universe.size.bit_length())
+            individuals.append(Individual("top", universe, dict(zip(
+                universe.objectives, (Fraction(1, 2), Fraction(1, 3 << top))))))
+            rng.shuffle(individuals)
+            parts = universe, environment, Society(tuple(individuals))
+            enc = encoded(parts)
+            assert {total.bit_length() > 64 for total in enc.totals} == {
+                False, True}
+            assert_fuzzy_matches_reference(parts, enc)
 
     @pytest.mark.skipif(not HAVE_FAST, reason="compiled kernel not built")
     def test_compiled_matches_pure(self):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setchoice import (
@@ -16,7 +16,7 @@ from setchoice import (
     opportunity_universe,
     partition_universe,
 )
-from setchoice.universe import check_token
+from setchoice.universe import bit_columns, check_token
 
 from _gen import (
     oracle_difference,
@@ -167,6 +167,32 @@ class TestMaskAlgebra:
             with pytest.raises(ScenarioError):
                 ObjectiveSet(u, mask)
         assert ObjectiveSet(u, (1 << size) - 1) == u.full()
+
+
+ALL_200 = (1 << 200) - 1
+
+
+class TestBitColumns:
+    """``bit_columns`` agrees with a per-bit oracle, for universes that fit
+    one chunk of ``width`` positions and for those that need several."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(1, 200), width=st.sampled_from((8, 16, 32, 64)),
+           masks=st.lists(st.one_of(st.just(0), st.just(ALL_200),
+                                    st.integers(0, ALL_200)), max_size=12))
+    @example(size=8, width=8, masks=[0, ALL_200, 0])
+    @example(size=9, width=8, masks=[ALL_200, 0b100000000])
+    @example(size=64, width=64, masks=[ALL_200, 1 << 63])
+    @example(size=65, width=64, masks=[1 << 64, 0, ALL_200])
+    @example(size=200, width=8, masks=[0, 0])
+    @example(size=5, width=16, masks=[])
+    def test_matches_a_per_bit_oracle(self, size, width, masks):
+        masks = [mask & ((1 << size) - 1) for mask in masks]
+        columns = bit_columns(masks, size, width)
+        assert len(columns) == size
+        for p, column in enumerate(columns):
+            assert column == sum(((mask >> p) & 1) << (i * width)
+                                 for i, mask in enumerate(masks))
 
 
 class TestOpportunityUniverse:
