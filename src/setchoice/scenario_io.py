@@ -17,7 +17,11 @@ as a ``Decimal`` and an integer as an ``int``, never through binary
 floating point, so evaluation is exact end to end.
 The parser is the one validator of a file: it reports each rule as a
 located finding and builds individuals from the weights it checked,
-without ``Individual.__init__`` checking them again.
+without ``Individual.__init__`` checking them again.  A valid objective
+list, and an individuals section of valid ``requires`` entries only, is
+accepted whole by a few C-level passes; anything else goes through the
+located pass, the only code that words a finding or a warning.  A file
+that starts with a byte-order mark is one finding at ``$``.
 Reports render as ``table``, ``json``, or ``csv``; json is the source of
 truth and the other two are projections of the same numbers.  Each
 profile's integer row, and the social row, is formatted in one pass
@@ -32,6 +36,8 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import ScenarioError
 from .evaluation import (
@@ -139,11 +145,13 @@ class _DuplicateKey(Exception):
 
 
 def _pairs_hook(pairs):
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise _DuplicateKey(key)
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _DuplicateKey(key)
+            seen.add(key)
     return obj
 
 
@@ -235,18 +243,29 @@ def _entries(raw, section, what, allowed, findings):
 
 def _objective_list(entry, key, loc, empty, known, findings) -> int | None:
     """The mask of the objectives of the array ``entry[key]`` (``known``
-    maps each declared token to its bit), built in one pass: a token whose
-    bit is set already is warned about as a repeat, and a location is built
-    only for a finding.  None if it is not a non-empty array of declared
-    objectives."""
+    maps each declared token to its bit).  A valid list is accepted by one
+    C-level sum of its tokens' bits: the tokens are distinct exactly when
+    the sum has as many set bits as the list has tokens, since a repeated
+    bit carries.  Any other list is walked once, where a token whose bit
+    is set already is warned about as a repeat.  None if it is not a
+    non-empty array of declared objectives."""
     raw = entry[key]
-    loc = f"{loc}.{key}"
     if not isinstance(raw, list):
-        _err(findings, loc, f"'{key}' must be an array of objective names")
+        _err(findings, f"{loc}.{key}",
+             f"'{key}' must be an array of objective names")
         return None
     if not raw:
-        _err(findings, loc, empty)
+        _err(findings, f"{loc}.{key}", empty)
         return None
+    try:
+        # an unknown token gives None, which sum() refuses like an unhashable one
+        mask = sum(map(known.get, raw))
+    except TypeError:
+        pass
+    else:
+        if mask.bit_count() == len(raw):
+            return mask
+    loc = f"{loc}.{key}"
     mask = 0
     bad = False
     for j, token in enumerate(raw):
@@ -329,10 +348,41 @@ def _validate_membership(raw, loc, known,
     return _scaled(mu)
 
 
+def _accept_crisp_individuals(raw: list, known
+                              ) -> list[tuple[str, int, tuple[int, ...], int]] | None:
+    """The individuals of a section in which every entry is exactly
+    ``{"id": ..., "requires": [...]}``, with a valid id not used before and
+    a valid list, checked in C-level passes over the whole section.  None
+    when any check fails: the located pass then words every finding."""
+    if set(map(type, raw)) != {dict} or set(map(len, raw)) != {2}:
+        return None
+    try:
+        ids = list(map(itemgetter("id"), raw))
+        lists = list(map(itemgetter("requires"), raw))
+        joined = "".join(ids)  # TypeError unless every id is a string
+    except (KeyError, TypeError):
+        return None
+    # as check_token: non-empty, printable, and no space
+    if (not all(ids) or not joined.isprintable() or " " in joined
+            or len(set(ids)) != len(ids)
+            or set(map(type, lists)) != {list} or not all(lists)):
+        return None
+    try:
+        masks = list(map(sum, map(map, repeat(known.get), lists)))
+    except TypeError:
+        return None
+    counts = list(map(int.bit_count, masks))
+    if counts != list(map(len, lists)):  # a repeat, as in _objective_list
+        return None
+    return list(zip(ids, masks, map((1,).__mul__, counts), repeat(1)))
+
+
 def _validate_individuals(doc, known,
                           findings) -> list[tuple[str, int, tuple[int, ...], int]]:
     raw = _top_array(doc, "individuals", "'individuals' must be an array",
                      "society must contain at least one individual", findings)
+    if raw and (accepted := _accept_crisp_individuals(raw, known)) is not None:
+        return accepted
     out = []
     for loc, entry, ind_id in _entries(raw, "individuals", "individual",
                                        ("id", "membership", "requires"), findings):
@@ -372,6 +422,10 @@ def parse_scenario(text: str) -> Scenario | ValidationReport:
 
 def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
     findings: list[Finding] = []
+    if text.startswith("\ufeff"):
+        _err(findings, "$", "invalid JSON: file starts with a byte-order mark "
+                            "(U+FEFF)")
+        return None, ValidationReport(tuple(findings))
     try:
         doc = json.loads(text, parse_float=lambda t: Decimal(_bounded(t)),
                          parse_int=lambda t: int(_bounded(t)),

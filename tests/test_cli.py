@@ -122,21 +122,39 @@ class TestUnreadableFile:
                                           output_format):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"universe": ["\xff"]}')
-        measured = verb in ("utilities", "evaluate", "rank")
-        assert main([verb, str(path), "--format", output_format,
-                     *(["--measure", "fuzzy"] if measured else [])]) == 1
-        out, err = capsys.readouterr()
-        assert err == ""
-        message = "file is not UTF-8: invalid start byte at byte 15"
-        assert out == {
-            "table": f"INVALID: 1 error(s), 0 warning(s)\nerror  $  {message}\n",
-            "json": json.dumps({"ok": False, "errors": 1, "warnings": 0,
-                                "findings": [{"severity": "error",
-                                              "location": "$",
-                                              "message": message}]},
-                               indent=2) + "\n",
-            "csv": f"severity,location,message\nerror,$,{message}\n",
-        }[output_format]
+        assert_one_finding_at_root(
+            capsys, verb, path, output_format,
+            "file is not UTF-8: invalid start byte at byte 15")
+
+    @pytest.mark.parametrize("output_format", ["table", "json", "csv"])
+    @pytest.mark.parametrize(
+        "verb", ["validate", "universes", "utilities", "evaluate", "rank"])
+    def test_byte_order_mark_is_one_finding(self, tmp_path, capsys, verb,
+                                            output_format):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf"
+                         + (SCENARIOS / "crisp_pair.json").read_bytes())
+        assert_one_finding_at_root(
+            capsys, verb, path, output_format,
+            "invalid JSON: file starts with a byte-order mark (U+FEFF)")
+
+
+def assert_one_finding_at_root(capsys, verb, path, output_format, message):
+    """``verb`` on ``path`` exits 1 and prints one error at ``$``."""
+    measured = verb in ("utilities", "evaluate", "rank")
+    assert main([verb, str(path), "--format", output_format,
+                 *(["--measure", "fuzzy"] if measured else [])]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == {
+        "table": f"INVALID: 1 error(s), 0 warning(s)\nerror  $  {message}\n",
+        "json": json.dumps({"ok": False, "errors": 1, "warnings": 0,
+                            "findings": [{"severity": "error",
+                                          "location": "$",
+                                          "message": message}]},
+                           indent=2) + "\n",
+        "csv": f"severity,location,message\nerror,$,{message}\n",
+    }[output_format]
 
 
 class TestPipelineVerbs:

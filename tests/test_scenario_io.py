@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setchoice import (
@@ -17,11 +17,14 @@ from setchoice import (
     format_utility,
     parse_scenario,
     run_pipeline,
+    scenario_io,
     validate_scenario,
 )
 from setchoice.cli import main
 from setchoice.measures import _scaled
 from setchoice.scenario_io import (
+    _accept_crisp_individuals,
+    _parse,
     compute_pipeline,
     format_ratio,
     format_ratios,
@@ -31,6 +34,7 @@ from setchoice.scenario_io import (
     render_utilities,
     render_validation,
 )
+from setchoice.universe import token_bits
 
 from _gen import reference_format_decimal
 
@@ -124,6 +128,17 @@ class TestParse:
         report = parse_scenario(text)
         assert isinstance(report, ValidationReport)
         assert "duplicate key" in report.errors[0].message
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"a": 1, "b": 2, "b": 3, "a": 4}', "b"),
+        (MINIMAL.replace('"id": "x", "offers": ["a"]',
+                         '"id": "x", "offers": ["a"], "id": "y"'), "id"),
+        ('{"universe": ["a"], "universe": {"k": 1, "k": 2}}', "k"),
+    ], ids=["first-repeat", "nested", "inner-first"])
+    def test_duplicate_key_named_is_the_first_repeat(self, text, key):
+        assert [(f.severity, f.location, f.message)
+                for f in validate_scenario(text).findings] == [
+            ("error", "$", f"duplicate key '{key}'")]
 
     @pytest.mark.parametrize("location,old,new", [
         ("alternatives[0].offers", '"offers": ["a"]', '"offers": ["zz", "a", "a"]'),
@@ -340,6 +355,8 @@ class TestParserFuzz:
 
 
 DECLARED = ("a", "b", "c")
+WIDE = tuple(f"o{p:03d}" for p in range(130))
+WIDE_EDGES = WIDE[62:66] + WIDE[126:]
 objective_lists = st.lists(
     st.sampled_from(DECLARED + ("zz", "\x1b[2J")) | st.text(max_size=3)
     | st.none() | st.booleans()
@@ -349,10 +366,10 @@ objective_lists = st.lists(
     max_size=8)
 
 
-def objective_list_spec(values, location, empty):
+def objective_list_spec(values, location, empty, declared=DECLARED):
     """The findings, as (severity, location, message), and the mask that an
-    ``offers`` or ``requires`` list over DECLARED gives; None for the mask
-    of a list with an error."""
+    ``offers`` or ``requires`` list over ``declared`` gives; None for the
+    mask of a list with an error."""
     if not values:
         return [("error", location, empty)], None
     findings, listed, bad = [], [], False
@@ -361,7 +378,7 @@ def objective_list_spec(values, location, empty):
         if not isinstance(value, str):
             findings.append(("error", where, "objective name must be a string"))
             bad = True
-        elif value not in DECLARED:
+        elif value not in declared:
             shown = value if value.isprintable() else repr(value)[1:-1]
             findings.append(("error", where, f"unknown objective '{shown}'"))
             bad = True
@@ -369,7 +386,7 @@ def objective_list_spec(values, location, empty):
             findings.append(("warning", where, f"objective '{value}' listed twice"))
         else:
             listed.append(value)
-    return findings, None if bad else sum(1 << DECLARED.index(t) for t in listed)
+    return findings, None if bad else sum(1 << declared.index(t) for t in listed)
 
 
 class TestObjectiveLists:
@@ -397,6 +414,107 @@ class TestObjectiveLists:
         else:
             assert scenario.environment.alternatives[0].offers.mask == offer_mask
             assert scenario.society.individuals[0]._mask == require_mask
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.sampled_from(WIDE) | st.sampled_from(WIDE_EDGES),
+                           min_size=1, max_size=12))
+    # a repeat of bit 63 or 127 carries into the next word, onto a listed bit
+    @example(values=["o063", "o063", "o064"])
+    @example(values=["o126", "o127", "o127", "o128", "o000"])
+    @example(values=["o064", "o064", "o065", "o065", "o066"])
+    def test_popcount_rule_across_machine_words(self, values):
+        entries = [{"id": "p", "requires": values}, {"id": "q", "requires": ["o129"]}]
+        text = json.dumps({
+            "universe": list(WIDE),
+            "alternatives": [{"id": "x", "offers": values}],
+            "individuals": entries})
+        offer_findings, mask = objective_list_spec(
+            values, "alternatives[0].offers",
+            "alternative 'x' offers no objectives", WIDE)
+        require_findings, _ = objective_list_spec(
+            values, "individuals[0].requires",
+            "empty support: individual requires no objectives", WIDE)
+        report = validate_scenario(text)
+        assert [(f.severity, f.location, f.message) for f in report.findings] == (
+            offer_findings + require_findings)
+        scenario = parse_scenario(text)
+        assert scenario.environment.alternatives[0].offers.mask == mask
+        assert scenario.society.individuals[0]._mask == mask
+        # the whole-section pass accepts exactly the lists with no repeat
+        assert (_accept_crisp_individuals(entries, token_bits(WIDE)) is None) == (
+            bool(require_findings))
+
+
+def _with_token(draw, entry, token):
+    requires = list(entry["requires"])
+    requires.insert(draw(st.integers(0, len(requires))), token)
+    return {**entry, "requires": requires}
+
+
+#: Each way to break one crisp entry: acceptance must refuse the section.
+ENTRY_BREAKS = {
+    "extra key": lambda draw, entry, twin: {**entry, "note": 1},
+    "membership and requires":
+        lambda draw, entry, twin: {**entry, "membership": {"a": 1}},
+    "membership only":
+        lambda draw, entry, twin: {"id": entry["id"], "membership": {"a": 0.5}},
+    "no requires": lambda draw, entry, twin: {"id": entry["id"]},
+    "not an object": lambda draw, entry, twin: draw(st.sampled_from(
+        [[], ["id", "requires"], "p", 1, None, True])),
+    "duplicate id": lambda draw, entry, twin: {**entry, "id": twin},
+    "bad id": lambda draw, entry, twin: {**entry, "id": draw(st.sampled_from(
+        ["", "p q", "p\x1b", "p\n", "p\u00a0", 1, 1.5, None, True, ["p"], {"p": 1}]))},
+    "empty list": lambda draw, entry, twin: {**entry, "requires": []},
+    "not a list": lambda draw, entry, twin: {**entry, "requires": draw(st.sampled_from(
+        ["a", "ab", {"a": 1}, 1, None]))},
+    "repeated token": lambda draw, entry, twin: _with_token(
+        draw, entry, draw(st.sampled_from(entry["requires"]))),
+    "bad token": lambda draw, entry, twin: _with_token(draw, entry, draw(
+        st.sampled_from(["zz", "", 1, 1.5, None, True, ["a"], {"a": 1}]))),
+}
+
+
+@st.composite
+def crisp_sections(draw):
+    """An individuals section of 2 to 6 valid crisp entries over DECLARED,
+    with up to three entries broken in one way each; and the breaks.  A
+    duplicate id copies the first id that no duplicate break changes, so
+    two such breaks cannot swap ids."""
+    count = draw(st.integers(2, 6))
+    entries = [{"id": f"p{i}", "requires": draw(st.lists(
+        st.sampled_from(DECLARED), min_size=1, max_size=3, unique=True))}
+        for i in range(count)]
+    breaks = draw(st.lists(st.tuples(st.integers(0, count - 1),
+                                     st.sampled_from(sorted(ENTRY_BREAKS))),
+                           max_size=3, unique_by=lambda b: b[0]))
+    copied = {i for i, kind in breaks if kind == "duplicate id"}
+    twin = f"p{min(set(range(count)) - copied, default=0)}"
+    for i, kind in breaks:
+        entries[i] = ENTRY_BREAKS[kind](draw, entries[i], twin)
+    return entries, breaks
+
+
+class TestCrispSectionAcceptance:
+    """The whole-section pass over crisp individuals accepts only sections
+    on which the located pass finds nothing, and yields what it builds."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(section=crisp_sections())
+    def test_parse_equals_the_located_pass_alone(self, section):
+        entries, breaks = section
+        text = json.dumps({"universe": list(DECLARED),
+                           "alternatives": [{"id": "x", "offers": ["a"]}],
+                           "individuals": entries})
+        scenario, report = _parse(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario_io, "_accept_crisp_individuals",
+                          lambda raw, known: None)
+            located_scenario, located_report = _parse(text)
+        assert report.findings == located_report.findings
+        assert scenario == located_scenario
+        accepted = _accept_crisp_individuals(json.loads(text)["individuals"],
+                                             token_bits(DECLARED))
+        assert (accepted is None) == bool(breaks)
 
 
 class TestInvalidCorpus:
