@@ -27,7 +27,9 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
+from operator import attrgetter, is_
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -207,15 +209,25 @@ class Individual:
 
 
 def _unique_ids(items, what: str) -> None:
+    """Raise naming the first repeated id; distinct ids are accepted by one
+    C-level set."""
+    ids = list(map(attrgetter("id"), items))
+    if len(set(ids)) == len(ids):
+        return
     seen = set()
-    for item in items:
-        if item.id in seen:
-            raise ScenarioError(f"duplicate {what} id {_quoted_id(item.id)}")
-        seen.add(item.id)
+    for item_id in ids:
+        if item_id in seen:
+            raise ScenarioError(f"duplicate {what} id {_quoted_id(item_id)}")
+        seen.add(item_id)
 
 
 def _shared_universe(items, what: str) -> Universe:
+    """The items' one universe.  Items that hold the first item's universe
+    object, as the parser builds them, are accepted by one identity pass;
+    otherwise each is compared by value, so an equal universe passes."""
     universe = items[0].universe
+    if all(map(is_, map(attrgetter("universe"), items), repeat(universe))):
+        return universe
     for item in items[1:]:
         if item.universe != universe:
             raise ScenarioError(

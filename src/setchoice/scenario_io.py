@@ -25,18 +25,21 @@ that starts with a byte-order mark is one finding at ``$``.
 Reports render as ``table``, ``json``, or ``csv``; json is the source of
 truth and the other two are projections of the same numbers.  Each
 profile's integer row, and the social row, is formatted in one pass
-(``format_ratios``).
+(``format_ratios``).  json and csv are written in one pass from the
+payload, byte-identical to ``json.dumps(indent=2)`` and ``csv.writer``:
+json by a writer over the payload's types that quotes strings with
+``json.encoder``'s C function, csv as lines joined once, with each id
+quoted once per report by csv's ``QUOTE_MINIMAL`` rule.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
 
 from .errors import ScenarioError
@@ -544,16 +547,52 @@ def _check_format(output_format: str) -> None:
                             f"(known: {', '.join(FORMATS)})")
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _json_value(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it when it starts
+    at ``indent``: a dict with str keys, a list, a str, a bool or an int.
+    A dict whose values are all strings, as a profile's, is joined in one
+    comprehension."""
+    if type(value) is bool:
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if set(map(type, value.values())) == {str}:
+            items = [f"{_json_string(key)}: {_json_string(item)}"
+                     for key, item in value.items()]
+        else:
+            items = [f"{_json_string(key)}: {_json_value(item, inner)}"
+                     for key, item in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_json_value(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"{type(value).__name__} is not a report payload type")
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{indent}{brackets[1]}")
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte."""
+    return _json_value(payload, "") + "\n"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer(lineterminator="\\n")`` writes a field by its
+    default ``QUOTE_MINIMAL`` rule: between ``"`` marks, each inner ``"``
+    doubled, when it holds a comma, a ``"`` or a newline; unchanged
+    otherwise.  An id is a token, so it can hold only the first two."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _columns(rows: list[tuple[str, ...]]) -> list[str]:
@@ -578,7 +617,9 @@ def render_validation(report: ValidationReport, output_format: str = "table") ->
             ],
         })
     if output_format == "csv":
-        return _csv_text(("severity", "location", "message"), rows)
+        # a message can hold anything, so every field goes through the rule
+        return "severity,location,message\n" + "".join(
+            [",".join(map(_csv_field, row)) + "\n" for row in rows])
     lines = []
     if report.ok:
         lines.append("OK: scenario is valid"
@@ -591,8 +632,10 @@ def render_validation(report: ValidationReport, output_format: str = "table") ->
     return "\n".join(lines) + "\n"
 
 
-# Each report section is built once as its json payload; the csv records
-# and table lines of a section are projections of that payload.
+# Each report section is built once as its json payload; the csv lines and
+# table lines of a section are projections of that payload.  A csv line ends
+# in a newline.  Values and tiers are digit strings and need no quoting; each
+# id is quoted by ``_csv_field`` once per report, through a map of id to field.
 
 
 def _universes_section(universe: Universe, opportunity: ObjectiveSet,
@@ -629,10 +672,17 @@ def _profiles_section(profiles, alt_ids, precision: int):
             for p in profiles]
 
 
-def _profiles_records(section):
-    """(individual, alternative, value) per cell."""
-    return [(p["individual"], alt_id, value)
-            for p in section for alt_id, value in p["values"].items()]
+def _profiles_csv(section, quoted: dict[str, str], head: str,
+                  tail: str) -> list[str]:
+    """``{head}individual,alternative,value{tail}`` per cell; ``quoted``
+    maps each alternative id, in order, to its csv field."""
+    alts = [f",{alt}," for alt in quoted.values()]
+    lines = []
+    for p in section:
+        start = head + _csv_field(p["individual"])
+        lines += [f"{start}{alt}{value}{tail}"
+                  for alt, value in zip(alts, p["values"].values())]
+    return lines
 
 
 def _profiles_lines(section, alt_ids) -> list[str]:
@@ -646,9 +696,11 @@ def _ranking_section(ranking: Ranking, precision: int):
             for i, tier in enumerate(ranking.tiers, start=1)]
 
 
-def _ranking_records(section):
-    """(tier, utility, alternative) per ranked alternative."""
-    return [(str(tier["tier"]), tier["utility"], alt_id)
+def _ranking_csv(section, quoted: dict[str, str], line: str) -> list[str]:
+    """``line`` per ranked alternative, its ``{tier}``, ``{utility}`` and
+    ``{alt}`` filled in; ``quoted`` maps each id to its csv field."""
+    return [line.format(tier=tier["tier"], utility=tier["utility"],
+                        alt=quoted[alt_id])
             for tier in section for alt_id in tier["alternatives"]]
 
 
@@ -667,15 +719,16 @@ def render_universes(scenario: Scenario, output_format: str = "table") -> str:
     if output_format == "json":
         return _json_text(section)
     if output_format == "csv":
-        rows = [(name, token)
-                for name, key in (("universe", "universe"),
-                                  ("opportunity", "opportunity_universe"),
-                                  ("exigence", "exigence_universe"))
-                for token in section[key]]
-        rows += [(f"partition.{part}", token)
-                 for part, members in section["partition"].items()
-                 for token in members]
-        return _csv_text(("set", "objective"), rows)
+        quoted = {token: _csv_field(token) for token in section["universe"]}
+        lines = [f"{name},{quoted[token]}\n"
+                 for name, key in (("universe", "universe"),
+                                   ("opportunity", "opportunity_universe"),
+                                   ("exigence", "exigence_universe"))
+                 for token in section[key]]
+        lines += [f"partition.{part},{quoted[token]}\n"
+                  for part, members in section["partition"].items()
+                  for token in members]
+        return "set,objective\n" + "".join(lines)
     return "\n".join(_universes_lines(section)) + "\n"
 
 
@@ -692,8 +745,9 @@ def render_utilities(scenario: Scenario, measure: UtilityMeasure | str,
         return _json_text({"measure": measure.value, "precision": precision,
                            "utilities": section})
     if output_format == "csv":
-        return _csv_text(("individual", "alternative", "value"),
-                         _profiles_records(section))
+        quoted = {alt_id: _csv_field(alt_id) for alt_id in alt_ids}
+        return "individual,alternative,value\n" + "".join(
+            _profiles_csv(section, quoted, "", "\n"))
     lines = [f"utilities (measure={measure.value})",
              *_profiles_lines(section, alt_ids)]
     return "\n".join(lines) + "\n"
@@ -708,8 +762,10 @@ def render_ranking(result: PipelineResult, output_format: str = "table",
                            "aggregator": result.aggregator,
                            "precision": precision, "ranking": section})
     if output_format == "csv":
-        return _csv_text(("tier", "value", "alternative"),
-                         _ranking_records(section))
+        quoted = {alt_id: _csv_field(alt_id)
+                  for alt_id in result.scenario.environment.ids}
+        return "tier,value,alternative\n" + "".join(
+            _ranking_csv(section, quoted, "{tier},{utility},{alt}\n"))
     lines = [f"ranking (measure={result.measure.value}, "
              f"aggregator={result.aggregator})", *_ranking_lines(section)]
     return "\n".join(lines) + "\n"
@@ -726,14 +782,13 @@ def render_report(result: PipelineResult, output_format: str = "table",
               "out_of_domain": result.social.out_of_domain}
     ranking = _ranking_section(result.ranking, precision)
     if output_format == "csv":
-        rows = [("profile", individual, alt_id, value, "")
-                for individual, alt_id, value in _profiles_records(profiles)]
-        rows += [("social", "", alt_id, value, "")
-                 for alt_id, value in social["values"].items()]
-        rows += [("rank", "", alt_id, value, tier)
-                 for tier, value, alt_id in _ranking_records(ranking)]
-        return _csv_text(("section", "individual", "alternative", "value", "tier"),
-                         rows)
+        quoted = {alt_id: _csv_field(alt_id) for alt_id in alt_ids}
+        lines = _profiles_csv(profiles, quoted, "profile,", ",\n")
+        lines += [f"social,,{alt},{value},\n"
+                  for alt, value in zip(quoted.values(),
+                                        social["values"].values())]
+        lines += _ranking_csv(ranking, quoted, "rank,,{alt},{utility},{tier}\n")
+        return "section,individual,alternative,value,tier\n" + "".join(lines)
     universes = _universes_section(scenario.universe, result.opportunity,
                                    result.exigence, result.partition)
     if output_format == "json":

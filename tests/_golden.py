@@ -16,31 +16,42 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-# (golden file name, scenario file, CLI arguments)
+# (golden file name, scenario file relative to the repository root, CLI
+# arguments)
 CASES = []
 for fmt in ("table", "json", "csv"):
     CASES += [
-        (f"crisp_pair.utilities.cardinal.{fmt}.txt", "crisp_pair.json",
+        (f"crisp_pair.utilities.cardinal.{fmt}.txt", "scenarios/crisp_pair.json",
          ["utilities", "--measure", "cardinal", "--format", fmt]),
-        (f"crisp_pair.evaluate.normalized.{fmt}.txt", "crisp_pair.json",
+        (f"crisp_pair.evaluate.normalized.{fmt}.txt", "scenarios/crisp_pair.json",
          ["evaluate", "--measure", "normalized", "--format", fmt]),
         # counts above 1: the out-of-domain note and a social mean of 2
-        (f"crisp_pair.evaluate.cardinal.{fmt}.txt", "crisp_pair.json",
+        (f"crisp_pair.evaluate.cardinal.{fmt}.txt", "scenarios/crisp_pair.json",
          ["evaluate", "--measure", "cardinal", "--format", fmt]),
-        (f"weighted_split.evaluate.fuzzy.{fmt}.txt", "weighted_split.json",
+        (f"weighted_split.evaluate.fuzzy.{fmt}.txt", "scenarios/weighted_split.json",
          ["evaluate", "--measure", "fuzzy", "--format", fmt]),
-        (f"weighted_split.rank.fuzzy.{fmt}.txt", "weighted_split.json",
+        (f"weighted_split.rank.fuzzy.{fmt}.txt", "scenarios/weighted_split.json",
          ["rank", "--measure", "fuzzy", "--format", fmt]),
-        (f"partial_overlap.universes.{fmt}.txt", "partial_overlap.json",
+        (f"partial_overlap.universes.{fmt}.txt", "scenarios/partial_overlap.json",
          ["universes", "--format", fmt]),
+        # ids and findings that json escapes and csv quotes: a comma, a
+        # quote, a backslash, non-ASCII and a character beyond the BMP
+        (f"escaped_ids.evaluate.fuzzy.{fmt}.txt", "tests/data/escaped_ids.json",
+         ["evaluate", "--measure", "fuzzy", "--format", fmt]),
+        (f"escaped_messages.validate.{fmt}.txt",
+         "tests/data/invalid/escaped_messages.json",
+         ["validate", "--format", fmt]),
     ]
 
 
 def run_cli(scenario: str, args: list[str]) -> bytes:
+    """Standard output of the CLI on ``ROOT / scenario``.  The run must exit
+    0, or 1 for ``validate`` of an invalid scenario, and write no stderr."""
     command = [sys.executable, "-m", "setchoice", args[0],
-               str(ROOT / "scenarios" / scenario), *args[1:]]
+               str(ROOT / scenario), *args[1:]]
     proc = subprocess.run(command, capture_output=True, check=False)
-    if proc.returncode != 0:
+    allowed = (0, 1) if args[0] == "validate" else (0,)
+    if proc.returncode not in allowed or proc.stderr:
         raise RuntimeError(f"{command} failed: {proc.stderr.decode()}")
     return proc.stdout
 

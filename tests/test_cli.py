@@ -50,8 +50,8 @@ class TestGolden:
 
     def test_repeated_runs_are_byte_identical(self):
         args = ["evaluate", "--measure", "fuzzy", "--format", "json"]
-        assert run_cli("weighted_split.json", args) == run_cli(
-            "weighted_split.json", args)
+        assert run_cli("scenarios/weighted_split.json", args) == run_cli(
+            "scenarios/weighted_split.json", args)
 
 
 class TestValidateVerb:

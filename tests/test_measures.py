@@ -285,6 +285,25 @@ class TestConstruction:
             f"(all weights 0 or 1) | individual {shown} | alternative {shown}")
         assert len(str(exc.value)) < 300
 
+    def test_duplicate_id_names_the_first_repeat(self, greek):
+        a, b = (Alternative(i, greek.subset(["alpha"])) for i in "ab")
+        with pytest.raises(ScenarioError) as exc:
+            Environment((a, b, b, a))
+        assert str(exc.value) == "duplicate alternative id 'b'"
+        p, q = (Individual.crisp(i, greek, ["alpha"]) for i in "pq")
+        with pytest.raises(ScenarioError) as exc:
+            Society((p, q, q, p))
+        assert str(exc.value) == "duplicate individual id 'q'"
+
+    def test_equal_distinct_universes_are_accepted(self, greek):
+        twin = Universe(greek.objectives)
+        assert twin == greek and twin is not greek
+        env = Environment((Alternative("a", greek.subset(["alpha"])),
+                           Alternative("b", twin.subset(["beta"]))))
+        soc = Society((Individual.crisp("p", greek, ["alpha"]),
+                       Individual.crisp("q", twin, ["beta"])))
+        assert env.universe is greek and soc.universe is greek
+
     def test_unknown_objective(self, greek):
         with pytest.raises(ScenarioError, match="unknown objective"):
             Individual("v", greek, {"delta": 1})

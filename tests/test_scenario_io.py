@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 from fractions import Fraction
@@ -23,7 +25,11 @@ from setchoice import (
 from setchoice.cli import main
 from setchoice.measures import _scaled
 from setchoice.scenario_io import (
+    ERROR,
+    WARNING,
+    Finding,
     _accept_crisp_individuals,
+    _json_text,
     _parse,
     compute_pipeline,
     format_ratio,
@@ -697,6 +703,108 @@ class TestRendering:
         assert payload["ok"] is False and payload["errors"] >= 1
         csv_text = render_validation(report, "csv")
         assert csv_text.splitlines()[0] == "severity,location,message"
+
+
+# text that json escapes and csv quotes, among any other characters
+ESCAPED_TEXT = st.text(st.one_of(
+    st.sampled_from(list(',"\\\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d537\U0001f600')),
+    st.characters()), max_size=8)
+# tokens: printable and without whitespace, but with a comma, a quote, a
+# backslash or a non-ASCII or astral character
+ESCAPED_TOKEN = st.text(st.sampled_from(list(',"\\a\u00e9\U0001d537')),
+                        min_size=1, max_size=3)
+PAYLOADS = st.recursive(
+    st.one_of(ESCAPED_TEXT, st.booleans(), st.integers()),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(ESCAPED_TEXT, children, max_size=4)),
+    max_leaves=24)
+
+
+def csv_writer_text(header, rows) -> str:
+    """The reference: what ``csv.writer`` writes for ``header`` and ``rows``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@st.composite
+def escaped_scenarios(draw):
+    """A valid weighted scenario whose objectives and ids are ESCAPED_TOKENs."""
+    tokens = st.lists(ESCAPED_TOKEN, min_size=1, max_size=4, unique=True)
+    universe = draw(tokens)
+    members = st.lists(st.sampled_from(universe), min_size=1, unique=True)
+    weights = st.sampled_from([1, 0.5, 0.25, 0.125])
+    doc = {"universe": universe,
+           "alternatives": [{"id": alt_id, "offers": draw(members)}
+                            for alt_id in draw(tokens)],
+           "individuals": [{"id": ind_id, "membership": {
+               token: draw(weights) for token in draw(members)}}
+               for ind_id in draw(tokens)]}
+    return parse_scenario(json.dumps(doc))
+
+
+class TestWritersMatchLibraryOracles:
+    """The json and csv writers give what ``json.dumps(indent=2)`` and
+    ``csv.writer`` give, on any payload and on ids that need escaping."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(payload=PAYLOADS)
+    @example(payload={})
+    @example(payload=[])
+    @example(payload={"a": {}, "b": [], "c": [{}, []], "d": [True, 0, False, 1]})
+    @example(payload={"values": {"x\"": "1", "\\y": "\U0001d537"}, "ok": False})
+    def test_json_writer_equals_json_dumps(self, payload):
+        assert _json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenario=escaped_scenarios())
+    def test_csv_renderers_equal_csv_writer(self, scenario):
+        result = compute_pipeline(scenario, "fuzzy")
+        payload = json.loads(render_report(result, "json"))
+        profiles = [(p["individual"], alt_id, value)
+                    for p in payload["profiles"]
+                    for alt_id, value in p["values"].items()]
+        social = payload["social_profile"]["values"].items()
+        ranked = [(str(tier["tier"]), tier["utility"], alt_id)
+                  for tier in payload["ranking"]
+                  for alt_id in tier["alternatives"]]
+        universes = [(name, token)
+                     for name, key in (("universe", "universe"),
+                                       ("opportunity", "opportunity_universe"),
+                                       ("exigence", "exigence_universe"))
+                     for token in payload[key]]
+        universes += [(f"partition.{part}", token)
+                      for part, members in payload["partition"].items()
+                      for token in members]
+        assert render_report(result, "csv") == csv_writer_text(
+            ("section", "individual", "alternative", "value", "tier"),
+            [("profile", *row, "") for row in profiles]
+            + [("social", "", alt_id, value, "") for alt_id, value in social]
+            + [("rank", "", alt_id, value, tier) for tier, value, alt_id in ranked])
+        assert render_utilities(scenario, "fuzzy", "csv") == csv_writer_text(
+            ("individual", "alternative", "value"), profiles)
+        assert render_ranking(result, "csv") == csv_writer_text(
+            ("tier", "value", "alternative"), ranked)
+        assert render_universes(scenario, "csv") == csv_writer_text(
+            ("set", "objective"), universes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(findings=st.lists(st.builds(
+        Finding, st.sampled_from([ERROR, WARNING]), ESCAPED_TEXT, ESCAPED_TEXT),
+        max_size=4))
+    def test_validation_csv_equals_csv_writer(self, findings):
+        report = ValidationReport(tuple(findings))
+        assert render_validation(report, "csv") == csv_writer_text(
+            ("severity", "location", "message"),
+            [(f.severity, f.location, f.message) for f in findings])
+        assert render_validation(report, "json") == json.dumps({
+            "ok": report.ok, "errors": len(report.errors),
+            "warnings": len(report.warnings),
+            "findings": [{"severity": f.severity, "location": f.location,
+                          "message": f.message} for f in findings]},
+            indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name", ["crisp_pair.json", "weighted_split.json",
