@@ -1,11 +1,13 @@
 """Integer encoding of a scenario for the utility-matrix kernels.
 
-Objective sets are already bitmasks over universe positions, and each
-individual already holds its weights as integers over one scale, one per
-support bit in position order; ``encode`` only gathers them, so every
-utility comes back as an exact numerator/denominator pair (the scale
-cancels in the ratio).  ``weights``, the dense rows, and ``int64_safe``,
-from the row totals, serve the compiled kernel alone.
+The environment and the society already hold their columns: each offer
+and each support as a bitmask over universe positions, and each
+individual's weights as integers over one scale, one per support bit in
+position order.  ``encode`` reads those columns as they are and sums each
+weight row once, so every utility comes back as an exact
+numerator/denominator pair (the scale cancels in the ratio).
+``weights``, the dense rows, and ``int64_safe``, from the row totals,
+serve the compiled kernel alone.
 """
 
 from __future__ import annotations
@@ -57,12 +59,10 @@ class EncodedScenario:
 
 def encode(universe: Universe, environment: Environment,
            society: Society) -> EncodedScenario:
-    individuals = society.individuals
     return EncodedScenario(
         objective_count=universe.size,
-        offer_masks=tuple(alternative.offers.mask
-                          for alternative in environment.alternatives),
-        support_masks=tuple(individual._mask for individual in individuals),
-        support_weights=tuple(individual._weights for individual in individuals),
-        totals=tuple(sum(individual._weights) for individual in individuals),
+        offer_masks=environment.masks,
+        support_masks=society.masks,
+        support_weights=society.weights,
+        totals=tuple(map(sum, society.weights)),
     )

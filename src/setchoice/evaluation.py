@@ -6,14 +6,17 @@ ratio over one denominator T_i (the support size for ``normalized``, the
 scaled weight total for ``fuzzy``, 1 for ``cardinal``), so a profile is
 held as an integer numerator row over that one positive denominator,
 exactly as the kernel returns it.  A process bundles environment,
-society, the profiles and the aggregator.  ``build_process`` checks each
-individual against the measure's domain rules, the ones the per-pair
-functions apply (``cardinal`` and ``normalized`` need a crisp individual
-with a non-empty support, ``fuzzy`` a non-empty support; the first
-failing individual in society order is reported at the first
-alternative, as the per-pair path would report it), and keeps the
-kernel encoding; the N x M kernel matrix and the profiles are built on
-the first read of ``profiles``.
+society, the profiles and the aggregator.  Every step reads the columns
+of the society and the environment (their ``ids``, ``masks``, weight rows
+and scales), so a kernel-built process builds no ``Individual`` and no
+``Alternative``.  ``build_process`` checks each individual, over the
+``masks`` and ``scales`` columns, against the measure's domain rules,
+the ones the per-pair functions apply (``cardinal`` and ``normalized``
+need a crisp individual with a non-empty support, ``fuzzy`` a non-empty
+support; the first failing individual in society order is reported at
+the first alternative, as the per-pair path would report it), and keeps
+the kernel encoding; the N x M kernel matrix and the profiles are built
+on the first read of ``profiles``.
 
 Evaluating applies the aggregator column-wise to the integer rows, and
 the social profile it returns is held the same way: one integer numerator
@@ -40,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from math import gcd, lcm
-from operator import add, attrgetter, itemgetter
+from operator import add, itemgetter
 from typing import Callable, Sequence
 
 from . import _core
@@ -213,8 +216,8 @@ class EvaluationProcess:
         profiles = tuple(profiles)
         if len(profiles) != society.size:
             raise LengthMismatch("one profile per individual is required")
-        for profile, individual in zip(profiles, society.individuals):
-            if profile.individual_id != individual.id:
+        for profile, individual_id in zip(profiles, society.ids):
+            if profile.individual_id != individual_id:
                 raise ScenarioError(
                     f"profile order disagrees with society order at "
                     f"{_quoted_id(profile.individual_id)}")
@@ -244,9 +247,8 @@ class EvaluationProcess:
         nums, dens = _core.utility_matrix(self.encoding, self.measure.value)
         integral = self.measure is UtilityMeasure.CARDINAL
         return tuple(
-            IndividualProfile.from_row(individual.id, num_row, den, integral)
-            for individual, num_row, den
-            in zip(self.society.individuals, nums, dens))
+            IndividualProfile.from_row(individual_id, num_row, den, integral)
+            for individual_id, num_row, den in zip(self.society.ids, nums, dens))
 
 
 @dataclass(frozen=True)
@@ -283,23 +285,18 @@ def individual_profile(measure: UtilityMeasure | str, environment: Environment,
     return IndividualProfile(individual.id, tuple(values))
 
 
-_MASK = attrgetter("_mask")
-_SCALE = attrgetter("_scale")
-
-
 def _precheck(measure: UtilityMeasure, society: Society,
               environment: Environment) -> None:
-    individuals = society.individuals
-    # _check_domain's rules as two C-level passes: every support is
-    # non-empty and, for the crisp measures, every scale is 1
-    if all(map(_MASK, individuals)) and (
-            measure is UtilityMeasure.FUZZY
-            or all(map((1).__eq__, map(_SCALE, individuals)))):
+    # _check_domain's rules as two C-level passes over the columns: every
+    # support is non-empty and, for the crisp measures, every scale is 1
+    scales = society.scales
+    if all(society.masks) and (measure is UtilityMeasure.FUZZY
+                               or scales.count(1) == len(scales)):
         return
     # Surface the first failure exactly where the sequential per-pair path
     # would: at the first alternative.
-    first = environment.alternatives[0].id
-    for individual in individuals:
+    first = environment.ids[0]
+    for individual in society.individuals:
         try:
             _check_domain(measure, individual)
         except MeasureError as err:

@@ -19,6 +19,16 @@ results are ``int`` or ``Fraction``.  ``_scaled`` builds that scale from
 each weight's ``as_integer_ratio()``, so the parser's exact ``Decimal``
 weights and the constructor's ``Fraction``s share one definition.
 Rendering to fixed-precision decimal happens only at the output layer.
+
+A scenario is two bit matrices over the universe: individual x objective
+and alternative x objective.  ``Society`` and ``Environment`` hold them
+as parallel columns (``ids`` and ``masks``, plus the weight rows and
+scales of a society), which the kernel, the universes and the renderers
+read directly.  The checking constructors ``Society(individuals)`` and
+``Environment(alternatives)`` fill the columns from the objects they
+check; the parser fills them from its checked sections, so a parsed
+scenario holds no ``Individual`` or ``Alternative`` until
+``individuals`` or ``alternatives`` is first read.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import lcm
 from operator import attrgetter, is_
@@ -208,10 +219,9 @@ class Individual:
         return f"Individual({self.id!r}, {weights})"
 
 
-def _unique_ids(items, what: str) -> None:
+def _unique_ids(ids: tuple[str, ...], what: str) -> None:
     """Raise naming the first repeated id; distinct ids are accepted by one
     C-level set."""
-    ids = list(map(attrgetter("id"), items))
     if len(set(ids)) == len(ids):
         return
     seen = set()
@@ -235,67 +245,118 @@ def _shared_universe(items, what: str) -> Universe:
     return universe
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Environment:
-    """The non-empty, ordered collection of alternatives under evaluation."""
+    """The non-empty, ordered collection of alternatives under evaluation,
+    held as columns: alternative m is ``ids[m]``, offering the objectives
+    of the position mask ``masks[m]`` over ``universe``.
 
-    alternatives: tuple[Alternative, ...]
+    ``Environment(alternatives)`` checks the alternatives and fills the
+    columns; the parser fills them from its checked sections through
+    ``_from_columns``.  Equal columns compare and hash equal, and
+    ``alternatives`` is built on first read.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.alternatives, tuple):
-            object.__setattr__(self, "alternatives", tuple(self.alternatives))
-        if not self.alternatives:
+    universe: Universe
+    ids: tuple[str, ...]
+    masks: tuple[int, ...]
+
+    def __init__(self, alternatives: Iterable[Alternative]):
+        alternatives = tuple(alternatives)
+        if not alternatives:
             raise ScenarioError("environment must contain at least one alternative")
-        _unique_ids(self.alternatives, "alternative")
-        _shared_universe(self.alternatives, "alternative")
+        ids = tuple(map(attrgetter("id"), alternatives))
+        _unique_ids(ids, "alternative")
+        # frozen: fill the instance dict directly, ``alternatives`` included
+        self.__dict__.update(
+            universe=_shared_universe(alternatives, "alternative"), ids=ids,
+            masks=tuple(alternative.offers.mask for alternative in alternatives),
+            alternatives=alternatives)
 
-    @property
-    def universe(self) -> Universe:
-        return self.alternatives[0].universe
+    @classmethod
+    def _from_columns(cls, universe: Universe, ids: tuple[str, ...],
+                      masks: tuple[int, ...]) -> "Environment":
+        """An environment of checked, distinct ids, each with a non-empty
+        mask over ``universe``; not re-checked."""
+        environment = cls.__new__(cls)
+        environment.__dict__.update(universe=universe, ids=ids, masks=masks)
+        return environment
+
+    @cached_property
+    def alternatives(self) -> tuple[Alternative, ...]:
+        universe = self.universe
+        return tuple(Alternative(alt_id, ObjectiveSet(universe, mask))
+                     for alt_id, mask in zip(self.ids, self.masks))
 
     @property
     def size(self) -> int:
-        return len(self.alternatives)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.alternatives)
+        return len(self.ids)
 
     def __len__(self) -> int:
-        return len(self.alternatives)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.alternatives)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Society:
-    """The non-empty, ordered collection of individuals doing the judging."""
+    """The non-empty, ordered collection of individuals doing the judging,
+    held as columns: individual i is ``ids[i]``, with the support mask
+    ``masks[i]`` over ``universe`` and one integer weight per support bit,
+    ascending, in ``weights[i]``, over ``scales[i]`` (as ``Individual``
+    stores them).
 
-    individuals: tuple[Individual, ...]
+    ``Society(individuals)`` checks the individuals and fills the columns;
+    the parser fills them from its checked section through
+    ``_from_columns``.  Equal columns compare and hash equal, and
+    ``individuals`` is built on first read.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.individuals, tuple):
-            object.__setattr__(self, "individuals", tuple(self.individuals))
-        if not self.individuals:
+    universe: Universe
+    ids: tuple[str, ...]
+    masks: tuple[int, ...]
+    weights: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
+
+    def __init__(self, individuals: Iterable[Individual]):
+        individuals = tuple(individuals)
+        if not individuals:
             raise ScenarioError("society must contain at least one individual")
-        _unique_ids(self.individuals, "individual")
-        _shared_universe(self.individuals, "individual")
+        ids = tuple(map(attrgetter("id"), individuals))
+        _unique_ids(ids, "individual")
+        # frozen: fill the instance dict directly, ``individuals`` included
+        self.__dict__.update(
+            universe=_shared_universe(individuals, "individual"), ids=ids,
+            masks=tuple(map(attrgetter("_mask"), individuals)),
+            weights=tuple(map(attrgetter("_weights"), individuals)),
+            scales=tuple(map(attrgetter("_scale"), individuals)),
+            individuals=individuals)
 
-    @property
-    def universe(self) -> Universe:
-        return self.individuals[0].universe
+    @classmethod
+    def _from_columns(cls, universe: Universe, ids: tuple[str, ...],
+                      masks: tuple[int, ...],
+                      weights: tuple[tuple[int, ...], ...],
+                      scales: tuple[int, ...]) -> "Society":
+        """A society of checked, distinct ids, each with the ``_scaled``
+        form of its checked weights; not re-checked."""
+        society = cls.__new__(cls)
+        society.__dict__.update(universe=universe, ids=ids, masks=masks,
+                                weights=weights, scales=scales)
+        return society
+
+    @cached_property
+    def individuals(self) -> tuple[Individual, ...]:
+        return tuple(map(Individual._from_checked, self.ids,
+                         repeat(self.universe), self.masks, self.weights,
+                         self.scales))
 
     @property
     def size(self) -> int:
-        return len(self.individuals)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.individuals)
+        return len(self.ids)
 
     def __len__(self) -> int:
-        return len(self.individuals)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.individuals)

@@ -16,12 +16,16 @@ objectives.  Numeric literals are parsed exactly: a decimal literal is read
 as a ``Decimal`` and an integer as an ``int``, never through binary
 floating point, so evaluation is exact end to end.
 The parser is the one validator of a file: it reports each rule as a
-located finding and builds individuals from the weights it checked,
-without ``Individual.__init__`` checking them again.  A valid objective
-list, and an individuals section of valid ``requires`` entries only, is
+located finding and emits each section as columns (ids, masks, and for
+individuals the ``_scaled`` weight rows and scales), from which the
+society and the environment are built without checking them again and
+without an ``Individual`` or ``Alternative`` object.  A valid objective
+list, and an individuals or alternatives section whose entries are all
+``{"id", "requires"}`` or ``{"id", "offers"}`` with valid lists, is
 accepted whole by a few C-level passes; anything else goes through the
 located pass, the only code that words a finding or a warning.  A file
-that starts with a byte-order mark is one finding at ``$``.
+that starts with a byte-order mark, or that nests arrays or objects
+deeper than the JSON decoder can follow, is one finding at ``$``.
 Reports render as ``table``, ``json``, or ``csv``; json is the source of
 truth and the other two are projections of the same numbers.  Each
 profile's integer row, and the social row, is formatted in one pass
@@ -61,14 +65,7 @@ from .literals import (
     format_ratio,
     format_ratios,
 )
-from .measures import (
-    Alternative,
-    Environment,
-    Individual,
-    Society,
-    UtilityMeasure,
-    _scaled,
-)
+from .measures import Environment, Society, UtilityMeasure, _scaled
 from .universe import (
     ObjectiveSet,
     Universe,
@@ -302,11 +299,15 @@ def _validate_universe(doc, findings) -> list[str]:
     return list(declared)
 
 
-def _validate_alternatives(doc, known, findings) -> list[tuple[str, int]]:
+def _validate_alternatives(doc, known, findings
+                           ) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The ``(ids, masks)`` columns of the valid alternatives."""
     raw = _top_array(doc, "alternatives", "'alternatives' must be an array",
                      "environment must contain at least one alternative",
                      findings)
-    out = []
+    if raw and (accepted := _accept_crisp(raw, "offers", known)) is not None:
+        return accepted[:2]
+    rows = []
     for loc, entry, alt_id in _entries(raw, "alternatives", "alternative",
                                        ("id", "offers"), findings):
         if not _check_present(findings, entry, "offers", loc):
@@ -316,8 +317,8 @@ def _validate_alternatives(doc, known, findings) -> list[tuple[str, int]]:
             f"alternative {_shown(alt_id)} offers no objectives", known,
             findings)
         if mask is not None:
-            out.append((alt_id, mask))
-    return out
+            rows.append((alt_id, mask))
+    return tuple(zip(*rows)) or ((), ())
 
 
 def _validate_membership(raw, loc, known,
@@ -351,17 +352,18 @@ def _validate_membership(raw, loc, known,
     return _scaled(mu)
 
 
-def _accept_crisp_individuals(raw: list, known
-                              ) -> list[tuple[str, int, tuple[int, ...], int]] | None:
-    """The individuals of a section in which every entry is exactly
-    ``{"id": ..., "requires": [...]}``, with a valid id not used before and
-    a valid list, checked in C-level passes over the whole section.  None
-    when any check fails: the located pass then words every finding."""
+def _accept_crisp(raw: list, key: str, known
+                  ) -> tuple[tuple[str, ...], tuple[int, ...], list[int]] | None:
+    """``(ids, masks, counts)`` of a section in which every entry is exactly
+    ``{"id": ..., key: [...]}``, with a valid id not used before and a
+    valid list, checked in C-level passes over the whole section; counts
+    are the lists' lengths.  None when any check fails: the located pass
+    then words every finding."""
     if set(map(type, raw)) != {dict} or set(map(len, raw)) != {2}:
         return None
     try:
-        ids = list(map(itemgetter("id"), raw))
-        lists = list(map(itemgetter("requires"), raw))
+        ids = tuple(map(itemgetter("id"), raw))
+        lists = list(map(itemgetter(key), raw))
         joined = "".join(ids)  # TypeError unless every id is a string
     except (KeyError, TypeError):
         return None
@@ -371,22 +373,28 @@ def _accept_crisp_individuals(raw: list, known
             or set(map(type, lists)) != {list} or not all(lists)):
         return None
     try:
-        masks = list(map(sum, map(map, repeat(known.get), lists)))
+        masks = tuple(map(sum, map(map, repeat(known.get), lists)))
     except TypeError:
         return None
-    counts = list(map(int.bit_count, masks))
-    if counts != list(map(len, lists)):  # a repeat, as in _objective_list
+    counts = list(map(len, lists))
+    if list(map(int.bit_count, masks)) != counts:  # a repeat, as in _objective_list
         return None
-    return list(zip(ids, masks, map((1,).__mul__, counts), repeat(1)))
+    return ids, masks, counts
 
 
-def _validate_individuals(doc, known,
-                          findings) -> list[tuple[str, int, tuple[int, ...], int]]:
+def _validate_individuals(doc, known, findings
+                          ) -> tuple[tuple[str, ...], tuple[int, ...],
+                                     tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The ``(ids, masks, weights, scales)`` columns of the valid
+    individuals, each weight row and scale ``_scaled``."""
     raw = _top_array(doc, "individuals", "'individuals' must be an array",
                      "society must contain at least one individual", findings)
-    if raw and (accepted := _accept_crisp_individuals(raw, known)) is not None:
-        return accepted
-    out = []
+    if raw and (accepted := _accept_crisp(raw, "requires", known)) is not None:
+        ids, masks, counts = accepted
+        # every weight is 1: individuals of one support size share one row
+        units = {count: (1,) * count for count in set(counts)}
+        return ids, masks, tuple(map(units.__getitem__, counts)), (1,) * len(ids)
+    rows = []
     for loc, entry, ind_id in _entries(raw, "individuals", "individual",
                                        ("id", "membership", "requires"), findings):
         if ("membership" in entry) == ("requires" in entry):
@@ -402,8 +410,8 @@ def _validate_individuals(doc, known,
             scaled = _validate_membership(entry["membership"], f"{loc}.membership",
                                           known, findings)
         if scaled is not None:
-            out.append((ind_id, *scaled))
-    return out
+            rows.append((ind_id, *scaled))
+    return tuple(zip(*rows)) or ((), (), (), ())
 
 
 def validate_scenario(text: str) -> ValidationReport:
@@ -437,8 +445,11 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
     except _DuplicateKey as exc:
         _err(findings, "$", f"duplicate key {_shown(exc.key)}")
         return None, ValidationReport(tuple(findings))
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
         _err(findings, "$", f"invalid JSON: {exc}")
+        return None, ValidationReport(tuple(findings))
+    except RecursionError:
+        _err(findings, "$", "invalid JSON: arrays or objects nested too deeply")
         return None, ValidationReport(tuple(findings))
 
     if not isinstance(doc, dict):
@@ -455,13 +466,8 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
         return None, ValidationReport(tuple(findings))
 
     universe = Universe(tuple(declared))
-    environment = Environment(tuple(
-        Alternative(alt_id, ObjectiveSet(universe, mask))
-        for alt_id, mask in alternatives))
-    society = Society(tuple(
-        Individual._from_checked(ind_id, universe, mask, weights, scale)
-        for ind_id, mask, weights, scale in individuals))
-    scenario = Scenario(universe, environment, society)
+    scenario = Scenario(universe, Environment._from_columns(universe, *alternatives),
+                        Society._from_columns(universe, *individuals))
     return scenario, ValidationReport(tuple(findings))
 
 

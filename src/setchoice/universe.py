@@ -13,6 +13,8 @@ so output is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import ScenarioError
@@ -188,19 +190,13 @@ class UniversePartition:
 
 def opportunity_universe(environment: "Environment") -> ObjectiveSet:
     """Union of every alternative's offered objectives."""
-    mask = 0
-    for alternative in environment.alternatives:
-        mask |= alternative.offers.mask
-    return ObjectiveSet(environment.universe, mask)
+    return ObjectiveSet(environment.universe, reduce(or_, environment.masks))
 
 
 def exigence_universe(society: "Society") -> ObjectiveSet:
     """Union of every individual's required objectives (the support of its
     membership weights: objectives with weight > 0)."""
-    mask = 0
-    for individual in society.individuals:
-        mask |= individual._mask
-    return ObjectiveSet(society.universe, mask)
+    return ObjectiveSet(society.universe, reduce(or_, society.masks))
 
 
 def partition_universe(environment: "Environment",

@@ -207,7 +207,11 @@ class TestBuildProcess:
 
     def test_zero_mass_error_names_individual(self, reference):
         u, env, soc = reference
-        soc.individuals[1]._mask, soc.individuals[1]._weights = 0, ()
+        # the constructors refuse an empty support; the society holds the
+        # columns of the individuals it was built from
+        p, q = soc.individuals
+        q._mask, q._weights = 0, ()
+        soc = Society((p, q))
         with pytest.raises(ZeroMembershipMass) as exc_info:
             build_process("fuzzy", "mean", env, soc, u)
         assert exc_info.value.individual_id == "q"

@@ -10,9 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setchoice import (
+    Alternative,
+    Environment,
     Individual,
     Scenario,
     ScenarioError,
+    Society,
+    Universe,
     UtilityMeasure,
     ValidationReport,
     format_decimal,
@@ -26,9 +30,10 @@ from setchoice.cli import main
 from setchoice.measures import _scaled
 from setchoice.scenario_io import (
     ERROR,
+    FORMATS,
     WARNING,
     Finding,
-    _accept_crisp_individuals,
+    _accept_crisp,
     _json_text,
     _parse,
     compute_pipeline,
@@ -225,6 +230,13 @@ class TestParse:
         assert (individual._mask, individual._weights, individual._scale) == (
             _scaled({bit: w for bit, w in weights.items() if w}))
 
+    @pytest.mark.parametrize("text", ["[" * 50000, '{"a": ' * 50000,
+                                      '{"universe": ' + "[{}, " * 50000])
+    def test_deep_nesting_is_one_finding_for_authors(self, text):
+        report = parse_scenario(text)
+        assert report.findings == (Finding(
+            ERROR, "$", "invalid JSON: arrays or objects nested too deeply"),)
+
     def test_non_finite_numbers_rejected(self):
         text = MINIMAL.replace('{"id": "p", "requires": ["a"]}',
                                '{"id": "p", "membership": {"a": NaN}}')
@@ -256,9 +268,53 @@ EXPECTED_LOCATIONS = {
 }
 
 
+def tall_crisp_document(seed: int, individuals: int = 2000) -> str:
+    """A crisp scenario of the benchmark's intake shape: 32 objectives,
+    4 alternatives and ``individuals`` ``requires`` entries."""
+    rng = random.Random(seed)
+    universe = [f"o{i:03d}" for i in range(32)]
+
+    def subset():
+        return rng.sample(universe, rng.randint(1, 16))
+
+    return json.dumps({
+        "universe": universe,
+        "alternatives": [{"id": f"a{j}", "offers": subset()} for j in range(4)],
+        "individuals": [{"id": f"p{i}", "requires": subset()}
+                        for i in range(individuals)]})
+
+
 class TestValidateOnce:
     """The parser is the only validator of a file: it builds individuals
-    from its checked weights without running ``Individual.__init__``."""
+    from its checked weights without running ``Individual.__init__``, and
+    the pipeline reads the society's and the environment's columns."""
+
+    def test_pipeline_builds_no_individual_and_no_alternative(self, monkeypatch):
+        texts = [path.read_text(encoding="utf-8")
+                 for path in sorted((ROOT / "scenarios").glob("*.json"))]
+        texts.append(tall_crisp_document(3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an Individual or an Alternative was built")
+
+        # __new__ is left alone: CPython does not restore an inherited
+        # __new__ once it has been patched on the class
+        monkeypatch.setattr(Individual, "__init__", refuse)
+        monkeypatch.setattr(Individual, "_from_checked", refuse)
+        monkeypatch.setattr(Alternative, "__init__", refuse)
+        ran = 0
+        for text in texts:
+            scenario = parse_scenario(text)
+            assert isinstance(scenario, Scenario)
+            crisp = set(scenario.society.scales) == {1}
+            for measure in UtilityMeasure if crisp else [UtilityMeasure.FUZZY]:
+                result = compute_pipeline(scenario, measure)
+                for fmt in FORMATS:
+                    render_ranking(result, fmt)
+                    render_report(result, fmt)
+                    render_universes(scenario, fmt)
+                ran += 1
+        assert ran == 1 + 3 * (len(texts) - 1)
 
     def test_parse_never_runs_the_public_constructor(self, monkeypatch):
         texts = [path.read_text(encoding="utf-8")
@@ -297,6 +353,60 @@ class TestValidateOnce:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert "tier" in outputs[0]
+
+
+#: Membership weights as JSON numbers; the parser and ``Individual`` read
+#: each as the decimal literal it prints as.
+WEIGHTS = st.sampled_from([0, 1, 0.1, 0.25, 0.5, 0.75, 0.333])
+
+
+@st.composite
+def scenario_documents(draw):
+    """A valid scenario as a dict: crisp and weighted individuals, some
+    with spelled-out zero weights, over a universe of one to six."""
+    universe = [f"o{i}" for i in range(draw(st.integers(1, 6)))]
+    members = st.lists(st.sampled_from(universe), min_size=1, max_size=6,
+                       unique=True)
+    individuals = []
+    for i in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            individuals.append({"id": f"p{i}", "requires": draw(members)})
+            continue
+        weights = draw(st.dictionaries(st.sampled_from(universe), WEIGHTS))
+        weights[draw(st.sampled_from(universe))] = 0.5
+        individuals.append({"id": f"p{i}", "membership": weights})
+    return {"universe": universe,
+            "alternatives": [{"id": f"a{j}", "offers": draw(members)}
+                             for j in range(draw(st.integers(1, 4)))],
+            "individuals": individuals}
+
+
+class TestColumnsEqualConstructors:
+    """A society or environment the parser builds from columns equals the
+    one the checking constructors build from individuals or alternatives,
+    and reads back the same way."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=scenario_documents())
+    def test_parsed_columns_equal_constructed(self, doc):
+        scenario = parse_scenario(json.dumps(doc))
+        assert isinstance(scenario, Scenario)
+        universe = Universe(tuple(doc["universe"]))  # equal, not the same object
+        society = Society(
+            Individual(e["id"], universe,
+                       e.get("membership") or dict.fromkeys(e["requires"], 1))
+            for e in doc["individuals"])
+        environment = Environment(
+            Alternative(e["id"], universe.subset(e["offers"]))
+            for e in doc["alternatives"])
+        for parsed, built, items in (
+                (scenario.society, society, "individuals"),
+                (scenario.environment, environment, "alternatives")):
+            assert parsed == built and hash(parsed) == hash(built)
+            assert getattr(parsed, items) == getattr(built, items)
+            assert list(parsed) == list(built)
+            assert (parsed.ids, parsed.size, len(parsed), parsed.universe) == (
+                built.ids, built.size, len(built), built.universe)
 
 
 json_values = st.recursive(
@@ -447,8 +557,11 @@ class TestObjectiveLists:
         assert scenario.environment.alternatives[0].offers.mask == mask
         assert scenario.society.individuals[0]._mask == mask
         # the whole-section pass accepts exactly the lists with no repeat
-        assert (_accept_crisp_individuals(entries, token_bits(WIDE)) is None) == (
+        assert (_accept_crisp(entries, "requires", token_bits(WIDE)) is None) == (
             bool(require_findings))
+        alternatives = [{"id": "x", "offers": values}, {"id": "y", "offers": ["o129"]}]
+        assert (_accept_crisp(alternatives, "offers", token_bits(WIDE)) is None) == (
+            bool(offer_findings))
 
 
 def _with_token(draw, entry, token):
@@ -501,25 +614,33 @@ def crisp_sections(draw):
 
 
 class TestCrispSectionAcceptance:
-    """The whole-section pass over crisp individuals accepts only sections
-    on which the located pass finds nothing, and yields what it builds."""
+    """The whole-section pass over crisp individuals, and over alternatives,
+    accepts only sections on which the located pass finds nothing, and
+    yields what it builds."""
 
     @settings(max_examples=400, deadline=None)
-    @given(section=crisp_sections())
-    def test_parse_equals_the_located_pass_alone(self, section):
+    @given(section=crisp_sections(), key=st.sampled_from(["requires", "offers"]))
+    def test_parse_equals_the_located_pass_alone(self, section, key):
         entries, breaks = section
-        text = json.dumps({"universe": list(DECLARED),
-                           "alternatives": [{"id": "x", "offers": ["a"]}],
-                           "individuals": entries})
+        # the same section as an alternatives one: every "requires" key
+        # becomes "offers", so each break still breaks an entry
+        entries = [{(key if k == "requires" else k): v for k, v in e.items()}
+                   if isinstance(e, dict) else e for e in entries]
+        crisp = {"id": "p", "requires": ["a"]}
+        text = json.dumps(
+            {"universe": list(DECLARED),
+             "alternatives": [{"id": "x", "offers": ["a"]}], "individuals": entries}
+            if key == "requires" else
+            {"universe": list(DECLARED), "alternatives": entries,
+             "individuals": [crisp]})
         scenario, report = _parse(text)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scenario_io, "_accept_crisp_individuals",
-                          lambda raw, known: None)
+            patch.setattr(scenario_io, "_accept_crisp",
+                          lambda raw, key, known: None)
             located_scenario, located_report = _parse(text)
         assert report.findings == located_report.findings
         assert scenario == located_scenario
-        accepted = _accept_crisp_individuals(json.loads(text)["individuals"],
-                                             token_bits(DECLARED))
+        accepted = _accept_crisp(entries, key, token_bits(DECLARED))
         assert (accepted is None) == bool(breaks)
 
 
