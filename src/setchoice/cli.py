@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .errors import MeasureError, ScenarioError
@@ -44,7 +45,10 @@ def _precision(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="scenario file (JSON)")
     common.add_argument("--format", choices=FORMATS, default="table",

@@ -368,6 +368,27 @@ def _mean_row(measure: UtilityMeasure,
     return tuple(num // g for num in nums), count // g
 
 
+def _shares_two(supports: Sequence[int], offers: Sequence[int],
+                size: int) -> bool:
+    """Whether some support and some offer share two or more of the
+    ``size`` objectives.
+
+    They do exactly when, for some objective p, the union of one side's
+    masks that hold p and a mask of the other side that holds p share an
+    objective besides p.  So the side with fewer masks is OR-ed into one
+    union per objective, and each mask of the other side is tested against
+    the unions of its own objectives, up to the first hit: each mask is
+    visited at most once, not once per support x offer pair."""
+    if len(offers) > len(supports):
+        supports, offers = offers, supports
+    unions = [0] * size
+    for mask in offers:
+        for p in positions(mask):
+            unions[p] |= mask
+    return any((unions[p] & mask).bit_count() > 1
+               for mask in supports for p in positions(mask))
+
+
 def evaluate(process: EvaluationProcess) -> SocialProfile:
     """Apply the aggregator per alternative across all individual profiles;
     flag any utility outside [0, 1].
@@ -379,9 +400,8 @@ def evaluate(process: EvaluationProcess) -> SocialProfile:
     enc, measure = process.encoding, process.measure
     if enc is not None and process.aggregator.fn is exact_mean:
         nums, den = _mean_row(measure, enc)
-        out_of_domain = measure is UtilityMeasure.CARDINAL and any(
-            (support & offer).bit_count() > 1
-            for support in enc.support_masks for offer in enc.offer_masks)
+        out_of_domain = (measure is UtilityMeasure.CARDINAL and _shares_two(
+            enc.support_masks, enc.offer_masks, enc.objective_count))
     else:
         rows = [profile.nums for profile in process.profiles]
         dens = [profile.den for profile in process.profiles]

@@ -22,18 +22,23 @@ society and the environment are built without checking them again and
 without an ``Individual`` or ``Alternative`` object.  A valid objective
 list, and an individuals or alternatives section whose entries are all
 ``{"id", "requires"}`` or ``{"id", "offers"}`` with valid lists, is
-accepted whole by a few C-level passes; anything else goes through the
-located pass, the only code that words a finding or a warning.  A file
+accepted whole by a few C-level passes.  A section that is refused is
+tried again in chunks of ``_CHUNK`` entries, in order: a chunk accepted
+the same way, with ids disjoint from those before it, adds its columns,
+and only the other chunks go through the located pass, the only code
+that words a finding or a warning.  A finding depends only on its entry
+and the ids before it, so the findings, their locations and their order
+are those of the located pass over the whole section.  A file
 that starts with a byte-order mark, or that nests arrays or objects
 deeper than the JSON decoder can follow, is one finding at ``$``.
 Reports render as ``table``, ``json``, or ``csv``; json is the source of
 truth and the other two are projections of the same numbers.  Each
-profile's integer row, and the social row, is formatted in one pass
-(``format_ratios``).  json and csv are written in one pass from the
-payload, byte-identical to ``json.dumps(indent=2)`` and ``csv.writer``:
-json by a writer over the payload's types that quotes strings with
-``json.encoder``'s C function, csv as lines joined once, with each id
-quoted once per report by csv's ``QUOTE_MINIMAL`` rule.
+profile's integer row, the social row, and the ranking's tiers are each
+formatted in one pass (``format_ratios``).  json and csv are written in
+one pass from the payload, byte-identical to ``json.dumps(indent=2)`` and
+``csv.writer``: json by a writer over the payload's types that quotes
+strings with ``json.encoder``'s C function, csv as lines joined once, with
+each id quoted once per report by csv's ``QUOTE_MINIMAL`` rule.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
 
@@ -218,11 +223,11 @@ def _top_array(doc, key, not_array, empty, findings) -> list:
     return raw
 
 
-def _entries(raw, section, what, allowed, findings):
-    """Yield ``(location, entry, id)`` for each entry of ``raw`` that is an
-    object with a valid id not seen before; report the others."""
-    ids = set()
-    for i, entry in enumerate(raw):
+def _entries(raw, start, ids, section, what, allowed, findings):
+    """Yield ``(location, entry, id)`` for each entry of ``raw``, at index
+    ``start`` of its section onward, that is an object with a valid id not in
+    ``ids``, and add that id to ``ids``; report the others."""
+    for i, entry in enumerate(raw, start):
         loc = f"{section}[{i}]"
         if not isinstance(entry, dict):
             _err(findings, loc, f"{what} must be an object")
@@ -299,26 +304,27 @@ def _validate_universe(doc, findings) -> list[str]:
     return list(declared)
 
 
+def _located_alternative(loc, entry, alt_id, known, findings
+                         ) -> tuple[str, int] | None:
+    """The ``(id, mask)`` row of one alternative, or None after its
+    findings."""
+    if not _check_present(findings, entry, "offers", loc):
+        return None
+    mask = _objective_list(
+        entry, "offers", loc,
+        f"alternative {_shown(alt_id)} offers no objectives", known, findings)
+    return None if mask is None else (alt_id, mask)
+
+
 def _validate_alternatives(doc, known, findings
                            ) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The ``(ids, masks)`` columns of the valid alternatives."""
     raw = _top_array(doc, "alternatives", "'alternatives' must be an array",
                      "environment must contain at least one alternative",
                      findings)
-    if raw and (accepted := _accept_crisp(raw, "offers", known)) is not None:
-        return accepted[:2]
-    rows = []
-    for loc, entry, alt_id in _entries(raw, "alternatives", "alternative",
-                                       ("id", "offers"), findings):
-        if not _check_present(findings, entry, "offers", loc):
-            continue
-        mask = _objective_list(
-            entry, "offers", loc,
-            f"alternative {_shown(alt_id)} offers no objectives", known,
-            findings)
-        if mask is not None:
-            rows.append((alt_id, mask))
-    return tuple(zip(*rows)) or ((), ())
+    return _section(raw, "offers", lambda ids, masks, counts: (ids, masks),
+                    _located_alternative, known, findings,
+                    "alternatives", "alternative", ("id", "offers")) or ((), ())
 
 
 def _validate_membership(raw, loc, known,
@@ -382,6 +388,70 @@ def _accept_crisp(raw: list, key: str, known
     return ids, masks, counts
 
 
+#: Entries per chunk of a section that whole-section acceptance refused: each
+#: chunk is tried on its own, so one bad entry costs the located pass over
+#: at most this many entries.
+_CHUNK = 256
+
+
+def _section(raw: list, key: str, columns, located, known, findings,
+             section: str, what: str, allowed: tuple[str, ...]) -> tuple:
+    """The columns of the valid entries of a section, in section order; ``()``
+    when none is valid.
+
+    The whole section is tried by ``_accept_crisp`` first, then, if it is
+    refused, each chunk of ``_CHUNK`` entries in order; an accepted chunk
+    counts only when its ids are disjoint from every id seen before it.
+    ``columns(ids, masks, counts)`` turns an accepted part into the
+    section's columns.  Any other chunk goes through ``_entries`` with the
+    ids seen so far, and each of its entries through
+    ``located(loc, entry, id, known, findings)``, which returns the entry's
+    row or None.  The parts' columns are joined once at the end."""
+    accepted = _accept_crisp(raw, key, known)
+    if accepted is not None:
+        return columns(*accepted)
+    parts = []
+    seen: set[str] = set()
+    for start in range(0, len(raw), _CHUNK):
+        chunk = raw[start:start + _CHUNK]
+        accepted = _accept_crisp(chunk, key, known)
+        if accepted is not None and seen.isdisjoint(accepted[0]):
+            seen.update(accepted[0])
+            parts.append(columns(*accepted))
+            continue
+        rows = [row for loc, entry, entry_id in _entries(
+                    chunk, start, seen, section, what, allowed, findings)
+                if (row := located(loc, entry, entry_id, known, findings))]
+        if rows:
+            parts.append(tuple(zip(*rows)))
+    return tuple(map(tuple, map(chain.from_iterable, zip(*parts))))
+
+
+def _crisp_individuals(ids, masks, counts):
+    """The columns of accepted crisp individuals: every weight is 1, so
+    individuals of one support size share one row."""
+    units = {count: (1,) * count for count in set(counts)}
+    return ids, masks, tuple(map(units.__getitem__, counts)), (1,) * len(ids)
+
+
+def _located_individual(loc, entry, ind_id, known, findings
+                        ) -> tuple[str, int, tuple[int, ...], int] | None:
+    """The ``(id, mask, weights, scale)`` row of one individual, or None
+    after its findings."""
+    if ("membership" in entry) == ("requires" in entry):
+        _err(findings, loc,
+             "exactly one of 'membership' or 'requires' must be given")
+        return None
+    if "requires" in entry:
+        mask = _objective_list(
+            entry, "requires", loc,
+            "empty support: individual requires no objectives", known, findings)
+        return None if mask is None else (ind_id, mask, (1,) * mask.bit_count(), 1)
+    scaled = _validate_membership(entry["membership"], f"{loc}.membership",
+                                  known, findings)
+    return None if scaled is None else (ind_id, *scaled)
+
+
 def _validate_individuals(doc, known, findings
                           ) -> tuple[tuple[str, ...], tuple[int, ...],
                                      tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -389,29 +459,9 @@ def _validate_individuals(doc, known, findings
     individuals, each weight row and scale ``_scaled``."""
     raw = _top_array(doc, "individuals", "'individuals' must be an array",
                      "society must contain at least one individual", findings)
-    if raw and (accepted := _accept_crisp(raw, "requires", known)) is not None:
-        ids, masks, counts = accepted
-        # every weight is 1: individuals of one support size share one row
-        units = {count: (1,) * count for count in set(counts)}
-        return ids, masks, tuple(map(units.__getitem__, counts)), (1,) * len(ids)
-    rows = []
-    for loc, entry, ind_id in _entries(raw, "individuals", "individual",
-                                       ("id", "membership", "requires"), findings):
-        if ("membership" in entry) == ("requires" in entry):
-            _err(findings, loc,
-                 "exactly one of 'membership' or 'requires' must be given")
-            continue
-        if "requires" in entry:
-            mask = _objective_list(
-                entry, "requires", loc,
-                "empty support: individual requires no objectives", known, findings)
-            scaled = None if mask is None else (mask, (1,) * mask.bit_count(), 1)
-        else:
-            scaled = _validate_membership(entry["membership"], f"{loc}.membership",
-                                          known, findings)
-        if scaled is not None:
-            rows.append((ind_id, *scaled))
-    return tuple(zip(*rows)) or ((), (), (), ())
+    return _section(raw, "requires", _crisp_individuals, _located_individual,
+                    known, findings, "individuals", "individual",
+                    ("id", "membership", "requires")) or ((), (), (), ())
 
 
 def validate_scenario(text: str) -> ValidationReport:
@@ -696,10 +746,16 @@ def _profiles_lines(section, alt_ids) -> list[str]:
                     + [(p["individual"], *p["values"].values()) for p in section])
 
 
-def _ranking_section(ranking: Ranking, precision: int):
-    return [{"tier": i, "utility": format_utility(tier.value, precision),
-             "alternatives": list(tier.ids)}
-            for i, tier in enumerate(ranking.tiers, start=1)]
+def _ranking_section(result: PipelineResult, precision: int):
+    """The tiers of ``result.ranking``, which ``rank`` made of the distinct
+    social numerators in decreasing order: all their utilities are
+    formatted in one ``format_ratios`` call over the social denominator."""
+    social = result.social
+    utilities = format_ratios(sorted(set(social.nums), reverse=True),
+                              social.den, precision)
+    return [{"tier": i, "utility": utility, "alternatives": list(tier.ids)}
+            for i, (tier, utility) in enumerate(
+                zip(result.ranking.tiers, utilities, strict=True), start=1)]
 
 
 def _ranking_csv(section, quoted: dict[str, str], line: str) -> list[str]:
@@ -762,7 +818,7 @@ def render_utilities(scenario: Scenario, measure: UtilityMeasure | str,
 def render_ranking(result: PipelineResult, output_format: str = "table",
                    precision: int = DEFAULT_PRECISION) -> str:
     _check_format(output_format)
-    section = _ranking_section(result.ranking, precision)
+    section = _ranking_section(result, precision)
     if output_format == "json":
         return _json_text({"measure": result.measure.value,
                            "aggregator": result.aggregator,
@@ -786,7 +842,7 @@ def render_report(result: PipelineResult, output_format: str = "table",
     social = {"values": dict(zip(alt_ids, format_ratios(
                   result.social.nums, result.social.den, precision))),
               "out_of_domain": result.social.out_of_domain}
-    ranking = _ranking_section(result.ranking, precision)
+    ranking = _ranking_section(result, precision)
     if output_format == "csv":
         quoted = {alt_id: _csv_field(alt_id) for alt_id in alt_ids}
         lines = _profiles_csv(profiles, quoted, "profile,", ",\n")

@@ -7,6 +7,7 @@ implementation if it is wrong.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -73,6 +74,22 @@ def random_scenario_parts(rng, max_universe=8, max_alternatives=5,
     return universe, environment, society
 
 
+def one_objective_document(count: int, objectives: int = 64,
+                           seed: int = 0) -> str:
+    """A crisp scenario file of ``count`` individuals and ``count``
+    alternatives, each on one of ``objectives`` objectives: no individual
+    shares two objectives with an alternative, so a search for such a pair
+    finds none and must look at every individual and every alternative."""
+    rng = random.Random(seed)
+    universe = token_pool(objectives)
+    return json.dumps({
+        "universe": list(universe),
+        "alternatives": [{"id": f"a{i}", "offers": [rng.choice(universe)]}
+                         for i in range(count)],
+        "individuals": [{"id": f"p{i}", "requires": [rng.choice(universe)]}
+                        for i in range(count)]})
+
+
 # --- oracles ----------------------------------------------------------------
 
 def oracle_union(token_lists) -> list[str]:
@@ -114,6 +131,13 @@ def oracle_fuzzy(offer_tokens, weights, universe_tokens) -> Fraction:
         if t in offer_tokens:
             covered += w
     return covered / total
+
+
+def oracle_shares_two(supports, offers) -> bool:
+    """Whether some support and some offer masks share two or more bits, by
+    scanning every pair: the cardinal out-of-domain flag by definition."""
+    return any((support & offer).bit_count() > 1
+               for support in supports for offer in offers)
 
 
 def oracle_mean(values) -> Fraction:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from setchoice.cli import main
+from setchoice.cli import build_parser, main
 
 from _golden import CASES, GOLDEN_DIR, ROOT, run_cli
 
@@ -246,3 +246,38 @@ class TestInProcessEntryPoint:
         out = capsys.readouterr().out
         assert "offered only (1): a" in out
         assert main(["validate", str(INVALID_DIR / "empty_universe.json")]) == 1
+
+    def test_consecutive_calls_match_first_calls(self, capsys):
+        """The parser is built once per process; each call of a sequence
+        prints and returns what that call prints and returns on its own."""
+        weighted = str(SCENARIOS / "weighted_split.json")
+        crisp = str(SCENARIOS / "crisp_pair.json")
+        invalid = str(INVALID_DIR / "duplicate_individual_id.json")
+        argvs = [
+            ["evaluate", weighted, "--measure", "fuzzy", "--precision", "2"],
+            ["rank", crisp, "--measure", "cardinal", "--format", "csv"],
+            ["validate", invalid, "--format", "json"],
+            ["utilities", weighted, "--measure", "fuzzy", "--precision", "0",
+             "--format", "json"],
+            ["rank", crisp, "--measure", "normalized", "--precision", "19"],
+            ["universes", crisp, "--format", "csv"],
+            ["evaluate", crisp, "--measure", "normalized", "--precision", "18"],
+            ["evaluate", crisp],
+            ["rank", weighted, "--measure", "fuzzy"],
+        ]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        first = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            first.append(call(argv))
+        build_parser.cache_clear()
+        assert [call(argv) for argv in argvs] == first
+        assert [code for code, _, _ in first] == [0, 0, 1, 0, 2, 0, 0, 2, 0]

@@ -29,17 +29,20 @@ from setchoice import (
     evaluate,
     get_aggregator,
     individual_profile,
+    parse_scenario,
     rank,
 )
-from setchoice import _core
+from setchoice import _core, evaluation
 from setchoice._core import encode
-from setchoice.evaluation import _pseudo_weights, exact_mean
+from setchoice.evaluation import _pseudo_weights, _shares_two, exact_mean
 from setchoice.scenario_io import render_ranking, render_report
 
 from _gen import (
     DENOMS,
+    one_objective_document,
     oracle_mean,
     oracle_ranking,
+    oracle_shares_two,
     random_scenario_parts,
     token_pool,
 )
@@ -383,6 +386,36 @@ class TestEvaluate:
         assert social.values == (Fraction(2),)
         normalized = evaluate(build_process("normalized", "mean", env, soc, u))
         assert not normalized.out_of_domain
+
+
+class TestCardinalOutOfDomainFlag:
+    """``evaluate`` flags a cardinal count above 1 by the per-objective
+    union test, which visits each mask once instead of every pair."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(1, 70), data=st.data())
+    def test_union_test_equals_the_pair_scan(self, size, data):
+        masks = st.lists(st.integers(1, (1 << size) - 1), min_size=1, max_size=8)
+        supports, offers = data.draw(masks), data.draw(masks)
+        assert _shares_two(supports, offers, size) == oracle_shares_two(
+            supports, offers)
+
+    def test_hostile_file_visits_each_mask_once(self, monkeypatch):
+        scenario = parse_scenario(one_objective_document(1000))
+        enc = encode(scenario.universe, scenario.environment, scenario.society)
+        assert not oracle_shares_two(enc.support_masks, enc.offer_masks)
+        visited = []
+        positions = evaluation.positions
+
+        def counted(mask):
+            visited.append(mask)
+            return positions(mask)
+
+        monkeypatch.setattr(evaluation, "positions", counted)
+        social = compute_pipeline(scenario, "cardinal").social
+        assert not social.out_of_domain
+        # one visit per individual and per alternative, not 1000 x 1000 pairs
+        assert len(visited) == 2000
 
 
 class TestPseudoIndividualRow:

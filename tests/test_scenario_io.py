@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from setchoice.scenario_io import (
     _accept_crisp,
     _json_text,
     _parse,
+    _ranking_section,
     compute_pipeline,
     format_ratio,
     format_ratios,
@@ -595,11 +597,11 @@ ENTRY_BREAKS = {
 
 @st.composite
 def crisp_sections(draw):
-    """An individuals section of 2 to 6 valid crisp entries over DECLARED,
+    """An individuals section of 2 to 9 valid crisp entries over DECLARED,
     with up to three entries broken in one way each; and the breaks.  A
     duplicate id copies the first id that no duplicate break changes, so
     two such breaks cannot swap ids."""
-    count = draw(st.integers(2, 6))
+    count = draw(st.integers(2, 9))
     entries = [{"id": f"p{i}", "requires": draw(st.lists(
         st.sampled_from(DECLARED), min_size=1, max_size=3, unique=True))}
         for i in range(count)]
@@ -613,6 +615,14 @@ def crisp_sections(draw):
     return entries, breaks
 
 
+def _broken(count, changes):
+    """``count`` valid crisp entries, entry i replaced by ``changes[i]``, as
+    ``crisp_sections`` draws them."""
+    entries = [changes.get(i, {"id": f"p{i}", "requires": [DECLARED[i % 3]]})
+               for i in range(count)]
+    return entries, list(changes)
+
+
 class TestCrispSectionAcceptance:
     """The whole-section pass over crisp individuals, and over alternatives,
     accepts only sections on which the located pass finds nothing, and
@@ -620,7 +630,26 @@ class TestCrispSectionAcceptance:
 
     @settings(max_examples=400, deadline=None)
     @given(section=crisp_sections(), key=st.sampled_from(["requires", "offers"]))
+    # with chunks of 3: a duplicate id whose first use is in an earlier chunk
+    @example(section=_broken(5, {4: {"id": "p0", "requires": ["a"]}}),
+             key="requires")
+    @example(section=_broken(5, {4: {"id": "p0", "requires": ["a"]}}),
+             key="offers")
+    # a failure in the first chunk and one in the last
+    @example(section=_broken(7, {0: {"id": "p0", "requires": ["zz"]},
+                                 6: {"id": "p6", "requires": []}}),
+             key="requires")
+    # a section shorter than one chunk, and one of exactly two chunks
+    @example(section=_broken(2, {1: {"id": "p1", "requires": ["a", "a"]}}),
+             key="offers")
+    @example(section=_broken(6, {4: {"id": "p4", "requires": "a"}}),
+             key="requires")
+    # a membership entry inside a crisp section
+    @example(section=_broken(5, {3: {"id": "p3", "membership": {"a": 0.5}}}),
+             key="requires")
     def test_parse_equals_the_located_pass_alone(self, section, key):
+        """The columns, findings and warnings of a section, parsed whole
+        or in chunks of 3, are those of the located pass alone."""
         entries, breaks = section
         # the same section as an alternatives one: every "requires" key
         # becomes "offers", so each break still breaks an entry
@@ -633,15 +662,50 @@ class TestCrispSectionAcceptance:
             if key == "requires" else
             {"universe": list(DECLARED), "alternatives": entries,
              "individuals": [crisp]})
-        scenario, report = _parse(text)
+        validate = (scenario_io._validate_individuals if key == "requires"
+                    else scenario_io._validate_alternatives)
+        doc = json.loads(text, parse_float=Decimal)
+
+        def parsed():
+            findings = []
+            columns = validate(doc, token_bits(DECLARED), findings)
+            return columns, findings, _parse(text)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scenario_io, "_accept_crisp",
                           lambda raw, key, known: None)
-            located_scenario, located_report = _parse(text)
-        assert report.findings == located_report.findings
-        assert scenario == located_scenario
+            located = parsed()
+        assert parsed() == located
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario_io, "_CHUNK", 3)
+            assert parsed() == located
         accepted = _accept_crisp(entries, key, token_bits(DECLARED))
         assert (accepted is None) == bool(breaks)
+
+    @pytest.mark.parametrize("key", ["requires", "offers"])
+    def test_one_late_fault_costs_the_located_pass_one_chunk(self, key,
+                                                             monkeypatch):
+        doc = json.loads(tall_crisp_document(5, individuals=4000))
+        section = "individuals"
+        if key == "offers":
+            section = "alternatives"
+            doc["alternatives"] = [{"id": e["id"], "offers": e["requires"]}
+                                   for e in doc["individuals"]]
+            doc["individuals"] = [{"id": "p", "requires": ["o000"]}]
+        doc[section][3900][key].insert(1, "zz")
+        text = json.dumps(doc)
+        visited = []
+        entries = scenario_io._entries
+
+        def counted(raw, *args):
+            visited.append(len(raw))
+            return entries(raw, *args)
+
+        monkeypatch.setattr(scenario_io, "_entries", counted)
+        report = validate_scenario(text)
+        assert [(f.location, f.message) for f in report.findings] == [
+            (f"{section}[3900].{key}[1]", "unknown objective 'zz'")]
+        assert 0 < sum(visited) <= scenario_io._CHUNK < 4000
 
 
 class TestInvalidCorpus:
@@ -869,6 +933,19 @@ def escaped_scenarios(draw):
 class TestWritersMatchLibraryOracles:
     """The json and csv writers give what ``json.dumps(indent=2)`` and
     ``csv.writer`` give, on any payload and on ids that need escaping."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=scenario_documents(), measure=st.sampled_from(list(UtilityMeasure)),
+           precision=st.integers(0, 18))
+    def test_tier_utilities_equal_format_utility(self, doc, measure, precision):
+        if measure is not UtilityMeasure.FUZZY:
+            doc["individuals"] = [
+                {"id": e["id"], "requires": e.get("requires")
+                 or [token for token, weight in e["membership"].items() if weight]}
+                for e in doc["individuals"]]
+        result = compute_pipeline(parse_scenario(json.dumps(doc)), measure)
+        assert [tier["utility"] for tier in _ranking_section(result, precision)] == [
+            format_utility(tier.value, precision) for tier in result.ranking.tiers]
 
     @settings(max_examples=400, deadline=None)
     @given(payload=PAYLOADS)
