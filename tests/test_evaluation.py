@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setchoice import (
@@ -388,15 +388,26 @@ class TestEvaluate:
         assert not normalized.out_of_domain
 
 
+@st.composite
+def mask_sides(draw):
+    """``(size, supports, offers)``: one to eight non-empty masks a side
+    over ``size`` objectives."""
+    size = draw(st.integers(1, 70))
+    masks = st.lists(st.integers(1, (1 << size) - 1), min_size=1, max_size=8)
+    return size, draw(masks), draw(masks)
+
+
 class TestCardinalOutOfDomainFlag:
     """``evaluate`` flags a cardinal count above 1 by the per-objective
     union test, which visits each mask once instead of every pair."""
 
     @settings(max_examples=300, deadline=None)
-    @given(size=st.integers(1, 70), data=st.data())
-    def test_union_test_equals_the_pair_scan(self, size, data):
-        masks = st.lists(st.integers(1, (1 << size) - 1), min_size=1, max_size=8)
-        supports, offers = data.draw(masks), data.draw(masks)
+    @given(sides=mask_sides())
+    # the only sharing pair is found through a union of two offers per
+    # objective, after the first support shares nothing
+    @example(sides=(3, [0b100, 0b011, 0b100, 0b100], [0b011, 0b001, 0b010]))
+    def test_union_test_equals_the_pair_scan(self, sides):
+        size, supports, offers = sides
         assert _shares_two(supports, offers, size) == oracle_shares_two(
             supports, offers)
 
