@@ -378,14 +378,9 @@ def _shares_two(supports: Sequence[int], offers: Sequence[int],
     objective besides p.  So the side with fewer masks is OR-ed into one
     union per objective, and each mask of the other side is tested against
     the unions of its own objectives, up to the first hit: each mask is
-    visited at most once, not once per support x offer pair.  Where masks
-    are dense, the first mask's own pairs already share two; they are
-    tested first, in one pass over the smaller side."""
+    visited at most once, not once per support x offer pair."""
     if len(offers) > len(supports):
         supports, offers = offers, supports
-    if any((first & offer).bit_count() > 1
-           for first in supports[:1] for offer in offers):
-        return True
     unions = [0] * size
     for mask in offers:
         for p in positions(mask):

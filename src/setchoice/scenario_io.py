@@ -49,6 +49,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
+from math import lcm
 from operator import itemgetter
 
 from .errors import ScenarioError
@@ -747,15 +748,16 @@ def _profiles_lines(section, alt_ids) -> list[str]:
 
 
 def _ranking_section(result: PipelineResult, precision: int):
-    """The tiers of ``result.ranking``, which ``rank`` made of the distinct
-    social numerators in decreasing order: all their utilities are
-    formatted in one ``format_ratios`` call over the social denominator."""
-    social = result.social
-    utilities = format_ratios(sorted(set(social.nums), reverse=True),
-                              social.den, precision)
+    """The tiers of ``result.ranking``: their utilities are formatted in
+    one ``format_ratios`` call over the lcm of their denominators."""
+    tiers = result.ranking.tiers
+    ratios = [tier.value.as_integer_ratio() for tier in tiers]
+    den = lcm(*{d for _, d in ratios})
+    utilities = format_ratios([n * (den // d) for n, d in ratios], den,
+                              precision)
     return [{"tier": i, "utility": utility, "alternatives": list(tier.ids)}
-            for i, (tier, utility) in enumerate(
-                zip(result.ranking.tiers, utilities, strict=True), start=1)]
+            for i, (tier, utility) in enumerate(zip(tiers, utilities),
+                                                start=1)]
 
 
 def _ranking_csv(section, quoted: dict[str, str], line: str) -> list[str]:

@@ -404,7 +404,7 @@ class TestCardinalOutOfDomainFlag:
     @settings(max_examples=300, deadline=None)
     @given(sides=mask_sides())
     # the only sharing pair is found through a union of two offers per
-    # objective, after the first support shares nothing
+    # objective
     @example(sides=(3, [0b100, 0b011, 0b100, 0b100], [0b011, 0b001, 0b010]))
     def test_union_test_equals_the_pair_scan(self, sides):
         size, supports, offers = sides

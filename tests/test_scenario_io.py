@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,8 @@ from setchoice import (
     Alternative,
     Environment,
     Individual,
+    Ranking,
+    RankingTier,
     Scenario,
     ScenarioError,
     Society,
@@ -946,6 +949,18 @@ class TestWritersMatchLibraryOracles:
         result = compute_pipeline(parse_scenario(json.dumps(doc)), measure)
         assert [tier["utility"] for tier in _ranking_section(result, precision)] == [
             format_utility(tier.value, precision) for tier in result.ranking.tiers]
+
+    def test_tier_utilities_read_the_tiers_alone(self):
+        # tiers over unrelated denominators, not from the result's social row
+        u = Universe(("a", "b"))
+        scenario = Scenario(u, Environment((Alternative("x", u.subset(["a"])),)),
+                            Society((Individual.crisp("p", u, ["a"]),)))
+        result = compute_pipeline(scenario, UtilityMeasure.NORMALIZED)
+        values = [Fraction(5, 3), Fraction(1, 2), Fraction(1, 7), Fraction(0)]
+        result = replace(result, ranking=Ranking(tuple(
+            RankingTier(value, (f"t{i}",)) for i, value in enumerate(values))))
+        assert [tier["utility"] for tier in _ranking_section(result, 4)] == [
+            "1.6667", "0.5000", "0.1429", "0.0000"]
 
     @settings(max_examples=400, deadline=None)
     @given(payload=PAYLOADS)
