@@ -17,7 +17,8 @@ All arithmetic is exact: an individual stores its support as a
 universe-position mask and its weights as integers over one scale, and
 results are ``int`` or ``Fraction``.  ``_scaled`` builds that scale from
 each weight's ``as_integer_ratio()``, so the parser's exact ``Decimal``
-weights and the constructor's ``Fraction``s share one definition.
+weights and the constructor's ``Fraction``s share one definition; the
+parser passes one ratio per distinct value of a file.
 Rendering to fixed-precision decimal happens only at the output layer.
 
 A scenario is two bit matrices over the universe: individual x objective
@@ -34,13 +35,12 @@ scenario holds no ``Individual`` or ``Alternative`` until
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import lcm
-from operator import attrgetter, is_
+from operator import attrgetter, floordiv, is_, mul
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -106,17 +106,20 @@ class Alternative:
         return self.offers.universe
 
 
-def _scaled(weights: Mapping[int, int | Decimal | Fraction]
+def _scaled(ratios: Mapping[int, tuple[int, int]]
             ) -> tuple[int, tuple[int, ...], int]:
-    """``(mask, ints, scale)`` of positive ``{bit: weight}``: the bits OR-ed,
-    each weight times scale in ascending bit order, and scale the lcm of
-    the weights' denominators.  Each weight is read exactly through
-    ``as_integer_ratio()``, which the parser's Decimals and ints and the
-    constructor's Fractions all have."""
-    bits = sorted(weights)
-    ratios = [weights[b].as_integer_ratio() for b in bits]
-    scale = lcm(*(den for _, den in ratios))
-    return sum(bits), tuple(num * (scale // den) for num, den in ratios), scale
+    """``(mask, ints, scale)`` of positive weights given as ``{bit:
+    (numerator, denominator)}``: the bits OR-ed, each weight times scale in
+    ascending bit order, and scale the lcm of the denominators.  Callers
+    read each weight exactly through ``as_integer_ratio()``, which the
+    parser's Decimals and ints and the constructor's Fractions all have;
+    the parser's whole-section acceptance reads it once per distinct
+    value."""
+    bits = sorted(ratios)
+    nums, dens = zip(*map(ratios.__getitem__, bits))
+    scale = lcm(*dens)
+    return (sum(bits), tuple(map(mul, nums, map(floordiv, repeat(scale), dens))),
+            scale)
 
 
 class Individual:
@@ -137,7 +140,7 @@ class Individual:
     def __init__(self, id: str, universe: Universe,
                  membership: Mapping[str, object]):
         check_token(id, "individual id")
-        mu: dict[int, Fraction] = {}
+        ratios: dict[int, tuple[int, int]] = {}
         for token, raw in membership.items():
             bit = universe.bit(token)
             value = to_fraction(raw, f"membership of {_quoted(token)}")
@@ -146,13 +149,13 @@ class Individual:
                     f"membership out of range: {_quoted(token)} has value "
                     f"{_plain_number(value)}")
             if value:
-                mu[bit] = value
-        if not mu:
+                ratios[bit] = value.as_integer_ratio()
+        if not ratios:
             raise ScenarioError(
                 f"individual {_quoted_id(id)} requires no objectives "
                 "(empty support)")
         self.id, self.universe = id, universe
-        self._mask, self._weights, self._scale = _scaled(mu)
+        self._mask, self._weights, self._scale = _scaled(ratios)
 
     @classmethod
     def _from_checked(cls, id: str, universe: Universe, mask: int,

@@ -14,19 +14,26 @@ A scenario is one JSON document::
 ``requires`` is the crisp shorthand for a membership of 1 on the listed
 objectives.  Numeric literals are parsed exactly: a decimal literal is read
 as a ``Decimal`` and an integer as an ``int``, never through binary
-floating point, so evaluation is exact end to end.
+floating point, so evaluation is exact end to end.  Each parse reads a
+distinct literal once, through a memo made for that parse: the number
+bound is checked before the value is built, and a repeated literal is the
+same object.
 The parser is the one validator of a file: it reports each rule as a
 located finding and emits each section as columns (ids, masks, and for
 individuals the ``_scaled`` weight rows and scales), from which the
 society and the environment are built without checking them again and
 without an ``Individual`` or ``Alternative`` object.  A valid objective
 list, and an individuals or alternatives section whose entries are all
-``{"id", "requires"}`` or ``{"id", "offers"}`` with valid lists, is
-accepted whole by a few C-level passes.  A section that is refused is
-tried again in chunks of ``_CHUNK`` entries, in order: a chunk accepted
-the same way, with ids disjoint from those before it, adds its columns,
-and only the other chunks go through the located pass, the only code
-that words a finding or a warning.  A finding depends only on its entry
+``{"id", "requires"}``, ``{"id", "membership"}`` or ``{"id", "offers"}``
+with valid lists and memberships, is accepted whole by a few C-level
+passes; a crisp section is tried as crisp first, and a weight's range
+test and exact ratio are taken once per distinct value object.  A
+membership with a zero weight is left to the located pass, which drops
+the zero.  A section that is refused is tried again in chunks of
+``_CHUNK`` entries, in order: a chunk accepted the same way, with ids
+disjoint from those before it, adds its columns, and only the other
+chunks go through the located pass, the only code that words a finding
+or a warning.  A finding depends only on its entry
 and the ids before it, so the findings, their locations and their order
 are those of the located pass over the whole section.  A file
 that starts with a byte-order mark, or that nests arrays or objects
@@ -47,10 +54,11 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, repeat
+from functools import cache
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, methodcaller, not_
 
 from .errors import ScenarioError
 from .evaluation import (
@@ -323,9 +331,9 @@ def _validate_alternatives(doc, known, findings
     raw = _top_array(doc, "alternatives", "'alternatives' must be an array",
                      "environment must contain at least one alternative",
                      findings)
-    return _section(raw, "offers", lambda ids, masks, counts: (ids, masks),
-                    _located_alternative, known, findings,
-                    "alternatives", "alternative", ("id", "offers")) or ((), ())
+    return _section(raw, _accept_alternatives, _located_alternative, known,
+                    findings, "alternatives", "alternative",
+                    ("id", "offers")) or ((), ())
 
 
 def _validate_membership(raw, loc, known,
@@ -334,7 +342,7 @@ def _validate_membership(raw, loc, known,
     if not isinstance(raw, dict):
         _err(findings, loc, "'membership' must be an object of objective weights")
         return None
-    mu: dict[int, int | Decimal] = {}
+    ratios: dict[int, tuple[int, int]] = {}
     bad = False
     for token, value in raw.items():
         bit = known.get(token)
@@ -347,16 +355,50 @@ def _validate_membership(raw, loc, known,
                        f"{_plain_number(Fraction(value))} is not in [0, 1]")
         else:
             if value:
-                mu[bit] = value
+                ratios[bit] = value.as_integer_ratio()
             continue
         _err(findings, f"{loc}.{_shown(token, '')}", message)
         bad = True
     if bad:
         return None
-    if not mu:
+    if not ratios:
         _err(findings, loc, "empty support: no objective has positive weight")
         return None
-    return _scaled(mu)
+    return _scaled(ratios)
+
+
+def _accepted_ids(raw: list) -> tuple[str, ...] | None:
+    """The ids of a section in which every entry is an object of two keys,
+    one of them ``"id"``, and every id is valid and used once; None
+    otherwise."""
+    if set(map(type, raw)) != {dict} or set(map(len, raw)) != {2}:
+        return None
+    try:
+        ids = tuple(map(itemgetter("id"), raw))
+        joined = "".join(ids)  # TypeError unless every id is a string
+    except (KeyError, TypeError):
+        return None
+    # as check_token: non-empty, printable, and no space
+    if (not all(ids) or not joined.isprintable() or " " in joined
+            or len(set(ids)) != len(ids)):
+        return None
+    return ids
+
+
+def _accepted_masks(lists: list, known) -> tuple[tuple[int, ...], list[int]] | None:
+    """``(masks, counts)`` of objective lists that are all valid, non-empty
+    arrays of declared objectives with no repeat; counts are the lists'
+    lengths.  None otherwise."""
+    if set(map(type, lists)) != {list} or not all(lists):
+        return None
+    try:
+        masks = tuple(map(sum, map(map, repeat(known.get), lists)))
+    except TypeError:
+        return None
+    counts = list(map(len, lists))
+    if list(map(int.bit_count, masks)) != counts:  # a repeat, as in _objective_list
+        return None
+    return masks, counts
 
 
 def _accept_crisp(raw: list, key: str, known
@@ -366,27 +408,97 @@ def _accept_crisp(raw: list, key: str, known
     valid list, checked in C-level passes over the whole section; counts
     are the lists' lengths.  None when any check fails: the located pass
     then words every finding."""
-    if set(map(type, raw)) != {dict} or set(map(len, raw)) != {2}:
+    ids = _accepted_ids(raw)
+    if ids is None:
         return None
     try:
-        ids = tuple(map(itemgetter("id"), raw))
         lists = list(map(itemgetter(key), raw))
-        joined = "".join(ids)  # TypeError unless every id is a string
-    except (KeyError, TypeError):
+    except KeyError:
         return None
-    # as check_token: non-empty, printable, and no space
-    if (not all(ids) or not joined.isprintable() or " " in joined
-            or len(set(ids)) != len(ids)
-            or set(map(type, lists)) != {list} or not all(lists)):
+    accepted = _accepted_masks(lists, known)
+    return None if accepted is None else (ids, *accepted)
+
+
+def _accept_alternatives(raw: list, known
+                         ) -> tuple[tuple[str, ...], tuple[int, ...]] | None:
+    """The ``(ids, masks)`` columns of an alternatives section that
+    ``_accept_crisp`` accepts, else None."""
+    accepted = _accept_crisp(raw, "offers", known)
+    return None if accepted is None else accepted[:2]
+
+
+def _accept_individuals(raw: list, known) -> tuple | None:
+    """The ``(ids, masks, weights, scales)`` columns of an individuals
+    section that the located pass would accept without a finding, checked
+    in C-level passes; None when any check fails.  A section of
+    ``{"id", "requires"}`` entries is accepted as by ``_accept_crisp``; only
+    a section in which some entry has no ``"requires"`` is tried by
+    ``_accept_weighted``."""
+    ids = _accepted_ids(raw)
+    if ids is None:
         return None
     try:
-        masks = tuple(map(sum, map(map, repeat(known.get), lists)))
-    except TypeError:
+        lists = list(map(itemgetter("requires"), raw))
+    except KeyError:
+        return _accept_weighted(raw, ids, known)
+    accepted = _accepted_masks(lists, known)
+    return None if accepted is None else (ids, *_crisp_individuals(*accepted))
+
+
+def _accept_weighted(raw: list, ids: tuple[str, ...], known) -> tuple | None:
+    """The columns of a section of two-key entries with valid, distinct
+    ``ids``, in which each entry is ``{"id", "membership"}`` or ``{"id",
+    "requires"}``: the memberships as by ``_accept_memberships``, the
+    lists as by ``_accept_crisp``, and their rows merged in section order.
+    None when any check fails."""
+    weighted = list(map(dict.__contains__, raw, repeat("membership")))
+    try:
+        memberships = list(map(itemgetter("membership"), compress(raw, weighted)))
+        lists = list(map(itemgetter("requires"),
+                         compress(raw, map(not_, weighted))))
+    except KeyError:
         return None
-    counts = list(map(len, lists))
-    if list(map(int.bit_count, masks)) != counts:  # a repeat, as in _objective_list
+    rows = _accept_memberships(memberships, known)
+    if rows is None:
         return None
-    return ids, masks, counts
+    if not lists:
+        return (ids, *zip(*rows))
+    accepted = _accepted_masks(lists, known)
+    if accepted is None:
+        return None
+    # a bool indexes the two kinds' rows: False the crisp, True the weighted
+    kinds = [zip(*_crisp_individuals(*accepted)), iter(rows)]
+    return (ids, *zip(*map(next, map(kinds.__getitem__, weighted))))
+
+
+def _accept_memberships(memberships: list, known
+                        ) -> list[tuple[int, tuple[int, ...], int]] | None:
+    """The ``(mask, weights, scale)`` row, ``_scaled``, of each membership
+    when every one is a non-empty object of declared objectives whose
+    values are ints or Decimals in (0, 1]; None otherwise, a zero included,
+    so that the located pass drops it.
+
+    A parse shares one value object per distinct literal, so the range
+    test and ``as_integer_ratio`` run once per distinct object, keyed by
+    ``id()``: every object is held by the document, so no id is reused
+    meanwhile, and no Decimal is hashed."""
+    if set(map(type, memberships)) != {dict} or not all(memberships):
+        return None
+    values = list(chain.from_iterable(map(dict.values, memberships)))
+    # every value's type: a set of the values would keep 1 and drop True
+    if not set(map(type, values)) <= {int, Decimal}:
+        return None
+    distinct = dict(zip(map(id, values), values))
+    if not 0 < min(distinct.values()) or max(distinct.values()) > 1:
+        return None
+    ratios = dict(zip(distinct, map(methodcaller("as_integer_ratio"),
+                                    distinct.values())))
+    try:
+        return [_scaled(dict(zip(map(known.__getitem__, m),
+                                 map(ratios.__getitem__, map(id, m.values())))))
+                for m in memberships]
+    except KeyError:  # an undeclared objective
+        return None
 
 
 #: Entries per chunk of a section that whole-section acceptance refused: each
@@ -395,30 +507,30 @@ def _accept_crisp(raw: list, key: str, known
 _CHUNK = 256
 
 
-def _section(raw: list, key: str, columns, located, known, findings,
+def _section(raw: list, accept, located, known, findings,
              section: str, what: str, allowed: tuple[str, ...]) -> tuple:
     """The columns of the valid entries of a section, in section order; ``()``
     when none is valid.
 
-    The whole section is tried by ``_accept_crisp`` first, then, if it is
-    refused, each chunk of ``_CHUNK`` entries in order; an accepted chunk
-    counts only when its ids are disjoint from every id seen before it.
-    ``columns(ids, masks, counts)`` turns an accepted part into the
-    section's columns.  Any other chunk goes through ``_entries`` with the
-    ids seen so far, and each of its entries through
-    ``located(loc, entry, id, known, findings)``, which returns the entry's
-    row or None.  The parts' columns are joined once at the end."""
-    accepted = _accept_crisp(raw, key, known)
+    ``accept(raw, known)`` returns the columns, ids first, of a part that
+    it accepts whole, else None.  The whole section is tried first, then,
+    if it is refused, each chunk of ``_CHUNK`` entries in order; an
+    accepted chunk counts only when its ids are disjoint from every id seen
+    before it.  Any other chunk goes through ``_entries`` with the ids seen
+    so far, and each of its entries through ``located(loc, entry, id,
+    known, findings)``, which returns the entry's row or None.  The parts'
+    columns are joined once at the end."""
+    accepted = accept(raw, known)
     if accepted is not None:
-        return columns(*accepted)
+        return accepted
     parts = []
     seen: set[str] = set()
     for start in range(0, len(raw), _CHUNK):
         chunk = raw[start:start + _CHUNK]
-        accepted = _accept_crisp(chunk, key, known)
+        accepted = accept(chunk, known)
         if accepted is not None and seen.isdisjoint(accepted[0]):
             seen.update(accepted[0])
-            parts.append(columns(*accepted))
+            parts.append(accepted)
             continue
         rows = [row for loc, entry, entry_id in _entries(
                     chunk, start, seen, section, what, allowed, findings)
@@ -428,11 +540,12 @@ def _section(raw: list, key: str, columns, located, known, findings,
     return tuple(map(tuple, map(chain.from_iterable, zip(*parts))))
 
 
-def _crisp_individuals(ids, masks, counts):
-    """The columns of accepted crisp individuals: every weight is 1, so
-    individuals of one support size share one row."""
+def _crisp_individuals(masks, counts):
+    """The ``(masks, weights, scales)`` columns of accepted crisp
+    individuals: every weight is 1, so individuals of one support size
+    share one row."""
     units = {count: (1,) * count for count in set(counts)}
-    return ids, masks, tuple(map(units.__getitem__, counts)), (1,) * len(ids)
+    return masks, tuple(map(units.__getitem__, counts)), (1,) * len(masks)
 
 
 def _located_individual(loc, entry, ind_id, known, findings
@@ -460,8 +573,8 @@ def _validate_individuals(doc, known, findings
     individuals, each weight row and scale ``_scaled``."""
     raw = _top_array(doc, "individuals", "'individuals' must be an array",
                      "society must contain at least one individual", findings)
-    return _section(raw, "requires", _crisp_individuals, _located_individual,
-                    known, findings, "individuals", "individual",
+    return _section(raw, _accept_individuals, _located_individual, known,
+                    findings, "individuals", "individual",
                     ("id", "membership", "requires")) or ((), (), (), ())
 
 
@@ -489,8 +602,9 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
                             "(U+FEFF)")
         return None, ValidationReport(tuple(findings))
     try:
-        doc = json.loads(text, parse_float=lambda t: Decimal(_bounded(t)),
-                         parse_int=lambda t: int(_bounded(t)),
+        # one value per distinct literal, bounded before it is built
+        doc = json.loads(text, parse_float=cache(lambda t: Decimal(_bounded(t))),
+                         parse_int=cache(lambda t: int(_bounded(t))),
                          parse_constant=_reject_constant,
                          object_pairs_hook=_pairs_hook)
     except _DuplicateKey as exc:
@@ -655,9 +769,8 @@ def _csv_field(text: str) -> str:
 def _columns(rows: list[tuple[str, ...]]) -> list[str]:
     if not rows:
         return []
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in rows]
+    widths = list(map(max, map(map, repeat(len), zip(*rows))))
+    return ["  ".join(map(str.ljust, row, widths)).rstrip() for row in rows]
 
 
 def render_validation(report: ValidationReport, output_format: str = "table") -> str:

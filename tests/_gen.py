@@ -90,6 +90,31 @@ def one_objective_document(count: int, objectives: int = 64,
                         for i in range(count)]})
 
 
+def distinct_weights_document(individuals: int = 200, objectives: int = 48,
+                              digits: int = 30, alternatives: int = 8,
+                              seed: int = 0) -> str:
+    """A weighted scenario file in which no two number literals are alike:
+    each of ``individuals`` individuals weights every one of ``objectives``
+    objectives by its own ``digits``-digit decimal in (0, 1).  A parse can
+    share no value between two weights, and the individuals' weight totals
+    are distinct and wide."""
+    rng = random.Random(seed)
+    universe = token_pool(objectives)
+    drawn: dict[int, None] = {}
+    while len(drawn) < individuals * objectives:
+        drawn[rng.randrange(10 ** (digits - 1), 10 ** digits)] = None
+    weights = iter(drawn)
+    alts = [{"id": f"a{j}", "offers": rng.sample(universe,
+                                                 rng.randint(1, objectives))}
+            for j in range(alternatives)]
+    lines = [f'{{"id": "p{i}", "membership": {{'
+             + ", ".join(f'"{token}": 0.{next(weights)}' for token in universe)
+             + "}}" for i in range(individuals)]
+    return (f'{{"universe": {json.dumps(list(universe))}, '
+            f'"alternatives": {json.dumps(alts)}, '
+            f'"individuals": [{", ".join(lines)}]}}')
+
+
 # --- oracles ----------------------------------------------------------------
 
 def oracle_union(token_lists) -> list[str]:

@@ -52,7 +52,7 @@ from setchoice.scenario_io import (
 )
 from setchoice.universe import token_bits
 
-from _gen import reference_format_decimal
+from _gen import distinct_weights_document, reference_format_decimal
 
 ROOT = Path(__file__).resolve().parents[1]
 INVALID_DIR = Path(__file__).resolve().parent / "data" / "invalid"
@@ -233,7 +233,7 @@ class TestParse:
         assert individual.mu("a") == Fraction(text)
         weights = {1: Fraction(text), 2: Fraction(1)}
         assert (individual._mask, individual._weights, individual._scale) == (
-            _scaled({bit: w for bit, w in weights.items() if w}))
+            _scaled({bit: w.as_integer_ratio() for bit, w in weights.items() if w}))
 
     @pytest.mark.parametrize("text", ["[" * 50000, '{"a": ' * 50000,
                                       '{"universe": ' + "[{}, " * 50000])
@@ -618,6 +618,14 @@ def crisp_sections(draw):
     return entries, breaks
 
 
+def located_alone(parsed):
+    """``parsed()`` with every whole-section and chunk acceptance refused,
+    so that the located pass alone reads each section."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario_io, "_accepted_ids", lambda raw: None)
+        return parsed()
+
+
 def _broken(count, changes):
     """``count`` valid crisp entries, entry i replaced by ``changes[i]``, as
     ``crisp_sections`` draws them."""
@@ -674,10 +682,7 @@ class TestCrispSectionAcceptance:
             columns = validate(doc, token_bits(DECLARED), findings)
             return columns, findings, _parse(text)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scenario_io, "_accept_crisp",
-                          lambda raw, key, known: None)
-            located = parsed()
+        located = located_alone(parsed)
         assert parsed() == located
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scenario_io, "_CHUNK", 3)
@@ -709,6 +714,264 @@ class TestCrispSectionAcceptance:
         assert [(f.location, f.message) for f in report.findings] == [
             (f"{section}[3900].{key}[1]", "unknown objective 'zz'")]
         assert 0 < sum(visited) <= scenario_io._CHUNK < 4000
+
+
+class Raw(str):
+    """A number literal, written into a document as it is spelled."""
+
+
+def raw_json(value) -> str:
+    """``value`` as JSON text, each ``Raw`` literal as it is spelled."""
+    if isinstance(value, Raw):
+        return str(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(key)}: {raw_json(item)}"
+                               for key, item in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(raw_json, value)) + "]"
+    return json.dumps(value)
+
+
+#: Weights in (0, 1], equal values spelled apart among them.
+WEIGHT_LITERALS = ("0.5", "0.50", "1", "1.0", "0.25", "25e-2", "1E+0", "0.125",
+                   "0.333")
+
+
+def _membership(draw):
+    """A valid membership over DECLARED, its keys in any order."""
+    tokens = draw(st.lists(st.sampled_from(DECLARED), min_size=1, max_size=3,
+                           unique=True))
+    return {token: Raw(draw(st.sampled_from(WEIGHT_LITERALS))) for token in tokens}
+
+
+def _with_weight(draw, entry, literals, token=None):
+    """``entry`` as a weighted entry whose membership maps ``token``, or a
+    declared objective, to one of ``literals``."""
+    membership = dict(entry.get("membership") or _membership(draw))
+    if token is None:
+        token = draw(st.sampled_from(DECLARED))
+    membership[token] = Raw(draw(st.sampled_from(literals)))
+    return {"id": entry["id"], "membership": membership}
+
+
+#: Each way to make one entry of a weighted section unacceptable whole: the
+#: located pass reports all but a zero, which it drops.
+WEIGHTED_BREAKS = {
+    "zero": lambda draw, entry, twin: _with_weight(
+        draw, entry, ["0", "0.0", "-0.0", "0e5", "-0"]),
+    "only zeros": lambda draw, entry, twin: {
+        "id": entry["id"],
+        "membership": {token: Raw("0")
+                       for token in DECLARED[:draw(st.integers(1, 3))]}},
+    "boolean": lambda draw, entry, twin: _with_weight(
+        draw, entry, ["true", "false"]),
+    "out of range": lambda draw, entry, twin: _with_weight(
+        draw, entry, ["1.5", "-0.25", "2", "1.0000001", "-1", "1e1"]),
+    "not a number": lambda draw, entry, twin: _with_weight(
+        draw, entry, ['"0.5"', "null", "[1]", '{"a": 1}']),
+    "unknown objective": lambda draw, entry, twin: _with_weight(
+        draw, entry, WEIGHT_LITERALS, draw(st.sampled_from(["zz", "\x1b", ""]))),
+    "empty membership": lambda draw, entry, twin: {"id": entry["id"],
+                                                   "membership": {}},
+    "membership not an object": lambda draw, entry, twin: {
+        "id": entry["id"],
+        "membership": draw(st.sampled_from([[], ["a"], "a", 1, None, Raw("0.5")]))},
+    "membership and requires": lambda draw, entry, twin: {
+        "id": entry["id"], "membership": _membership(draw), "requires": ["a"]},
+    "extra key": lambda draw, entry, twin: {**entry, "note": 1},
+    "no weights": lambda draw, entry, twin: {"id": entry["id"]},
+    "not an object": lambda draw, entry, twin: draw(st.sampled_from(
+        [[], ["id", "membership"], "p", 1, None])),
+    "duplicate id": lambda draw, entry, twin: {**entry, "id": twin},
+    "bad id": lambda draw, entry, twin: {**entry, "id": draw(st.sampled_from(
+        ["", "p q", "p\x1b", 1, None, True, ["p"]]))},
+    "bad requires": lambda draw, entry, twin: {
+        "id": entry["id"],
+        "requires": draw(st.sampled_from([[], ["a", "a"], ["zz"], "a"]))},
+}
+
+
+@st.composite
+def weighted_sections(draw):
+    """An individuals section of 2 to 9 valid entries over DECLARED, the
+    first weighted and each other weighted or crisp, with up to three
+    entries broken in one way each; and the breaks."""
+    count = draw(st.integers(2, 9))
+    entries = [{"id": f"p{i}", "membership": _membership(draw)}
+               if i == 0 or draw(st.booleans()) else
+               {"id": f"p{i}", "requires": draw(st.lists(
+                   st.sampled_from(DECLARED), min_size=1, max_size=3, unique=True))}
+               for i in range(count)]
+    breaks = draw(st.lists(st.tuples(st.integers(0, count - 1),
+                                     st.sampled_from(sorted(WEIGHTED_BREAKS))),
+                           max_size=3, unique_by=lambda b: b[0]))
+    copied = {i for i, kind in breaks if kind == "duplicate id"}
+    twin = f"p{min(set(range(count)) - copied, default=0)}"
+    for i, kind in breaks:
+        entries[i] = WEIGHTED_BREAKS[kind](draw, entries[i], twin)
+    return entries, breaks
+
+
+def _weighted(count, changes, broken=True):
+    """``count`` valid weighted entries, entry i replaced by ``changes[i]``;
+    the changes are the breaks unless ``broken`` is false."""
+    entries = [changes.get(i, {"id": f"p{i}",
+                               "membership": {DECLARED[i % 3]: Raw("0.5")}})
+               for i in range(count)]
+    return entries, list(changes) if broken else []
+
+
+def tall_weighted_entries(seed: int, individuals: int) -> list[dict]:
+    """``individuals`` valid entries over ``WIDE[:32]`` in the benchmark's
+    weighted style: a few two-decimal weights, spelled alike across the
+    section, and every third entry crisp."""
+    rng = random.Random(seed)
+
+    def subset():
+        return rng.sample(WIDE[:32], rng.randint(1, 16))
+
+    return [{"id": f"p{i}", "requires": subset()} if i % 3 == 0 else
+            {"id": f"p{i}", "membership": {
+                token: Raw(rng.choice(("0.5", "0.25", "1", "0.75", "0.1", "1.0")))
+                for token in subset()}}
+            for i in range(individuals)]
+
+
+def weighted_document(entries) -> str:
+    return raw_json({"universe": list(WIDE[:32]),
+                     "alternatives": [{"id": "x", "offers": list(WIDE[:8])}],
+                     "individuals": entries})
+
+
+class TestWeightedSectionAcceptance:
+    """The whole-section pass over weighted and mixed individuals accepts
+    only sections on which the located pass finds nothing and drops no
+    zero, and yields what the located pass builds."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(section=weighted_sections())
+    # a boolean beside a 1: a set of the values would hold only one of them
+    @example(section=_weighted(3, {1: {"id": "p1", "membership": {
+        "a": Raw("1"), "b": Raw("true")}}}))
+    @example(section=_weighted(3, {1: {"id": "p1", "membership": {
+        "b": Raw("true"), "a": Raw("1")}}}))
+    # equal values spelled apart, keys out of universe order, and a crisp entry
+    @example(section=_weighted(4, {
+        0: {"id": "p0", "membership": {"a": Raw("0.5"), "b": Raw("0.50")}},
+        1: {"id": "p1", "membership": {"c": Raw("1"), "a": Raw("1.0")}},
+        2: {"id": "p2", "requires": ["c", "a"]}}, broken=False))
+    # explicit zeros, and a membership of zeros only
+    @example(section=_weighted(3, {0: {"id": "p0", "membership": {
+        "a": Raw("0"), "b": Raw("0.5")}}}))
+    @example(section=_weighted(3, {1: {"id": "p1", "membership": {
+        "a": Raw("0.0"), "b": Raw("0")}}}))
+    @example(section=_weighted(2, {0: {"id": "p0", "membership": {
+        "zz": Raw("0.5"), "a": Raw("1")}}}))
+    # with chunks of 3: a duplicate id whose first use is in an earlier chunk
+    @example(section=_weighted(5, {4: {"id": "p0", "membership": {
+        "b": Raw("0.5")}}}))
+    def test_parse_equals_the_located_pass_alone(self, section):
+        """The columns, findings and warnings of a section, parsed whole
+        or in chunks of 3, are those of the located pass alone."""
+        entries, breaks = section
+        text = raw_json({"universe": list(DECLARED),
+                         "alternatives": [{"id": "x", "offers": ["a"]}],
+                         "individuals": entries})
+        # read without the parser's memo: every value is its own object
+        doc = json.loads(text, parse_float=Decimal)
+
+        def parsed():
+            findings = []
+            columns = scenario_io._validate_individuals(
+                doc, token_bits(DECLARED), findings)
+            return columns, findings, _parse(text)
+
+        located = located_alone(parsed)
+        assert parsed() == located
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario_io, "_CHUNK", 3)
+            assert parsed() == located
+        accepted = scenario_io._accept_individuals(doc["individuals"],
+                                                   token_bits(DECLARED))
+        assert (accepted is None) == bool(breaks)
+
+    def test_distinct_literals_parse_as_the_located_pass(self):
+        text = distinct_weights_document(30, 12)
+        doc = json.loads(text, parse_float=Decimal)
+        assert scenario_io._accept_individuals(
+            doc["individuals"], token_bits(doc["universe"])) is not None
+        assert _parse(text) == located_alone(lambda: _parse(text))
+
+    def test_a_valid_weighted_section_runs_no_located_pass(self, monkeypatch):
+        calls = []
+        located = scenario_io._located_individual
+
+        def counted(*args):
+            calls.append(args)
+            return located(*args)
+
+        monkeypatch.setattr(scenario_io, "_located_individual", counted)
+        for text in (distinct_weights_document(30, 12),
+                     weighted_document(tall_weighted_entries(3, 600))):
+            assert isinstance(parse_scenario(text), Scenario)
+        assert calls == []
+
+    def test_one_late_fault_costs_the_located_pass_one_chunk(self, monkeypatch):
+        entries = tall_weighted_entries(5, 4000)
+        entries[3901]["membership"]["zz"] = Raw("0.5")
+        visited = []
+        walk = scenario_io._entries
+
+        def counted(raw, *args):
+            visited.append(len(raw))
+            return walk(raw, *args)
+
+        monkeypatch.setattr(scenario_io, "_entries", counted)
+        report = validate_scenario(weighted_document(entries))
+        assert [(f.location, f.message) for f in report.findings] == [
+            ("individuals[3901].membership.zz", "unknown objective 'zz'")]
+        assert 0 < sum(visited) <= scenario_io._CHUNK < 4000
+
+
+class TestLiteralMemo:
+    """A parse reads each distinct number literal once, and the memo that
+    makes it so changes no finding and lives no longer than its parse."""
+
+    def test_a_repeated_literal_is_bounded_once_per_parse(self, monkeypatch):
+        calls = []
+        bounded = scenario_io._bounded
+
+        def counted(text):
+            calls.append(text)
+            return bounded(text)
+
+        monkeypatch.setattr(scenario_io, "_bounded", counted)
+        text = raw_json({
+            "universe": ["a", "b", "c"],
+            "alternatives": [{"id": "x", "offers": ["a"]}],
+            "individuals": [{"id": f"p{i}", "membership": {
+                "a": Raw("0.25"), "b": Raw("0.25"), "c": Raw("1")}}
+                for i in range(5000)]})
+        scenario = parse_scenario(text)
+        assert sorted(calls) == ["0.25", "1"]
+        # a second parse shares nothing with the first
+        assert parse_scenario(text) == scenario
+        assert sorted(calls) == ["0.25", "0.25", "1", "1"]
+
+    def test_the_memo_changes_no_finding(self, monkeypatch):
+        long_int = "1" + "0" * 5000
+        texts = [path.read_text() for path in sorted(INVALID_DIR.glob("*.json"))]
+        texts += [MINIMAL.replace('"requires": ["a"]', f'"membership": {{"a": {w}}}')
+                  for w in ("1e5000", "1e-3000000", long_int, "0." + "1" * 1001)]
+        texts.append(MINIMAL.replace(
+            '{"id": "p", "requires": ["a"]}',
+            ", ".join(f'{{"id": "p{i}", "membership": {{"a": 1e5000}}}}'
+                      for i in range(3))))
+        with_memo = [render_validation(validate_scenario(text), "table")
+                     for text in texts]
+        monkeypatch.setattr(scenario_io, "cache", lambda function: function)
+        assert [render_validation(validate_scenario(text), "table")
+                for text in texts] == with_memo
 
 
 class TestInvalidCorpus:
