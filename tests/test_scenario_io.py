@@ -916,6 +916,26 @@ class TestWeightedSectionAcceptance:
             assert isinstance(parse_scenario(text), Scenario)
         assert calls == []
 
+    def test_a_crisp_section_never_tries_the_weighted_pass(self, monkeypatch):
+        calls = []
+        weighted = scenario_io._accept_weighted
+
+        def counted(raw, *args):
+            calls.append(len(raw))
+            return weighted(raw, *args)
+
+        monkeypatch.setattr(scenario_io, "_accept_weighted", counted)
+        valid = tall_crisp_document(5, individuals=600)
+        doc = json.loads(valid)
+        doc["individuals"][500]["requires"].append("zz")
+        assert isinstance(parse_scenario(valid), Scenario)
+        assert not validate_scenario(json.dumps(doc)).ok
+        assert calls == []
+        # a mixed section is tried whole, and so is its one mixed chunk
+        doc["individuals"][500] = {"id": "p500", "membership": {"o000": 1.5}}
+        assert not validate_scenario(json.dumps(doc)).ok
+        assert calls == [600, scenario_io._CHUNK]
+
     def test_one_late_fault_costs_the_located_pass_one_chunk(self, monkeypatch):
         entries = tall_weighted_entries(5, 4000)
         entries[3901]["membership"]["zz"] = Raw("0.5")
