@@ -236,8 +236,10 @@ def _unique_ids(ids: tuple[str, ...], what: str) -> None:
 
 def _shared_universe(items, what: str) -> Universe:
     """The items' one universe.  Items that hold the first item's universe
-    object, as the parser builds them, are accepted by one identity pass;
-    otherwise each is compared by value, so an equal universe passes."""
+    object, as a library caller builds them over one ``Universe``, are
+    accepted by one identity pass; otherwise each is compared by value, so
+    an equal universe passes.  The parser fills its columns through
+    ``_from_columns`` and never comes here."""
     universe = items[0].universe
     if all(map(is_, map(attrgetter("universe"), items), repeat(universe))):
         return universe

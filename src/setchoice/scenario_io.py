@@ -23,21 +23,23 @@ located finding and emits each section as columns (ids, masks, and for
 individuals the ``_scaled`` weight rows and scales), from which the
 society and the environment are built without checking them again and
 without an ``Individual`` or ``Alternative`` object.  A valid objective
-list, and an individuals or alternatives section whose entries are all
-``{"id", "requires"}``, ``{"id", "membership"}`` or ``{"id", "offers"}``
-with valid lists and memberships, is accepted whole by a few C-level
-passes; a crisp section is tried as crisp first, and a weight's range
+list is accepted whole by a few C-level passes, and so is a section of one
+kind of entry: alternatives that are all ``{"id", "offers"}``, or
+individuals that are all ``{"id", "requires"}`` or all ``{"id",
+"membership"}``, with valid ids, lists and memberships.  A weight's range
 test and exact ratio are taken once per distinct value object.  A
 membership with a zero weight is left to the located pass, which drops
-the zero.  A section that is refused is tried again in chunks of
-``_CHUNK`` entries, in order: a chunk accepted the same way, with ids
-disjoint from those before it, adds its columns, and only the other
+the zero, and so is every section that mixes ``requires`` and
+``membership`` entries.  A section that is refused is tried again in
+chunks of ``_CHUNK`` entries, in order: a chunk accepted the same way, with
+ids disjoint from those before it, adds its columns, and only the other
 chunks go through the located pass, the only code that words a finding
-or a warning.  A finding depends only on its entry
-and the ids before it, so the findings, their locations and their order
-are those of the located pass over the whole section.  A file
-that starts with a byte-order mark, or that nests arrays or objects
-deeper than the JSON decoder can follow, is one finding at ``$``.
+or a warning.  So one bad entry in a section of one kind costs the located
+pass over one chunk.  A finding depends only on its entry and the ids
+before it, so the findings, their locations and their order are those of
+the located pass over the whole section.  A file that starts with a
+byte-order mark, or that nests arrays or objects deeper than the JSON
+decoder can follow, is one finding at ``$``.
 Reports render as ``table``, ``json``, or ``csv``; json is the source of
 truth and the other two are projections of the same numbers.  Each
 profile's integer row, the social row, and the ranking's tiers are each
@@ -55,10 +57,10 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from math import lcm
-from operator import itemgetter, methodcaller, not_
+from operator import itemgetter, methodcaller
 
 from .errors import ScenarioError
 from .evaluation import (
@@ -84,6 +86,7 @@ from .universe import (
     ObjectiveSet,
     Universe,
     UniversePartition,
+    _token_text,
     check_token,
     exigence_universe,
     opportunity_universe,
@@ -97,6 +100,9 @@ WARNING = "warning"
 FORMATS = ("table", "json", "csv")
 _JSON_KINDS = {bool: "boolean", int: "number", Decimal: "number",
                list: "array", dict: "object", type(None): "null"}
+#: The types of a parsed weight literal.  A type is tested exactly, so a
+#: boolean, an int subclass, is not a weight.
+_WEIGHT_TYPES = frozenset({int, Decimal})
 
 
 @dataclass(frozen=True)
@@ -348,7 +354,7 @@ def _validate_membership(raw, loc, known,
         bit = known.get(token)
         if bit is None:
             message = f"unknown objective {_shown(token)}"
-        elif isinstance(value, bool) or not isinstance(value, (int, Decimal)):
+        elif type(value) not in _WEIGHT_TYPES:
             message = "membership value must be a number"
         elif not 0 <= value <= 1:
             message = (f"membership out of range: "
@@ -378,9 +384,7 @@ def _accepted_ids(raw: list) -> tuple[str, ...] | None:
         joined = "".join(ids)  # TypeError unless every id is a string
     except (KeyError, TypeError):
         return None
-    # as check_token: non-empty, printable, and no space
-    if (not all(ids) or not joined.isprintable() or " " in joined
-            or len(set(ids)) != len(ids)):
+    if not all(ids) or not _token_text(joined) or len(set(ids)) != len(ids):
         return None
     return ids
 
@@ -401,74 +405,47 @@ def _accepted_masks(lists: list, known) -> tuple[tuple[int, ...], list[int]] | N
     return masks, counts
 
 
-def _accept_crisp(raw: list, key: str, known
-                  ) -> tuple[tuple[str, ...], tuple[int, ...], list[int]] | None:
-    """``(ids, masks, counts)`` of a section in which every entry is exactly
-    ``{"id": ..., key: [...]}``, with a valid id not used before and a
-    valid list, checked in C-level passes over the whole section; counts
-    are the lists' lengths.  None when any check fails: the located pass
-    then words every finding."""
-    ids = _accepted_ids(raw)
-    if ids is None:
-        return None
+def _column(raw: list, key: str) -> list | None:
+    """``entry[key]`` of every entry of ``raw``, or None when some entry has
+    no ``key``."""
     try:
-        lists = list(map(itemgetter(key), raw))
+        return list(map(itemgetter(key), raw))
     except KeyError:
         return None
-    accepted = _accepted_masks(lists, known)
-    return None if accepted is None else (ids, *accepted)
 
 
 def _accept_alternatives(raw: list, known
                          ) -> tuple[tuple[str, ...], tuple[int, ...]] | None:
-    """The ``(ids, masks)`` columns of an alternatives section that
-    ``_accept_crisp`` accepts, else None."""
-    accepted = _accept_crisp(raw, "offers", known)
-    return None if accepted is None else accepted[:2]
+    """The ``(ids, masks)`` columns of an alternatives section in which every
+    entry is exactly ``{"id": ..., "offers": [...]}``, with a valid id not
+    used before and a valid list, checked in C-level passes over the whole
+    section.  None when any check fails: the located pass then words every
+    finding."""
+    ids = _accepted_ids(raw)
+    if ids is None:
+        return None
+    lists = _column(raw, "offers")
+    accepted = None if lists is None else _accepted_masks(lists, known)
+    return None if accepted is None else (ids, accepted[0])
 
 
 def _accept_individuals(raw: list, known) -> tuple | None:
     """The ``(ids, masks, weights, scales)`` columns of an individuals
     section that the located pass would accept without a finding, checked
-    in C-level passes; None when any check fails.  A section of
-    ``{"id", "requires"}`` entries is accepted as by ``_accept_crisp``; only
-    a section in which some entry has no ``"requires"`` is tried by
-    ``_accept_weighted``."""
+    in C-level passes: a section in which every entry is ``{"id",
+    "requires"}``, accepted as alternatives are, or one in which every entry
+    is ``{"id", "membership"}``, accepted by ``_accept_memberships``.  None
+    for any other section, one that mixes the two kinds included."""
     ids = _accepted_ids(raw)
     if ids is None:
         return None
-    try:
-        lists = list(map(itemgetter("requires"), raw))
-    except KeyError:
-        return _accept_weighted(raw, ids, known)
-    accepted = _accepted_masks(lists, known)
-    return None if accepted is None else (ids, *_crisp_individuals(*accepted))
-
-
-def _accept_weighted(raw: list, ids: tuple[str, ...], known) -> tuple | None:
-    """The columns of a section of two-key entries with valid, distinct
-    ``ids``, in which each entry is ``{"id", "membership"}`` or ``{"id",
-    "requires"}``: the memberships as by ``_accept_memberships``, the
-    lists as by ``_accept_crisp``, and their rows merged in section order.
-    None when any check fails."""
-    weighted = list(map(dict.__contains__, raw, repeat("membership")))
-    try:
-        memberships = list(map(itemgetter("membership"), compress(raw, weighted)))
-        lists = list(map(itemgetter("requires"),
-                         compress(raw, map(not_, weighted))))
-    except KeyError:
-        return None
-    rows = _accept_memberships(memberships, known)
-    if rows is None:
-        return None
-    if not lists:
-        return (ids, *zip(*rows))
-    accepted = _accepted_masks(lists, known)
-    if accepted is None:
-        return None
-    # a bool indexes the two kinds' rows: False the crisp, True the weighted
-    kinds = [zip(*_crisp_individuals(*accepted)), iter(rows)]
-    return (ids, *zip(*map(next, map(kinds.__getitem__, weighted))))
+    lists = _column(raw, "requires")
+    if lists is not None:
+        accepted = _accepted_masks(lists, known)
+        return None if accepted is None else (ids, *_crisp_individuals(*accepted))
+    memberships = _column(raw, "membership")
+    rows = None if memberships is None else _accept_memberships(memberships, known)
+    return None if rows is None else (ids, *zip(*rows))
 
 
 def _accept_memberships(memberships: list, known
@@ -486,7 +463,7 @@ def _accept_memberships(memberships: list, known
         return None
     values = list(chain.from_iterable(map(dict.values, memberships)))
     # every value's type: a set of the values would keep 1 and drop True
-    if not set(map(type, values)) <= {int, Decimal}:
+    if not set(map(type, values)) <= _WEIGHT_TYPES:
         return None
     distinct = dict(zip(map(id, values), values))
     if not 0 < min(distinct.values()) or max(distinct.values()) > 1:

@@ -24,6 +24,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .measures import Environment, Society
 
 
+def _token_text(text: str) -> bool:
+    """Whether every character of ``text`` may stand in a token: printable
+    and not whitespace.  Every whitespace character but " " is also
+    non-printable."""
+    return text.isprintable() and " " not in text
+
+
 def check_token(token: object, what: str = "objective name") -> str:
     """Validate a symbolic token (``what``, e.g. ``"alternative id"``): a
     non-empty string of printable, non-whitespace characters."""
@@ -31,8 +38,7 @@ def check_token(token: object, what: str = "objective name") -> str:
         raise ScenarioError(f"{what} must be a string, got {type(token).__name__}")
     if not token:
         raise ScenarioError(f"{what} must be non-empty")
-    # every whitespace character but " " is also non-printable
-    if token.isprintable() and " " not in token:
+    if _token_text(token):
         return token
     if any(c.isspace() for c in token):
         raise ScenarioError(f"{what} {_quoted(token)} contains whitespace")

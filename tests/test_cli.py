@@ -58,7 +58,25 @@ class TestValidateVerb:
     def test_valid_scenario_exits_zero(self):
         proc = cli("validate", str(SCENARIOS / "crisp_pair.json"))
         assert proc.returncode == 0
-        assert proc.stdout.startswith("OK")
+        assert proc.stdout == "OK: scenario is valid\n"
+
+    @pytest.mark.parametrize("output_format,note,expected", [
+        ("table", False, "OK: scenario is valid\n"),
+        ("table", True, "OK: scenario is valid (1 warning(s))\n"
+                        "warning  note  unknown key 'note'\n"),
+        ("json", False, '{\n  "ok": true,\n  "errors": 0,\n  "warnings": 0,\n'
+                        '  "findings": []\n}\n'),
+        ("csv", False, "severity,location,message\n"),
+    ], ids=["table", "table-warning", "json", "csv"])
+    def test_valid_scenario_report_is_exact(self, tmp_path, capsys,
+                                            output_format, note, expected):
+        doc = json.loads((SCENARIOS / "crisp_pair.json").read_text(encoding="utf-8"))
+        if note:
+            doc["note"] = "hi"
+        path = tmp_path / "valid.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path), "--format", output_format]) == 0
+        assert capsys.readouterr() == (expected, "")
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_LOCATIONS))
     def test_invalid_corpus_exits_one_and_names_location(self, name):

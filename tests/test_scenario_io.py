@@ -37,7 +37,7 @@ from setchoice.scenario_io import (
     FORMATS,
     WARNING,
     Finding,
-    _accept_crisp,
+    _accept_alternatives,
     _json_text,
     _parse,
     _ranking_section,
@@ -137,6 +137,20 @@ class TestParse:
         report = validate_scenario(text)
         assert report.ok
         assert [f.message for f in report.warnings] == ["unknown key 'note'"]
+
+    @pytest.mark.parametrize("key", ["universe", "alternatives", "individuals"])
+    def test_missing_top_level_key_is_located_at_the_key(self, key):
+        doc = json.loads(MINIMAL)
+        del doc[key]
+        report = parse_scenario(json.dumps(doc))
+        expected = [("error", key, f"missing required key '{key}'")]
+        if key == "universe":  # no objective is declared
+            expected += [
+                ("error", "alternatives[0].offers[0]", "unknown objective 'a'"),
+                ("error", "individuals[0].requires[0]", "unknown objective 'a'")]
+        assert isinstance(report, ValidationReport)
+        assert [(f.severity, f.location, f.message)
+                for f in report.findings] == expected
 
     def test_duplicate_json_key_is_an_error(self):
         text = '{"universe": ["a"], "universe": ["b"],' \
@@ -562,11 +576,18 @@ class TestObjectiveLists:
         assert scenario.environment.alternatives[0].offers.mask == mask
         assert scenario.society.individuals[0]._mask == mask
         # the whole-section pass accepts exactly the lists with no repeat
-        assert (_accept_crisp(entries, "requires", token_bits(WIDE)) is None) == (
+        assert (_accept_alternatives(offered(entries), token_bits(WIDE)) is None) == (
             bool(require_findings))
         alternatives = [{"id": "x", "offers": values}, {"id": "y", "offers": ["o129"]}]
-        assert (_accept_crisp(alternatives, "offers", token_bits(WIDE)) is None) == (
+        assert (_accept_alternatives(alternatives, token_bits(WIDE)) is None) == (
             bool(offer_findings))
+
+
+def offered(entries):
+    """``entries`` with each ``requires`` key renamed ``offers``: the same
+    crisp lists as an alternatives section."""
+    return [{("offers" if k == "requires" else k): v for k, v in e.items()}
+            if isinstance(e, dict) else e for e in entries]
 
 
 def _with_token(draw, entry, token):
@@ -662,10 +683,10 @@ class TestCrispSectionAcceptance:
         """The columns, findings and warnings of a section, parsed whole
         or in chunks of 3, are those of the located pass alone."""
         entries, breaks = section
-        # the same section as an alternatives one: every "requires" key
-        # becomes "offers", so each break still breaks an entry
-        entries = [{(key if k == "requires" else k): v for k, v in e.items()}
-                   if isinstance(e, dict) else e for e in entries]
+        # the same section as an alternatives one: each break still breaks
+        # an entry
+        if key == "offers":
+            entries = offered(entries)
         crisp = {"id": "p", "requires": ["a"]}
         text = json.dumps(
             {"universe": list(DECLARED),
@@ -687,7 +708,7 @@ class TestCrispSectionAcceptance:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scenario_io, "_CHUNK", 3)
             assert parsed() == located
-        accepted = _accept_crisp(entries, key, token_bits(DECLARED))
+        accepted = _accept_alternatives(offered(entries), token_bits(DECLARED))
         assert (accepted is None) == bool(breaks)
 
     @pytest.mark.parametrize("key", ["requires", "offers"])
@@ -821,16 +842,18 @@ def _weighted(count, changes, broken=True):
     return entries, list(changes) if broken else []
 
 
-def tall_weighted_entries(seed: int, individuals: int) -> list[dict]:
-    """``individuals`` valid entries over ``WIDE[:32]`` in the benchmark's
-    weighted style: a few two-decimal weights, spelled alike across the
-    section, and every third entry crisp."""
+def tall_weighted_entries(seed: int, individuals: int,
+                          mixed: bool = True) -> list[dict]:
+    """``individuals`` valid entries over ``WIDE[:32]``: memberships of a
+    few two-decimal weights, spelled alike across the section, as in the
+    benchmark's weighted documents, which have no crisp entry; when
+    ``mixed``, every third entry is crisp instead."""
     rng = random.Random(seed)
 
     def subset():
         return rng.sample(WIDE[:32], rng.randint(1, 16))
 
-    return [{"id": f"p{i}", "requires": subset()} if i % 3 == 0 else
+    return [{"id": f"p{i}", "requires": subset()} if mixed and i % 3 == 0 else
             {"id": f"p{i}", "membership": {
                 token: Raw(rng.choice(("0.5", "0.25", "1", "0.75", "0.1", "1.0")))
                 for token in subset()}}
@@ -844,9 +867,11 @@ def weighted_document(entries) -> str:
 
 
 class TestWeightedSectionAcceptance:
-    """The whole-section pass over weighted and mixed individuals accepts
-    only sections on which the located pass finds nothing and drops no
-    zero, and yields what the located pass builds."""
+    """The whole-section pass over weighted individuals accepts only
+    sections of ``membership`` entries alone on which the located pass
+    finds nothing and drops no zero, and yields what the located pass
+    builds; a section that mixes in crisp entries is left to the located
+    pass."""
 
     @settings(max_examples=400, deadline=None)
     @given(section=weighted_sections())
@@ -855,7 +880,8 @@ class TestWeightedSectionAcceptance:
         "a": Raw("1"), "b": Raw("true")}}}))
     @example(section=_weighted(3, {1: {"id": "p1", "membership": {
         "b": Raw("true"), "a": Raw("1")}}}))
-    # equal values spelled apart, keys out of universe order, and a crisp entry
+    # equal values spelled apart, keys out of universe order, and a crisp
+    # entry, which makes the section a mixed one
     @example(section=_weighted(4, {
         0: {"id": "p0", "membership": {"a": Raw("0.5"), "b": Raw("0.50")}},
         1: {"id": "p1", "membership": {"c": Raw("1"), "a": Raw("1.0")}},
@@ -870,6 +896,8 @@ class TestWeightedSectionAcceptance:
     # with chunks of 3: a duplicate id whose first use is in an earlier chunk
     @example(section=_weighted(5, {4: {"id": "p0", "membership": {
         "b": Raw("0.5")}}}))
+    # an entry of neither kind
+    @example(section=_weighted(5, {1: {"id": "p1", "bogus": 1}}))
     def test_parse_equals_the_located_pass_alone(self, section):
         """The columns, findings and warnings of a section, parsed whole
         or in chunks of 3, are those of the located pass alone."""
@@ -893,7 +921,23 @@ class TestWeightedSectionAcceptance:
             assert parsed() == located
         accepted = scenario_io._accept_individuals(doc["individuals"],
                                                    token_bits(DECLARED))
-        assert (accepted is None) == bool(breaks)
+        # refused exactly when broken, or when crisp and weighted entries mix
+        refused = bool(breaks) or len({frozenset(e) for e in entries}) > 1
+        assert (accepted is None) == refused
+
+    @pytest.mark.parametrize("chunk", [256, 3])
+    def test_an_entry_of_neither_kind_is_worded_by_the_located_pass(
+            self, chunk, monkeypatch):
+        entries, _ = _weighted(5, {1: {"id": "p1", "bogus": 1}})
+        monkeypatch.setattr(scenario_io, "_CHUNK", chunk)
+        report = validate_scenario(raw_json({
+            "universe": list(DECLARED),
+            "alternatives": [{"id": "x", "offers": ["a"]}],
+            "individuals": entries}))
+        assert [(f.severity, f.location, f.message) for f in report.findings] == [
+            ("warning", "individuals[1].bogus", "unknown key 'bogus'"),
+            ("error", "individuals[1]",
+             "exactly one of 'membership' or 'requires' must be given")]
 
     def test_distinct_literals_parse_as_the_located_pass(self):
         text = distinct_weights_document(30, 12)
@@ -912,32 +956,33 @@ class TestWeightedSectionAcceptance:
 
         monkeypatch.setattr(scenario_io, "_located_individual", counted)
         for text in (distinct_weights_document(30, 12),
-                     weighted_document(tall_weighted_entries(3, 600))):
+                     weighted_document(tall_weighted_entries(3, 600, mixed=False))):
             assert isinstance(parse_scenario(text), Scenario)
         assert calls == []
 
     def test_a_crisp_section_never_tries_the_weighted_pass(self, monkeypatch):
         calls = []
-        weighted = scenario_io._accept_weighted
+        weighted = scenario_io._accept_memberships
 
-        def counted(raw, *args):
-            calls.append(len(raw))
-            return weighted(raw, *args)
+        def counted(memberships, *args):
+            calls.append(len(memberships))
+            return weighted(memberships, *args)
 
-        monkeypatch.setattr(scenario_io, "_accept_weighted", counted)
+        monkeypatch.setattr(scenario_io, "_accept_memberships", counted)
         valid = tall_crisp_document(5, individuals=600)
         doc = json.loads(valid)
         doc["individuals"][500]["requires"].append("zz")
         assert isinstance(parse_scenario(valid), Scenario)
         assert not validate_scenario(json.dumps(doc)).ok
-        assert calls == []
-        # a mixed section is tried whole, and so is its one mixed chunk
+        # nor is a mixed section, valid or not, whole or in chunks
+        mixed = weighted_document(tall_weighted_entries(3, 600))
+        assert isinstance(parse_scenario(mixed), Scenario)
         doc["individuals"][500] = {"id": "p500", "membership": {"o000": 1.5}}
         assert not validate_scenario(json.dumps(doc)).ok
-        assert calls == [600, scenario_io._CHUNK]
+        assert calls == []
 
     def test_one_late_fault_costs_the_located_pass_one_chunk(self, monkeypatch):
-        entries = tall_weighted_entries(5, 4000)
+        entries = tall_weighted_entries(5, 4000, mixed=False)
         entries[3901]["membership"]["zz"] = Raw("0.5")
         visited = []
         walk = scenario_io._entries
