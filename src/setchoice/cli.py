@@ -13,6 +13,7 @@ from functools import cache
 from pathlib import Path
 
 from .errors import MeasureError, ScenarioError
+from .evaluation import AGGREGATORS
 from .measures import UtilityMeasure
 from .scenario_io import (
     DEFAULT_PRECISION,
@@ -60,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     measured.add_argument("--measure", required=True,
                           choices=[m.value for m in UtilityMeasure],
                           help="utility measure")
-    measured.add_argument("--aggregator", choices=["mean"], default="mean",
+    measured.add_argument("--aggregator", choices=sorted(AGGREGATORS),
+                          default="mean",
                           help="social aggregator (default: mean)")
 
     parser = argparse.ArgumentParser(

@@ -110,11 +110,9 @@ def _scaled(ratios: Mapping[int, tuple[int, int]]
             ) -> tuple[int, tuple[int, ...], int]:
     """``(mask, ints, scale)`` of positive weights given as ``{bit:
     (numerator, denominator)}``: the bits OR-ed, each weight times scale in
-    ascending bit order, and scale the lcm of the denominators.  Callers
-    read each weight exactly through ``as_integer_ratio()``, which the
-    parser's Decimals and ints and the constructor's Fractions all have;
-    the parser's whole-section acceptance reads it once per distinct
-    value."""
+    ascending bit order, and scale the lcm of the denominators.  The
+    constructor reads each weight exactly through ``as_integer_ratio()``;
+    the parser reads each distinct weight literal once as that pair."""
     bits = sorted(ratios)
     nums, dens = zip(*map(ratios.__getitem__, bits))
     scale = lcm(*dens)

@@ -12,12 +12,12 @@ A scenario is one JSON document::
     }
 
 ``requires`` is the crisp shorthand for a membership of 1 on the listed
-objectives.  Numeric literals are parsed exactly: a decimal literal is read
-as a ``Decimal`` and an integer as an ``int``, never through binary
+objectives.  Numeric literals are parsed exactly, never through binary
 floating point, so evaluation is exact end to end.  Each parse reads a
-distinct literal once, through a memo made for that parse: the number
-bound is checked before the value is built, and a repeated literal is the
-same object.
+distinct literal once, through a memo made for that parse (``_load``): the
+number bound is checked before the value is built, a literal in (0, 1],
+a weight's range, is read as its exact ``(numerator, denominator)``, and
+any other as an ``int`` or a ``Decimal``, which a finding quotes.
 The parser is the one validator of a file: it reports each rule as a
 located finding and emits each section as columns (ids, masks, and for
 individuals the ``_scaled`` weight rows and scales), from which the
@@ -26,10 +26,9 @@ without an ``Individual`` or ``Alternative`` object.  A valid objective
 list is accepted whole by a few C-level passes, and so is a section of one
 kind of entry: alternatives that are all ``{"id", "offers"}``, or
 individuals that are all ``{"id", "requires"}`` or all ``{"id",
-"membership"}``, with valid ids, lists and memberships.  A weight's range
-test and exact ratio are taken once per distinct value object.  A
-membership with a zero weight is left to the located pass, which drops
-the zero, and so is every section that mixes ``requires`` and
+"membership"}``, with valid ids, lists and memberships whose values are
+all ratios.  A membership with a zero weight is left to the located pass,
+which drops the zero, and so is every section that mixes ``requires`` and
 ``membership`` entries.  A section that is refused is tried again in
 chunks of ``_CHUNK`` entries, in order: a chunk accepted the same way, with
 ids disjoint from those before it, adds its columns, and only the other
@@ -60,7 +59,7 @@ from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from math import lcm
-from operator import itemgetter, methodcaller
+from operator import itemgetter
 
 from .errors import ScenarioError
 from .evaluation import (
@@ -98,11 +97,10 @@ ERROR = "error"
 WARNING = "warning"
 
 FORMATS = ("table", "json", "csv")
+#: A parsed value's kind, by its exact type: a boolean is not a number.
 _JSON_KINDS = {bool: "boolean", int: "number", Decimal: "number",
-               list: "array", dict: "object", type(None): "null"}
-#: The types of a parsed weight literal.  A type is tested exactly, so a
-#: boolean, an int subclass, is not a weight.
-_WEIGHT_TYPES = frozenset({int, Decimal})
+               tuple: "number", list: "array", dict: "object",
+               type(None): "null"}
 
 
 @dataclass(frozen=True)
@@ -177,6 +175,21 @@ def _pairs_hook(pairs):
 
 def _reject_constant(name):
     raise ValueError(f"non-finite number {name}")
+
+
+def _load(text: str):
+    """The JSON document of ``text``.  A memo made for this call reads each
+    distinct number literal once, within the number bound: a value in (0, 1]
+    as its exact ``(numerator, denominator)``, the form ``_scaled`` takes,
+    any other as an ``int`` or a ``Decimal``."""
+    def memo(read):
+        def value(literal):
+            number = read(_bounded(literal))
+            return number.as_integer_ratio() if 0 < number <= 1 else number
+        return cache(value)
+    return json.loads(text, parse_float=memo(Decimal), parse_int=memo(int),
+                      parse_constant=_reject_constant,
+                      object_pairs_hook=_pairs_hook)
 
 
 def _err(findings, location, message):
@@ -344,7 +357,8 @@ def _validate_alternatives(doc, known, findings
 
 def _validate_membership(raw, loc, known,
                          findings) -> tuple[int, tuple[int, ...], int] | None:
-    """The positive weights of a valid membership object, ``_scaled``."""
+    """The positive weights, each read as a ratio, of a valid membership
+    object, ``_scaled``; any other number is a zero, dropped, or out of range."""
     if not isinstance(raw, dict):
         _err(findings, loc, "'membership' must be an object of objective weights")
         return None
@@ -354,15 +368,16 @@ def _validate_membership(raw, loc, known,
         bit = known.get(token)
         if bit is None:
             message = f"unknown objective {_shown(token)}"
-        elif type(value) not in _WEIGHT_TYPES:
+        elif type(value) is tuple:
+            ratios[bit] = value
+            continue
+        elif _JSON_KINDS.get(type(value)) != "number":
             message = "membership value must be a number"
-        elif not 0 <= value <= 1:
+        elif not value:
+            continue
+        else:
             message = (f"membership out of range: "
                        f"{_plain_number(Fraction(value))} is not in [0, 1]")
-        else:
-            if value:
-                ratios[bit] = value.as_integer_ratio()
-            continue
         _err(findings, f"{loc}.{_shown(token, '')}", message)
         bad = True
     if bad:
@@ -452,27 +467,14 @@ def _accept_memberships(memberships: list, known
                         ) -> list[tuple[int, tuple[int, ...], int]] | None:
     """The ``(mask, weights, scale)`` row, ``_scaled``, of each membership
     when every one is a non-empty object of declared objectives whose
-    values are ints or Decimals in (0, 1]; None otherwise, a zero included,
-    so that the located pass drops it.
-
-    A parse shares one value object per distinct literal, so the range
-    test and ``as_integer_ratio`` run once per distinct object, keyed by
-    ``id()``: every object is held by the document, so no id is reused
-    meanwhile, and no Decimal is hashed."""
+    values are all weights in (0, 1], read as ratios; None otherwise, a
+    zero included, so that the located pass drops it."""
     if set(map(type, memberships)) != {dict} or not all(memberships):
         return None
-    values = list(chain.from_iterable(map(dict.values, memberships)))
-    # every value's type: a set of the values would keep 1 and drop True
-    if not set(map(type, values)) <= _WEIGHT_TYPES:
+    if set(map(type, chain.from_iterable(map(dict.values, memberships)))) != {tuple}:
         return None
-    distinct = dict(zip(map(id, values), values))
-    if not 0 < min(distinct.values()) or max(distinct.values()) > 1:
-        return None
-    ratios = dict(zip(distinct, map(methodcaller("as_integer_ratio"),
-                                    distinct.values())))
     try:
-        return [_scaled(dict(zip(map(known.__getitem__, m),
-                                 map(ratios.__getitem__, map(id, m.values())))))
+        return [_scaled(dict(zip(map(known.__getitem__, m), m.values())))
                 for m in memberships]
     except KeyError:  # an undeclared objective
         return None
@@ -579,11 +581,7 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
                             "(U+FEFF)")
         return None, ValidationReport(tuple(findings))
     try:
-        # one value per distinct literal, bounded before it is built
-        doc = json.loads(text, parse_float=cache(lambda t: Decimal(_bounded(t))),
-                         parse_int=cache(lambda t: int(_bounded(t))),
-                         parse_constant=_reject_constant,
-                         object_pairs_hook=_pairs_hook)
+        doc = _load(text)
     except _DuplicateKey as exc:
         _err(findings, "$", f"duplicate key {_shown(exc.key)}")
         return None, ValidationReport(tuple(findings))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from setchoice.cli import build_parser, main
+from setchoice.evaluation import AGGREGATORS
 
 from _golden import CASES, GOLDEN_DIR, ROOT, run_cli
 
@@ -256,6 +257,14 @@ class TestUsageErrors:
         proc = cli("universes", str(SCENARIOS / "crisp_pair.json"),
                    "--format", "xml")
         assert proc.returncode == 2
+
+    def test_aggregator_choices_are_the_registry(self):
+        commands = next(action.choices for action in build_parser()._actions
+                        if action.dest == "command")
+        for name in ("utilities", "evaluate", "rank"):
+            (aggregator,) = [action for action in commands[name]._actions
+                             if action.dest == "aggregator"]
+            assert aggregator.choices == sorted(AGGREGATORS)
 
 
 class TestInProcessEntryPoint:

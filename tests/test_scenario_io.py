@@ -3,7 +3,6 @@ import io
 import json
 import random
 from dataclasses import replace
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from setchoice.scenario_io import (
     Finding,
     _accept_alternatives,
     _json_text,
+    _load,
     _parse,
     _ranking_section,
     compute_pipeline,
@@ -696,7 +696,7 @@ class TestCrispSectionAcceptance:
              "individuals": [crisp]})
         validate = (scenario_io._validate_individuals if key == "requires"
                     else scenario_io._validate_alternatives)
-        doc = json.loads(text, parse_float=Decimal)
+        doc = _load(text)
 
         def parsed():
             findings = []
@@ -905,8 +905,7 @@ class TestWeightedSectionAcceptance:
         text = raw_json({"universe": list(DECLARED),
                          "alternatives": [{"id": "x", "offers": ["a"]}],
                          "individuals": entries})
-        # read without the parser's memo: every value is its own object
-        doc = json.loads(text, parse_float=Decimal)
+        doc = _load(text)
 
         def parsed():
             findings = []
@@ -941,7 +940,7 @@ class TestWeightedSectionAcceptance:
 
     def test_distinct_literals_parse_as_the_located_pass(self):
         text = distinct_weights_document(30, 12)
-        doc = json.loads(text, parse_float=Decimal)
+        doc = _load(text)
         assert scenario_io._accept_individuals(
             doc["individuals"], token_bits(doc["universe"])) is not None
         assert _parse(text) == located_alone(lambda: _parse(text))
@@ -998,6 +997,16 @@ class TestWeightedSectionAcceptance:
         assert 0 < sum(visited) <= scenario_io._CHUNK < 4000
 
 
+def repeated_weights_document() -> str:
+    """5,000 weighted individuals that spell two literals between them."""
+    return raw_json({
+        "universe": ["a", "b", "c"],
+        "alternatives": [{"id": "x", "offers": ["a"]}],
+        "individuals": [{"id": f"p{i}", "membership": {
+            "a": Raw("0.25"), "b": Raw("0.25"), "c": Raw("1")}}
+            for i in range(5000)]})
+
+
 class TestLiteralMemo:
     """A parse reads each distinct number literal once, and the memo that
     makes it so changes no finding and lives no longer than its parse."""
@@ -1011,17 +1020,57 @@ class TestLiteralMemo:
             return bounded(text)
 
         monkeypatch.setattr(scenario_io, "_bounded", counted)
-        text = raw_json({
-            "universe": ["a", "b", "c"],
-            "alternatives": [{"id": "x", "offers": ["a"]}],
-            "individuals": [{"id": f"p{i}", "membership": {
-                "a": Raw("0.25"), "b": Raw("0.25"), "c": Raw("1")}}
-                for i in range(5000)]})
+        text = repeated_weights_document()
         scenario = parse_scenario(text)
         assert sorted(calls) == ["0.25", "1"]
         # a second parse shares nothing with the first
         assert parse_scenario(text) == scenario
         assert sorted(calls) == ["0.25", "0.25", "1", "1"]
+
+    @pytest.mark.parametrize("document", [repeated_weights_document,
+                                          distinct_weights_document])
+    def test_a_valid_section_costs_one_read_per_literal_and_one_acceptance(
+            self, document, monkeypatch):
+        text = document()
+        literals = []
+        json.loads(text, parse_float=literals.append, parse_int=literals.append)
+        calls = {"_bounded": [], "_accept_memberships": [],
+                 "_located_individual": []}
+
+        def count(name):
+            function = getattr(scenario_io, name)
+
+            def counted(first, *args):
+                calls[name].append(first)
+                return function(first, *args)
+            monkeypatch.setattr(scenario_io, name, counted)
+
+        for name in calls:
+            count(name)
+        scenario = parse_scenario(text)
+        assert isinstance(scenario, Scenario)
+        assert sorted(calls["_bounded"]) == sorted(set(literals))
+        assert list(map(len, calls["_accept_memberships"])) == [scenario.society.size]
+        assert calls["_located_individual"] == []
+
+    def test_each_kind_of_weight_value_keeps_its_finding(self):
+        values = ["0", "-0.0", "0.5", "1", "1.0", "1.25", "2", "true", '"0.5"',
+                  "null", "[]", "{}"]
+        tokens = "abcdefghijkl"
+        membership = ", ".join(f'"{t}": {v}' for t, v in zip(tokens, values))
+        report = validate_scenario(
+            f'{{"universe": {json.dumps(list(tokens))}, '
+            f'"alternatives": [{{"id": "x", "offers": ["a"]}}], '
+            f'"individuals": [{{"id": "p", "membership": {{{membership}}}}}, '
+            f'{{"id": "q", "membership": {{"a": 0, "b": -0.0}}}}]}}')
+        out_of_range = "membership out of range: {} is not in [0, 1]"
+        assert [(f.severity, f.location, f.message) for f in report.findings] == [
+            ("error", "individuals[0].membership.f", out_of_range.format("1.25")),
+            ("error", "individuals[0].membership.g", out_of_range.format("2")),
+            *[("error", f"individuals[0].membership.{t}",
+               "membership value must be a number") for t in "hijkl"],
+            ("error", "individuals[1].membership",
+             "empty support: no objective has positive weight")]
 
     def test_the_memo_changes_no_finding(self, monkeypatch):
         long_int = "1" + "0" * 5000
