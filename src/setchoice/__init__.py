@@ -7,7 +7,6 @@ ranks the alternatives; a CLI drives the same pipeline from scenario
 files.
 """
 
-from ._core import active_backend
 from .errors import (
     EmptyIndividual,
     LengthMismatch,
@@ -90,7 +89,6 @@ __all__ = [
     "UtilityMeasure",
     "ValidationReport",
     "ZeroMembershipMass",
-    "active_backend",
     "build_process",
     "cardinal_utility",
     "compute_pipeline",

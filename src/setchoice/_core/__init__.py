@@ -19,11 +19,6 @@ except ImportError:  # extension not built
 HAVE_FAST = _fast is not None
 
 
-def active_backend() -> str:
-    """Name of the kernel a typical (int64-safe) scenario would use."""
-    return "compiled" if HAVE_FAST else "pure"
-
-
 def utility_matrix(enc: EncodedScenario,
                    measure: str) -> tuple[list[list[int]], list[int]]:
     if HAVE_FAST and enc.int64_safe:

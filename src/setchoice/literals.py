@@ -115,13 +115,17 @@ def format_ratio(num: int, den: int, digits: int = DEFAULT_PRECISION) -> str:
 def _plain_number(value: int | Fraction) -> str:
     """A number as a finding quotes it: from 10**21 in magnitude, its six
     leading digits (truncated) in exponent form, so a short literal such as
-    ``1e999`` is not echoed as a thousand digits."""
+    ``1e999`` is not echoed as a thousand digits; below that, exactly, as its
+    decimal expansion when that ends and as ``num/den`` otherwise, cut by
+    ``_quoted``.  Never rounded, so a value just outside [0, 1] such as
+    ``1.0000000001`` or ``-1e-1000`` does not read as one inside it."""
     if abs(value) >= _EXPONENT_FROM:
         # a Decimal, unlike an int, is written out whatever its length
         digits = str(Decimal(abs(value.numerator) // value.denominator))
         sign = "-" if value < 0 else ""
         return f"{sign}{digits[0]}.{digits[1:6]}e+{len(digits) - 1}"
-    if value.denominator == 1:
-        return str(value)
-    return (format_ratio(value.numerator, value.denominator, 6)
-            .rstrip("0").rstrip(".") or "0")
+    num, den = value.numerator, value.denominator
+    places = den.bit_length()  # den divides 10**places if the expansion ends
+    text = (format_ratio(num, den, places).rstrip("0").rstrip(".")
+            if not 10 ** places % den else f"{num}/{den}")
+    return _quoted(text, str)

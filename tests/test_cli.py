@@ -34,6 +34,9 @@ EXPECTED_LOCATIONS = {
     "huge_integer.json": "$",
     "huge_value_echo.json": "individuals[0].membership.a",
     "tiny_exponent.json": "$",
+    "weight_just_above_one.json": "individuals[0].membership.a",
+    "weight_just_below_zero.json": "individuals[0].membership.a",
+    "weight_tiny_negative.json": "individuals[0].membership.a",
 }
 
 
@@ -85,6 +88,20 @@ class TestValidateVerb:
         assert proc.returncode == 1, proc.stdout
         assert EXPECTED_LOCATIONS[name] in proc.stdout
         assert proc.stderr == "", proc.stderr
+
+    @pytest.mark.parametrize("name,shown", [
+        ("weight_just_above_one.json", "1.0000000001"),
+        ("weight_just_below_zero.json", "-0.0000001"),
+        ("weight_tiny_negative.json",
+         f"-0.{'0' * 37}... (1003 characters)"),
+    ])
+    def test_out_of_range_weight_is_quoted_outside_the_interval(self, name,
+                                                                shown):
+        # rounded to a few digits, each of these would read as 1 or 0
+        proc = cli("validate", str(INVALID_DIR / name), "--format", "csv")
+        assert proc.stdout.splitlines()[1:] == [
+            "error,individuals[0].membership.a,"
+            f'"membership out of range: {shown} is not in [0, 1]"']
 
     def test_long_tokens_are_quoted_briefly(self, tmp_path):
         # a whitespace token and two unknown objectives of 5000 characters

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import setchoice
 from setchoice import (
     Alternative,
     EmptyIndividual,
@@ -190,10 +191,16 @@ class TestConstruction:
         ("x" * 2000, f"membership of 'alpha': {BEYOND_BOUND}"),
         ("x" * 999, "membership of 'alpha' must be a number, got "
                     f"'{'x' * 40}'... (999 characters)"),
+        ("1.0000000001", "membership out of range: 'alpha' has value 1.0000000001"),
+        (Decimal("-1e-1000"), "membership out of range: 'alpha' has value "
+                              f"-0.{'0' * 37}... (1003 characters)"),
+        (Fraction(3000001, 3000000),
+         "membership out of range: 'alpha' has value 3000001/3000000"),
     ], ids=["1e999", "1e5000", "1e-3000000", "10**5000", "10**999",
             "Fraction(1,10**1000)", "Fraction(1,10**999)", "Decimal(1e-300000)",
             "Decimal(1e-3000000)", "Decimal(1001 digits)", "Decimal(1e-1000)",
-            "Decimal(NaN)", "x*2000", "x*999"])
+            "Decimal(NaN)", "x*2000", "x*999", "1.0000000001", "Decimal(-1e-1000)",
+            "Fraction(3000001,3000000)"])
     def test_number_literals_are_bounded_and_quoted_briefly(self, greek, literal,
                                                             message):
         if message is None:  # within the bound and in range
@@ -477,3 +484,8 @@ class TestMeasureProperties:
                             offers, required)
                         assert normalized_cardinal_utility(alt, ind) == oracle_normalized(
                             offers, required)
+
+
+def test_every_public_name_resolves():
+    assert [name for name in setchoice.__all__
+            if getattr(setchoice, name, None) is None] == []

@@ -284,6 +284,9 @@ EXPECTED_LOCATIONS = {
     "huge_integer.json": "$",
     "huge_value_echo.json": "individuals[0].membership.a",
     "tiny_exponent.json": "$",
+    "weight_just_above_one.json": "individuals[0].membership.a",
+    "weight_just_below_zero.json": "individuals[0].membership.a",
+    "weight_tiny_negative.json": "individuals[0].membership.a",
 }
 
 
