@@ -488,4 +488,4 @@ class TestMeasureProperties:
 
 def test_every_public_name_resolves():
     assert [name for name in setchoice.__all__
-            if getattr(setchoice, name, None) is None] == []
+            if not hasattr(setchoice, name)] == []
