@@ -14,6 +14,7 @@ is that rule for one value.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -118,14 +119,25 @@ def _plain_number(value: int | Fraction) -> str:
     ``1e999`` is not echoed as a thousand digits; below that, exactly, as its
     decimal expansion when that ends and as ``num/den`` otherwise, cut by
     ``_quoted``.  Never rounded, so a value just outside [0, 1] such as
-    ``1.0000000001`` or ``-1e-1000`` does not read as one inside it."""
+    ``1.0000000001`` or ``-1e-1000`` does not read as one inside it.  Of an
+    expansion only the quoted characters are built: it may run to thousands
+    of places (``-1e-1991``), more than Python writes an int in."""
     if abs(value) >= _EXPONENT_FROM:
         # a Decimal, unlike an int, is written out whatever its length
         digits = str(Decimal(abs(value.numerator) // value.denominator))
         sign = "-" if value < 0 else ""
         return f"{sign}{digits[0]}.{digits[1:6]}e+{len(digits) - 1}"
     num, den = value.numerator, value.denominator
-    places = den.bit_length()  # den divides 10**places if the expansion ends
-    text = (format_ratio(num, den, places).rstrip("0").rstrip(".")
-            if not 10 ** places % den else f"{num}/{den}")
-    return _quoted(text, str)
+    twos = (den & -den).bit_length() - 1
+    fives = round(math.log(den >> twos, 5))
+    if 5 ** fives << twos != den:  # the expansion does not end
+        return _quoted(f"{num}/{den}", str)
+    whole, rest = divmod(abs(num), den)
+    head = f"{'-' if num < 0 else ''}{whole}"
+    places = max(twos, fives)  # the last of them is not 0
+    if not places:
+        return head
+    length = len(head) + 1 + places
+    shown = min(places, _QUOTE_BOUND - len(head) - 1)
+    text = f"{head}.{rest * 10 ** shown // den:0{shown}d}"
+    return text if shown == places else f"{text}... ({length} characters)"

@@ -37,6 +37,7 @@ EXPECTED_LOCATIONS = {
     "weight_just_above_one.json": "individuals[0].membership.a",
     "weight_just_below_zero.json": "individuals[0].membership.a",
     "weight_tiny_negative.json": "individuals[0].membership.a",
+    "weight_long_tiny_negative.json": "individuals[0].membership.a",
 }
 
 
@@ -94,6 +95,9 @@ class TestValidateVerb:
         ("weight_just_below_zero.json", "-0.0000001"),
         ("weight_tiny_negative.json",
          f"-0.{'0' * 37}... (1003 characters)"),
+        # -1e-1991: more places than Python writes an int in
+        ("weight_long_tiny_negative.json",
+         f"-0.{'0' * 37}... (1994 characters)"),
     ])
     def test_out_of_range_weight_is_quoted_outside_the_interval(self, name,
                                                                 shown):

@@ -196,11 +196,18 @@ class TestConstruction:
                               f"-0.{'0' * 37}... (1003 characters)"),
         (Fraction(3000001, 3000000),
          "membership out of range: 'alpha' has value 3000001/3000000"),
+        (f"-0.{'0' * 990}1e-1000", "membership out of range: 'alpha' has "
+                                   f"value -0.{'0' * 37}... (1994 characters)"),
+        (Fraction(-1, 10 ** 999), "membership out of range: 'alpha' has value "
+                                  f"-0.{'0' * 37}... (1002 characters)"),
+        (Fraction(-1, 3 * 10 ** 998), "membership out of range: 'alpha' has "
+                                      f"value -1/3{'0' * 36}... (1002 characters)"),
     ], ids=["1e999", "1e5000", "1e-3000000", "10**5000", "10**999",
             "Fraction(1,10**1000)", "Fraction(1,10**999)", "Decimal(1e-300000)",
             "Decimal(1e-3000000)", "Decimal(1001 digits)", "Decimal(1e-1000)",
             "Decimal(NaN)", "x*2000", "x*999", "1.0000000001", "Decimal(-1e-1000)",
-            "Fraction(3000001,3000000)"])
+            "Fraction(3000001,3000000)", "-1e-1991 (1000 characters)",
+            "Fraction(-1,10**999)", "Fraction(-1,3*10**998)"])
     def test_number_literals_are_bounded_and_quoted_briefly(self, greek, literal,
                                                             message):
         if message is None:  # within the bound and in range

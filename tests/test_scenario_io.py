@@ -287,6 +287,7 @@ EXPECTED_LOCATIONS = {
     "weight_just_above_one.json": "individuals[0].membership.a",
     "weight_just_below_zero.json": "individuals[0].membership.a",
     "weight_tiny_negative.json": "individuals[0].membership.a",
+    "weight_long_tiny_negative.json": "individuals[0].membership.a",
 }
 
 
