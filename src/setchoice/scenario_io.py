@@ -38,7 +38,10 @@ pass over one chunk.  A finding depends only on its entry and the ids
 before it, so the findings, their locations and their order are those of
 the located pass over the whole section.  A file that starts with a
 byte-order mark, or that nests arrays or objects deeper than the JSON
-decoder can follow, is one finding at ``$``.
+decoder can follow, is one finding at ``$``.  The parse runs with the
+cyclic garbage collector paused and restores its state on every exit; it
+builds no reference cycles, so nothing is left for a collection, and a
+test pins both.
 Reports render as ``table``, ``json``, or ``csv``; json is the source of
 truth and the other two are projections of the same numbers.  Each
 profile's integer row, the social row, and the ranking's tiers are each
@@ -51,6 +54,7 @@ each id quoted once per report by csv's ``QUOTE_MINIMAL`` rule.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from decimal import Decimal
@@ -575,40 +579,57 @@ def parse_scenario(text: str) -> Scenario | ValidationReport:
 
 
 def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
-    findings: list[Finding] = []
-    if text.startswith("\ufeff"):
-        _err(findings, "$", "invalid JSON: file starts with a byte-order mark "
-                            "(U+FEFF)")
-        return None, ValidationReport(tuple(findings))
+    """The scenario of ``text`` (None if any finding is an error) and its
+    report.  The cyclic garbage collector is paused for the whole parse:
+    the parse builds no reference cycles, so reference counting frees
+    everything a collection would, and ``json.loads`` and the section passes
+    no longer trigger full traversals of the growing document and of every
+    other live container.  The collector is enabled again on every exit,
+    an exception included, but only if it was enabled on entry, so a caller
+    that turned it off keeps it off.  Its state is process-wide: if two
+    threads parse at once, one may enable it while the other still parses,
+    which only loses the saving."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = _load(text)
-    except _DuplicateKey as exc:
-        _err(findings, "$", f"duplicate key {_shown(exc.key)}")
-        return None, ValidationReport(tuple(findings))
-    except ValueError as exc:
-        _err(findings, "$", f"invalid JSON: {exc}")
-        return None, ValidationReport(tuple(findings))
-    except RecursionError:
-        _err(findings, "$", "invalid JSON: arrays or objects nested too deeply")
-        return None, ValidationReport(tuple(findings))
+        findings: list[Finding] = []
+        if text.startswith("\ufeff"):
+            _err(findings, "$", "invalid JSON: file starts with a byte-order mark "
+                                "(U+FEFF)")
+            return None, ValidationReport(tuple(findings))
+        try:
+            doc = _load(text)
+        except _DuplicateKey as exc:
+            _err(findings, "$", f"duplicate key {_shown(exc.key)}")
+            return None, ValidationReport(tuple(findings))
+        except ValueError as exc:
+            _err(findings, "$", f"invalid JSON: {exc}")
+            return None, ValidationReport(tuple(findings))
+        except RecursionError:
+            _err(findings, "$", "invalid JSON: arrays or objects nested too deeply")
+            return None, ValidationReport(tuple(findings))
 
-    if not isinstance(doc, dict):
-        _err(findings, "$", "scenario must be a JSON object")
-        return None, ValidationReport(tuple(findings))
+        if not isinstance(doc, dict):
+            _err(findings, "$", "scenario must be a JSON object")
+            return None, ValidationReport(tuple(findings))
 
-    _warn_unknown_keys(findings, doc, ("universe", "alternatives", "individuals"))
-    declared = _validate_universe(doc, findings)
-    known = token_bits(declared)
-    alternatives = _validate_alternatives(doc, known, findings)
-    individuals = _validate_individuals(doc, known, findings)
+        _warn_unknown_keys(findings, doc, ("universe", "alternatives", "individuals"))
+        declared = _validate_universe(doc, findings)
+        known = token_bits(declared)
+        alternatives = _validate_alternatives(doc, known, findings)
+        individuals = _validate_individuals(doc, known, findings)
 
-    if any(f.severity == ERROR for f in findings):
-        return None, ValidationReport(tuple(findings))
+        if any(f.severity == ERROR for f in findings):
+            return None, ValidationReport(tuple(findings))
 
-    universe = Universe(tuple(declared))
-    scenario = Scenario(universe, Environment._from_columns(universe, *alternatives),
-                        Society._from_columns(universe, *individuals))
-    return scenario, ValidationReport(tuple(findings))
+        universe = Universe(tuple(declared))
+        scenario = Scenario(universe,
+                            Environment._from_columns(universe, *alternatives),
+                            Society._from_columns(universe, *individuals))
+        return scenario, ValidationReport(tuple(findings))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

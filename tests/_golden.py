@@ -1,4 +1,5 @@
-"""Golden-output case table for the CLI, plus the regeneration entry point.
+"""Golden-output case table for the CLI, the invalid corpus's expected
+locations, and the golden regeneration entry point.
 
 Regenerate after an intentional output change with:
 
@@ -15,6 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+INVALID_DIR = Path(__file__).resolve().parent / "data" / "invalid"
 
 # (golden file name, scenario file relative to the repository root, CLI
 # arguments)
@@ -42,6 +44,37 @@ for fmt in ("table", "json", "csv"):
          "tests/data/invalid/escaped_messages.json",
          ["validate", "--format", fmt]),
     ]
+
+
+# the location of one error that each file of the invalid corpus must
+# report, through the parser and through the CLI; every file in INVALID_DIR
+# has an entry
+EXPECTED_LOCATIONS = {
+    "syntax_error.json": "$",
+    "empty_universe.json": "universe",
+    "duplicate_objective.json": "universe[2]",
+    "unknown_objective_offer.json": "alternatives[0].offers[1]",
+    "escaped_messages.json": "alternatives[0].offers[1]",
+    "unknown_objective_membership.json": "individuals[0].membership.zz",
+    "membership_out_of_range.json": "individuals[0].membership.a",
+    "empty_offers.json": "alternatives[0].offers",
+    "empty_support.json": "individuals[0].membership",
+    "duplicate_alternative_id.json": "alternatives[1].id",
+    "duplicate_individual_id.json": "individuals[1].id",
+    "membership_and_requires.json": "individuals[0]",
+    "token_whitespace.json": "universe[1]",
+    "token_control_character.json": "alternatives[1].id",
+    "control_characters_in_keys.json": "individuals[0].membership.\\x1b[2J",
+    "deeply_nested.json": "$",
+    "huge_exponent.json": "$",
+    "huge_integer.json": "$",
+    "huge_value_echo.json": "individuals[0].membership.a",
+    "tiny_exponent.json": "$",
+    "weight_just_above_one.json": "individuals[0].membership.a",
+    "weight_just_below_zero.json": "individuals[0].membership.a",
+    "weight_tiny_negative.json": "individuals[0].membership.a",
+    "weight_long_tiny_negative.json": "individuals[0].membership.a",
+}
 
 
 def run_cli(scenario: str, args: list[str]) -> bytes:

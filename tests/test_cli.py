@@ -1,44 +1,16 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from setchoice.cli import build_parser, main
 from setchoice.evaluation import AGGREGATORS
 
-from _golden import CASES, GOLDEN_DIR, ROOT, run_cli
+from _golden import (CASES, EXPECTED_LOCATIONS, GOLDEN_DIR, INVALID_DIR, ROOT,
+                     run_cli)
 
-INVALID_DIR = Path(__file__).resolve().parent / "data" / "invalid"
 SCENARIOS = ROOT / "scenarios"
-
-# same locations the parser-level tests pin down, but observed end to end
-EXPECTED_LOCATIONS = {
-    "syntax_error.json": "$",
-    "empty_universe.json": "universe",
-    "duplicate_objective.json": "universe[2]",
-    "unknown_objective_offer.json": "alternatives[0].offers[1]",
-    "unknown_objective_membership.json": "individuals[0].membership.zz",
-    "membership_out_of_range.json": "individuals[0].membership.a",
-    "empty_offers.json": "alternatives[0].offers",
-    "empty_support.json": "individuals[0].membership",
-    "duplicate_alternative_id.json": "alternatives[1].id",
-    "duplicate_individual_id.json": "individuals[1].id",
-    "membership_and_requires.json": "individuals[0]",
-    "token_whitespace.json": "universe[1]",
-    "token_control_character.json": "alternatives[1].id",
-    "control_characters_in_keys.json": "individuals[0].membership.\\x1b[2J",
-    "deeply_nested.json": "$",
-    "huge_exponent.json": "$",
-    "huge_integer.json": "$",
-    "huge_value_echo.json": "individuals[0].membership.a",
-    "tiny_exponent.json": "$",
-    "weight_just_above_one.json": "individuals[0].membership.a",
-    "weight_just_below_zero.json": "individuals[0].membership.a",
-    "weight_tiny_negative.json": "individuals[0].membership.a",
-    "weight_long_tiny_negative.json": "individuals[0].membership.a",
-}
 
 
 def cli(*args: str) -> subprocess.CompletedProcess:

@@ -1,10 +1,10 @@
 import csv
+import gc
 import io
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,10 +52,9 @@ from setchoice.scenario_io import (
 )
 from setchoice.universe import token_bits
 
-from _gen import distinct_weights_document, reference_format_decimal
-
-ROOT = Path(__file__).resolve().parents[1]
-INVALID_DIR = Path(__file__).resolve().parent / "data" / "invalid"
+from _gen import (distinct_weights_document, one_objective_document,
+                  reference_format_decimal)
+from _golden import EXPECTED_LOCATIONS, INVALID_DIR, ROOT
 
 MINIMAL = '{"universe": ["a"], "alternatives": [{"id": "x", "offers": ["a"]}],' \
           ' "individuals": [{"id": "p", "requires": ["a"]}]}'
@@ -262,33 +261,6 @@ class TestParse:
         report = parse_scenario(text)
         assert isinstance(report, ValidationReport)
         assert not report.ok
-
-
-EXPECTED_LOCATIONS = {
-    "syntax_error.json": "$",
-    "empty_universe.json": "universe",
-    "duplicate_objective.json": "universe[2]",
-    "unknown_objective_offer.json": "alternatives[0].offers[1]",
-    "unknown_objective_membership.json": "individuals[0].membership.zz",
-    "membership_out_of_range.json": "individuals[0].membership.a",
-    "empty_offers.json": "alternatives[0].offers",
-    "empty_support.json": "individuals[0].membership",
-    "duplicate_alternative_id.json": "alternatives[1].id",
-    "duplicate_individual_id.json": "individuals[1].id",
-    "membership_and_requires.json": "individuals[0]",
-    "token_whitespace.json": "universe[1]",
-    "token_control_character.json": "alternatives[1].id",
-    "control_characters_in_keys.json": "individuals[0].membership.\\x1b[2J",
-    "deeply_nested.json": "$",
-    "huge_exponent.json": "$",
-    "huge_integer.json": "$",
-    "huge_value_echo.json": "individuals[0].membership.a",
-    "tiny_exponent.json": "$",
-    "weight_just_above_one.json": "individuals[0].membership.a",
-    "weight_just_below_zero.json": "individuals[0].membership.a",
-    "weight_tiny_negative.json": "individuals[0].membership.a",
-    "weight_long_tiny_negative.json": "individuals[0].membership.a",
-}
 
 
 def tall_crisp_document(seed: int, individuals: int = 2000) -> str:
@@ -1093,6 +1065,10 @@ class TestLiteralMemo:
 
 
 class TestInvalidCorpus:
+    def test_every_corpus_file_has_an_expected_location(self):
+        assert sorted(EXPECTED_LOCATIONS) == sorted(
+            path.name for path in INVALID_DIR.glob("*.json"))
+
     @pytest.mark.parametrize("name", sorted(EXPECTED_LOCATIONS))
     def test_error_with_location_and_no_partial_result(self, name):
         report = parse_scenario((INVALID_DIR / name).read_text())
@@ -1119,6 +1095,88 @@ class TestInvalidCorpus:
         first = validate_scenario(text)
         second = validate_scenario(text)
         assert first == second
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the collector back as it was before the test, whatever the
+    test left it as."""
+    enabled = gc.isenabled()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def exit_paths():
+    """One text for each way out of ``_parse``: a valid scenario, a report
+    with findings, and each early return at ``$``."""
+    invalid = {name: (INVALID_DIR / name).read_text()
+               for name in ("empty_offers.json", "syntax_error.json",
+                            "deeply_nested.json")}
+    return {"valid": MINIMAL, "findings": invalid["empty_offers.json"],
+            "byte-order mark": "\ufeff" + MINIMAL,
+            "duplicate key": '{"universe": ["a"], "universe": ["a"]}',
+            "syntax error": invalid["syntax_error.json"],
+            "nested too deeply": invalid["deeply_nested.json"],
+            "not an object": "[]"}
+
+
+@pytest.mark.usefixtures("collector_state")
+class TestCollectorPaused:
+    """``_parse`` pauses the cyclic garbage collector while it builds the
+    document, and leaves it as it found it on every exit."""
+
+    def test_collector_is_off_inside_a_parse(self, monkeypatch):
+        seen = []
+        validate = scenario_io._validate_individuals
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return validate(*args)
+
+        monkeypatch.setattr(scenario_io, "_validate_individuals", recording)
+        gc.enable()
+        assert isinstance(_parse(MINIMAL)[0], Scenario)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("path", sorted(exit_paths()))
+    def test_state_is_restored_on_every_exit(self, path, enabled):
+        (gc.enable if enabled else gc.disable)()
+        scenario, report = _parse(exit_paths()[path])
+        assert (scenario is not None) == (path == "valid")
+        assert report.ok == (path == "valid")
+        assert gc.isenabled() == enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_when_a_pass_raises(self, monkeypatch, enabled):
+        def broken(*args):
+            raise RuntimeError("section pass failed")
+
+        monkeypatch.setattr(scenario_io, "_validate_alternatives", broken)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="section pass failed"):
+            _parse(MINIMAL)
+        assert gc.isenabled() == enabled
+
+    def test_a_parse_makes_no_reference_cycles(self):
+        """Reference counting frees everything a parse leaves behind, so
+        pausing the collector defers no work to a later collection."""
+        texts = [path.read_text(encoding="utf-8") for path in
+                 [*sorted((ROOT / "scenarios").glob("*.json")),
+                  *sorted(INVALID_DIR.glob("*.json"))]]
+        texts += [tall_crisp_document(0), distinct_weights_document(),
+                  one_objective_document(500)]
+        gc.collect()
+        gc.disable()
+        for text in texts:
+            _parse(text)
+            assert gc.collect() == 0, text[:80]
 
 
 def exactly_rounded(num: int, den: int, digits: int) -> str:
