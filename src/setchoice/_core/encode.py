@@ -12,9 +12,9 @@ serve the compiled kernel alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from .._record import Record
 from ..measures import Environment, Society
 from ..universe import Universe, positions
 
@@ -22,8 +22,7 @@ from ..universe import Universe, positions
 INT64_LIMIT = 2 ** 62
 
 
-@dataclass(frozen=True)
-class EncodedScenario:
+class EncodedScenario(Record):
     objective_count: int
     offer_masks: tuple[int, ...]
     support_masks: tuple[int, ...]

@@ -38,7 +38,6 @@ the two are held equal by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -48,6 +47,7 @@ from typing import Callable, Sequence
 
 from . import _core
 from ._core.encode import EncodedScenario
+from ._record import Record
 from .errors import LengthMismatch, MeasureError, ScenarioError
 from .literals import _quoted_id
 from .measures import (
@@ -60,8 +60,7 @@ from .measures import (
 )
 from .universe import Universe, bit_columns, positions
 
-@dataclass(frozen=True, init=False, eq=False)
-class IndividualProfile:
+class IndividualProfile(Record):
     """One individual's utilities: ``nums[m] / den`` for alternative m.
 
     ``den`` is positive.  ``integral`` marks cardinal counts (then ``den``
@@ -116,8 +115,7 @@ class IndividualProfile:
         return hash((self.individual_id, self.values))
 
 
-@dataclass(frozen=True)
-class SocialProfile:
+class SocialProfile(Record):
     """The social utilities: ``nums[m] / den`` for alternative m.
 
     ``den`` is positive; ``values`` are the Fractions, built on first
@@ -162,8 +160,7 @@ def exact_mean(rows: Sequence[Sequence[int]],
     return tuple(t // g for t in totals), count // g
 
 
-@dataclass(frozen=True)
-class Aggregator:
+class Aggregator(Record):
     """A named reduction of N individual utility rows to M social utilities.
 
     ``fn(rows, dens)`` receives integer numerator rows with one positive
@@ -192,8 +189,7 @@ def get_aggregator(name: str | Aggregator) -> Aggregator:
         raise ScenarioError(f"unknown aggregator '{name}' (known: {known})") from None
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class EvaluationProcess:
+class EvaluationProcess(Record):
     """Environment, society, one profile per individual, and aggregator,
     under one measure.
 
@@ -201,7 +197,7 @@ class EvaluationProcess:
     measure)`` checks hand-made profiles against the society and the
     environment; its ``encoding`` is None.  ``build_process`` keeps the
     kernel ``encoding`` instead, and ``profiles`` are computed from it on
-    first read.
+    first read.  Processes compare and hash by identity.
     """
 
     environment: Environment
@@ -209,6 +205,9 @@ class EvaluationProcess:
     aggregator: Aggregator
     measure: UtilityMeasure
     encoding: EncodedScenario | None
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, environment: Environment, society: Society,
                  profiles: Sequence[IndividualProfile], aggregator: Aggregator,
@@ -251,14 +250,19 @@ class EvaluationProcess:
             for individual_id, num_row, den in zip(self.society.ids, nums, dens))
 
 
-@dataclass(frozen=True)
-class RankingTier:
+class RankingTier(Record):
     value: Fraction
     ids: tuple[str, ...]
 
+    def __init__(self, value: Fraction, ids: tuple[str, ...]):
+        # one per tier, up to one per alternative: a plain signature builds
+        # a tier in less than half the time of the generic record init
+        items = self.__dict__
+        items["value"] = value
+        items["ids"] = ids
 
-@dataclass(frozen=True)
-class Ranking:
+
+class Ranking(Record):
     tiers: tuple[RankingTier, ...]
 
     def __iter__(self):
@@ -359,9 +363,10 @@ def _mean_row(measure: UtilityMeasure,
     row of weights W, over ``L * N``, in lowest terms."""
     weights, common = _pseudo_weights(measure, enc)
     support = tuple(filter(None, weights))
-    pseudo = replace(enc, support_masks=(sum(
-        1 << p for p, weight in enumerate(weights) if weight),),
-        support_weights=(support,), totals=(sum(support),))
+    pseudo = EncodedScenario(
+        enc.objective_count, enc.offer_masks,
+        (sum(1 << p for p, weight in enumerate(weights) if weight),),
+        (support,), (sum(support),))
     (nums,), _ = _core.utility_matrix(pseudo, "fuzzy")
     count = common * enc.individual_count
     g = gcd(count, *nums)

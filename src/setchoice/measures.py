@@ -34,7 +34,6 @@ scenario holds no ``Individual`` or ``Alternative`` until
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -43,6 +42,7 @@ from math import lcm
 from operator import attrgetter, floordiv, is_, mul
 from typing import Iterable, Mapping
 
+from ._record import Record
 from .errors import (
     EmptyIndividual,
     NonCrispIndividual,
@@ -87,8 +87,7 @@ def to_fraction(value: object, where: str = "membership value") -> Fraction:
             f"{where} must be a number, got {_quoted(value)}") from None
 
 
-@dataclass(frozen=True)
-class Alternative:
+class Alternative(Record):
     """An alternative, identified by name, offering a non-empty set of
     objectives."""
 
@@ -248,8 +247,7 @@ def _shared_universe(items, what: str) -> Universe:
     return universe
 
 
-@dataclass(frozen=True, init=False)
-class Environment:
+class Environment(Record):
     """The non-empty, ordered collection of alternatives under evaluation,
     held as columns: alternative m is ``ids[m]``, offering the objectives
     of the position mask ``masks[m]`` over ``universe``.
@@ -302,8 +300,7 @@ class Environment:
         return iter(self.alternatives)
 
 
-@dataclass(frozen=True, init=False)
-class Society:
+class Society(Record):
     """The non-empty, ordered collection of individuals doing the judging,
     held as columns: individual i is ``ids[i]``, with the support mask
     ``masks[i]`` over ``universe`` and one integer weight per support bit,

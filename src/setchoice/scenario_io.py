@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
@@ -65,6 +64,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from math import lcm
 from operator import itemgetter
 
+from ._record import Record
 from .errors import ScenarioError
 from .evaluation import (
     EvaluationProcess,
@@ -107,15 +107,13 @@ _JSON_KINDS = {bool: "boolean", int: "number", Decimal: "number",
                type(None): "null"}
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     severity: str
     location: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     findings: tuple[Finding, ...]
 
     @property
@@ -131,8 +129,7 @@ class ValidationReport:
         return not self.errors
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     universe: Universe
     environment: Environment
     society: Society
@@ -637,8 +634,14 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
 
 
 def format_decimal(value, digits: int = DEFAULT_PRECISION) -> str:
-    """Exact fixed-point rendering of a rational (round half to even)."""
-    f = Fraction(value)
+    """Exact fixed-point rendering of a rational (round half to even).
+
+    A float is read as the decimal literal it prints as (``2.675`` means
+    2675/1000, not its binary expansion), as ``measures.to_fraction``
+    reads it; a bool is not a number."""
+    if isinstance(value, bool):
+        raise TypeError("decimal values are numbers")
+    f = Fraction(repr(value) if isinstance(value, float) else value)
     return format_ratio(f.numerator, f.denominator, digits)
 
 
@@ -662,8 +665,7 @@ def _profile_cells(profile: IndividualProfile, precision: int) -> list[str]:
 # pipeline
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(Record):
     scenario: Scenario
     measure: UtilityMeasure
     aggregator: str

@@ -12,11 +12,11 @@ so output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import ScenarioError
 from .literals import _quoted
 
@@ -73,16 +73,15 @@ def bit_columns(masks: Sequence[int], size: int, width: int) -> list[int]:
     return columns
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Record):
     """The declared objectives of a scenario, in canonical order."""
 
     objectives: tuple[str, ...]
-    _bits: dict[str, int] = field(init=False, repr=False, compare=False)
+    _bits: dict[str, int]
 
     def __post_init__(self):
         if not isinstance(self.objectives, tuple):
-            object.__setattr__(self, "objectives", tuple(self.objectives))
+            self.__dict__["objectives"] = tuple(self.objectives)
         if not self.objectives:
             raise ScenarioError("universe must declare at least one objective")
         seen: set[str] = set()
@@ -91,7 +90,7 @@ class Universe:
                 raise ScenarioError(
                     f"duplicate objective {_quoted(token)} in universe")
             seen.add(token)
-        object.__setattr__(self, "_bits", token_bits(self.objectives))
+        self.__dict__["_bits"] = token_bits(self.objectives)
 
     @property
     def size(self) -> int:
@@ -130,8 +129,7 @@ class Universe:
         return ObjectiveSet(self, (1 << self.size) - 1)
 
 
-@dataclass(frozen=True)
-class ObjectiveSet:
+class ObjectiveSet(Record):
     """A subset of one universe's objectives: bit p of ``mask`` stands for
     ``universe.objectives[p]``."""
 
@@ -140,7 +138,8 @@ class ObjectiveSet:
 
     def __post_init__(self):
         mask = self.mask
-        if not isinstance(mask, int) or mask < 0 or mask >> self.universe.size:
+        if (not isinstance(mask, int) or isinstance(mask, bool) or mask < 0
+                or mask >> self.universe.size):
             raise ScenarioError(f"objective set mask must be an int with bits "
                                 f"below {self.universe.size}, got {mask!r}")
 
@@ -183,8 +182,7 @@ class ObjectiveSet:
         return not self.mask & ~other.mask
 
 
-@dataclass(frozen=True)
-class UniversePartition:
+class UniversePartition(Record):
     """The three disjoint regions the offered and requested objectives
     split into: offered-but-not-requested, requested-but-not-offered, and
     the overlap where supply meets demand."""

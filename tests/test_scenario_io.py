@@ -3,7 +3,6 @@ import gc
 import io
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,7 @@ from setchoice import (
     Alternative,
     Environment,
     Individual,
+    PipelineResult,
     Ranking,
     RankingTier,
     Scenario,
@@ -1201,9 +1201,24 @@ class TestNumberFormatting:
         (Fraction(7, 2), 0, "4"),
         (Fraction(125, 1000), 2, "0.12"),
         (Fraction(375, 1000), 2, "0.38"),
+        # a float is the decimal literal it prints as, as in to_fraction
+        (2.675, 2, "2.68"),
+        (0.125, 2, "0.12"),
+        (1.015, 2, "1.02"),
+        (0.1, 20, "0.10000000000000000000"),
+        (-0.5, 0, "0"),
+        (1e-7, 8, "0.00000010"),
+        (3, 2, "3.00"),
     ])
     def test_format_decimal(self, value, digits, expected):
         assert format_decimal(value, digits) == expected
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_format_decimal_rejects_booleans(self, value):
+        with pytest.raises(TypeError):
+            format_decimal(value)
+        with pytest.raises(TypeError):
+            format_utility(value)
 
     @settings(max_examples=400, deadline=None)
     @given(num=st.integers(-10 ** 40, 10 ** 40), den=st.integers(1, 10 ** 30),
@@ -1396,8 +1411,12 @@ class TestWritersMatchLibraryOracles:
                             Society((Individual.crisp("p", u, ["a"]),)))
         result = compute_pipeline(scenario, UtilityMeasure.NORMALIZED)
         values = [Fraction(5, 3), Fraction(1, 2), Fraction(1, 7), Fraction(0)]
-        result = replace(result, ranking=Ranking(tuple(
-            RankingTier(value, (f"t{i}",)) for i, value in enumerate(values))))
+        result = PipelineResult(
+            result.scenario, result.measure, result.aggregator,
+            result.opportunity, result.exigence, result.partition,
+            result.process, result.social, Ranking(tuple(
+                RankingTier(value, (f"t{i}",))
+                for i, value in enumerate(values))))
         assert [tier["utility"] for tier in _ranking_section(result, 4)] == [
             "1.6667", "0.5000", "0.1429", "0.0000"]
 

@@ -126,6 +126,12 @@ class TestObjectiveSet:
         assert (x - y).ordered() == ("a",)
         assert u.subset(["a"]) <= x
 
+    @pytest.mark.parametrize("mask", [True, False, -1, 4, 1.0, "1", None])
+    def test_mask_must_be_an_int_within_the_universe(self, mask):
+        # a boolean is not a number, as in the scenario files
+        with pytest.raises(ScenarioError, match="mask must be an int"):
+            ObjectiveSet(Universe(("a", "b")), mask)
+
 
 @st.composite
 def two_subsets(draw):
