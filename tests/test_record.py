@@ -247,10 +247,11 @@ class TestCachedProperties:
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_numpy():
-    # a fresh interpreter without site, so only setchoice's imports count
+    # a fresh interpreter without site, so only setchoice's imports count,
+    # that writes no bytecode into the source tree
     src = str(Path(setchoice.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import setchoice.cli; "
             "print(*sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-S", "-E", "-c", code, src],
+    done = subprocess.run([sys.executable, "-S", "-E", "-B", "-c", code, src],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.split() == []
