@@ -12,21 +12,29 @@ field per alternative, so ``sum(w * cols[p])`` over a support holds, in
 field m, the weight on alternative m's offer.  Fields are 16, 32 or 64
 bits, for the largest row total, which no cell exceeds.  A row over 64
 bits is summed in limbs of ``64 - R.bit_length()`` bits, R of which stay
-below 2**64, and recombined by shifts.
+below 2**64, and recombined by shifts, when it needs at most
+``_LIMB_PASSES`` limbs.  A wider row, such as the social mean's
+pseudo-individual row, is summed per offer instead: its weights spread
+over the R positions, and each offer's cell is one ``sum(compress(...))``
+of them under the offer's 0/1 position bytes, built once per call.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import compress
 from operator import mul
 
-from ..universe import bit_columns, positions
+from ..universe import bit_columns, position_bytes, positions
 from .encode import EncodedScenario
 
 MEASURE_CODES = {"cardinal": 0, "normalized": 1, "fuzzy": 2}
 
 # struct codes of the field widths in bits, standard sizes under "<"
 _FIELD_CODES = {16: "H", 32: "I", 64: "Q"}
+
+# the most limbs a wide row is summed in; a wider row is summed per offer
+_LIMB_PASSES = 3
 
 
 def utility_matrix(enc: EncodedScenario,
@@ -51,22 +59,36 @@ def _field_width(largest: int) -> int:
 def _fuzzy_matrix(enc: EncodedScenario) -> list[list[int]]:
     count = enc.alternative_count
     width = _field_width(max(enc.totals, default=0))
-    cols = bit_columns(enc.offer_masks, enc.objective_count, width)
-    size = count * width // 8
-    unpack = struct.Struct(f"<{count}{_FIELD_CODES[width]}").unpack
     limb = 64 - enc.objective_count.bit_length()
     low = (1 << limb) - 1
+    widest_limbed = _LIMB_PASSES * limb
+    # the packed columns serve the rows summed in fields alone
+    cols = (bit_columns(enc.offer_masks, enc.objective_count, width)
+            if min(enc.totals, default=0).bit_length() <= widest_limbed
+            else [])
+    size = count * width // 8
+    unpack = struct.Struct(f"<{count}{_FIELD_CODES[width]}").unpack
+    offer_bytes = None
     nums = []
     for mask, weights, total in zip(enc.support_masks, enc.support_weights,
                                     enc.totals):
-        if total.bit_length() <= 64:
+        bits = total.bit_length()
+        if bits <= 64:
             packed = sum(map(mul, map(cols.__getitem__, positions(mask)),
                              weights))
             nums.append(list(unpack(packed.to_bytes(size, "little"))))
             continue
+        if bits > widest_limbed:
+            if offer_bytes is None:
+                offer_bytes = list(map(position_bytes, enc.offer_masks))
+            dense = [0] * enc.objective_count
+            for p, weight in zip(positions(mask), weights):
+                dense[p] = weight
+            nums.append([sum(compress(dense, offer)) for offer in offer_bytes])
+            continue
         support = list(map(cols.__getitem__, positions(mask)))
         row = [0] * count
-        for shift in reversed(range(0, total.bit_length(), limb)):
+        for shift in reversed(range(0, bits, limb)):
             packed = sum(map(mul, support,
                              [(weight >> shift) & low for weight in weights]))
             row = [(num << limb) + part for num, part

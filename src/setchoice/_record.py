@@ -12,7 +12,9 @@ a record class generates and compiles no code.
 A subclass may define ``__init__``, ``__eq__`` or ``__hash__`` of its own;
 such an ``__init__`` fills ``self.__dict__`` directly.  A
 ``functools.cached_property`` writes to the instance dict as well, so it
-works on a record.
+works on a record.  Equality, hash and repr read each field as an
+attribute, so a field may be such a property, built on first read when an
+instance's dict lacks it.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class Record:
                 for field in fields]
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple([getattr(self, field) for field in self._fields])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -84,7 +86,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        items = self.__dict__
         return (f"{self.__class__.__qualname__}("
-                + ", ".join(f"{field}={items[field]!r}" for field in self._fields)
+                + ", ".join(f"{field}={getattr(self, field)!r}"
+                            for field in self._fields)
                 + ")")

@@ -30,8 +30,9 @@ processes and other aggregators take ``fn(rows, dens)`` over every row,
 with ``exact_mean`` as the mean's definition.
 
 A ``Fraction`` is built only for a profile's or the social profile's
-``values`` when a caller reads them, and once per ranking tier; ranking
-groups equal numerators.  The per-pair functions in
+``values``, or a ranking tier's ``value``, when a caller reads them:
+ranking groups equal numerators, and each tier keeps its social numerator
+over the profile's one denominator.  The per-pair functions in
 :mod:`setchoice.measures` are the semantic reference for the kernel, and
 the two are held equal by the test suite.
 """
@@ -251,6 +252,14 @@ class EvaluationProcess(Record):
 
 
 class RankingTier(Record):
+    """The alternatives ``ids`` that share the social utility ``value``.
+
+    ``RankingTier(value, ids)`` stores ``value``.  ``rank`` builds each
+    tier from its social numerator over the profile's one denominator, and
+    ``value``, a ``Fraction``, is built on first read.  Either way a tier
+    compares, hashes and prints by ``value``.
+    """
+
     value: Fraction
     ids: tuple[str, ...]
 
@@ -260,6 +269,29 @@ class RankingTier(Record):
         items = self.__dict__
         items["value"] = value
         items["ids"] = ids
+
+    @classmethod
+    def _from_ratio(cls, num: int, den: int,
+                    ids: tuple[str, ...]) -> "RankingTier":
+        """The tier of the utility ``num / den`` (``den > 0``); ``value``
+        stays unbuilt."""
+        tier = cls.__new__(cls)
+        items = tier.__dict__
+        items["_ratio"] = (num, den)
+        items["ids"] = ids
+        return tier
+
+    # Neither property is a field default: the own ``__init__`` takes both
+    # fields, and an instance's dict entry comes before either property.
+    @cached_property
+    def value(self) -> Fraction:
+        return Fraction(*self._ratio)
+
+    @cached_property
+    def _ratio(self) -> tuple[int, int]:
+        """``value`` as ``(numerator, positive denominator)``, not always
+        in lowest terms; ``rank`` stores it."""
+        return self.value.as_integer_ratio()
 
 
 class Ranking(Record):
@@ -429,6 +461,7 @@ def rank(profile: SocialProfile, environment: Environment) -> Ranking:
             f"social profile has {len(profile)} values for "
             f"{environment.size} alternatives")
     ordered = sorted(zip([-num for num in profile.nums], environment.ids))
+    den = profile.den
     return Ranking(tuple(
-        RankingTier(Fraction(-neg, profile.den), tuple(i for _, i in tier))
+        RankingTier._from_ratio(-neg, den, tuple(i for _, i in tier))
         for neg, tier in groupby(ordered, key=itemgetter(0))))

@@ -4,8 +4,8 @@ Objectives are interned symbolic tokens. A :class:`Universe` fixes the
 declared objectives and their canonical order; every other set in a
 scenario is a subset of one universe, stored as a bitmask over universe
 positions: bit p stands for ``universe.objectives[p]``.  Which token maps
-to which bit is decided here alone (:func:`token_bits`, :func:`positions`,
-:func:`bit_columns`).  Set algebra is integer ``&``, ``|`` and ``& ~``;
+to which bit is decided here alone (:func:`token_bits`,
+:func:`position_bytes`, :func:`positions`, :func:`bit_columns`).  Set algebra is integer ``&``, ``|`` and ``& ~``;
 tokens are built only when a set is read, in universe declaration order,
 so output is deterministic.
 """
@@ -13,6 +13,7 @@ so output is deterministic.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress, count
 from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -51,9 +52,19 @@ def token_bits(tokens: Iterable[str]) -> dict[str, int]:
     return {token: 1 << p for p, token in enumerate(tokens)}
 
 
+# the binary digits "0" and "1" as the bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def position_bytes(mask: int) -> bytes:
+    """One byte per position of ``mask`` up to its highest set bit: byte p
+    is 1 when bit p is set, else 0 (a selector for ``itertools.compress``)."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
+
+
 def positions(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, ascending."""
-    return [p for p, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    return list(compress(count(), position_bytes(mask)))
 
 
 def bit_columns(masks: Sequence[int], size: int, width: int) -> list[int]:
@@ -80,6 +91,9 @@ class Universe(Record):
     _bits: dict[str, int]
 
     def __post_init__(self):
+        if isinstance(self.objectives, str):
+            raise ScenarioError("universe objectives must be a list of "
+                                "names, not one string")
         if not isinstance(self.objectives, tuple):
             self.__dict__["objectives"] = tuple(self.objectives)
         if not self.objectives:

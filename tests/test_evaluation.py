@@ -37,6 +37,7 @@ from setchoice._core import encode
 from setchoice.evaluation import _pseudo_weights, _shares_two, exact_mean
 from setchoice.scenario_io import render_ranking, render_report
 
+from _golden import GOLDEN_DIR, ROOT
 from _gen import (
     DENOMS,
     one_objective_document,
@@ -620,6 +621,24 @@ class TestRank:
         env = Environment((Alternative("a1", greek.subset(["alpha"])),))
         with pytest.raises(LengthMismatch):
             rank(make_social([Fraction(1), Fraction(0)]), env)
+
+    @pytest.mark.parametrize("output_format", ("table", "json", "csv"))
+    def test_ranks_and_renders_without_a_fraction(self, monkeypatch,
+                                                  output_format):
+        def refuse(*args):
+            raise AssertionError("a Fraction was built")
+
+        scenario = parse_scenario(
+            (ROOT / "scenarios" / "weighted_split.json").read_text())
+        monkeypatch.setattr(evaluation, "Fraction", refuse)
+        result = compute_pipeline(scenario, "fuzzy")
+        expected = GOLDEN_DIR / f"weighted_split.rank.fuzzy.{output_format}.txt"
+        assert render_ranking(result, output_format).encode() == (
+            expected.read_bytes())
+        monkeypatch.undo()
+        social = result.social
+        assert [tier.value for tier in result.ranking] == sorted(
+            set(social.values), reverse=True)
 
     def test_exact_values_never_group_approximately(self, greek):
         env = Environment((Alternative("a1", greek.subset(["alpha"])),

@@ -3,6 +3,7 @@ per-pair reference functions must agree exactly."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,10 @@ from setchoice import (
     Individual,
     Society,
     Universe,
+    build_process,
+    evaluate,
     individual_profile,
+    parse_scenario,
 )
 from setchoice._core import (
     HAVE_FAST,
@@ -23,9 +27,11 @@ from setchoice._core import (
     utility_matrix,
 )
 from setchoice._core.encode import INT64_LIMIT
+from setchoice.evaluation import exact_mean
 
 from _gen import (
     DENOMS,
+    distinct_weights_document,
     random_environment,
     random_scenario_parts,
     random_society,
@@ -151,9 +157,11 @@ class TestKernelAgreement:
 
     def test_one_call_mixes_narrow_and_wide_rows(self):
         # universes of 65-130 objectives, rows of totals up to 2**64 beside
-        # rows beyond it, which are summed in limbs; "full" holds every
-        # objective with all-ones limbs, the largest fields a limb row makes,
-        # and "top" a weight whose top limb is its one top bit
+        # rows summed in two or three limbs and rows wider than that, which
+        # are summed per offer; "full" holds every objective with all-ones
+        # limbs, the largest fields a limb row makes, and each "top" row a
+        # weight whose top limb is its one top bit, or the widest row the
+        # limbs sum, or the narrowest row summed per offer
         rng = random.Random(404)
         for _ in range(10):
             universe = random_universe(rng, max_size=130, min_size=65)
@@ -165,16 +173,21 @@ class TestKernelAgreement:
                     token: Fraction(rng.randrange(1, den), den)
                     for token in rng.sample(universe.objectives,
                                             rng.randint(1, universe.size))}))
+            limb = 64 - universe.size.bit_length()
             individuals.append(Individual("full", universe, dict.fromkeys(
-                universe.objectives, Fraction(2 ** 200 - 1, 2 ** 200))))
-            top = 3 * (64 - universe.size.bit_length())
-            individuals.append(Individual("top", universe, dict(zip(
-                universe.objectives, (Fraction(1, 2), Fraction(1, 3 << top))))))
+                universe.objectives,
+                Fraction(2 ** (2 * limb) - 1, 2 ** (2 * limb)))))
+            passes = kernel_py._LIMB_PASSES
+            for top in ((passes - 1) * limb, passes * limb - 1, passes * limb):
+                individuals.append(Individual(f"top{top}", universe, dict(zip(
+                    universe.objectives,
+                    (Fraction(1, 2), Fraction(1, 3 << top))))))
             rng.shuffle(individuals)
             parts = universe, environment, Society(tuple(individuals))
             enc = encoded(parts)
-            assert {total.bit_length() > 64 for total in enc.totals} == {
-                False, True}
+            forms = {0 if bits <= 64 else 1 if bits <= passes * limb else 2
+                     for bits in map(int.bit_length, enc.totals)}
+            assert forms == {0, 1, 2}
             assert_fuzzy_matches_reference(parts, enc)
 
     @pytest.mark.skipif(not HAVE_FAST, reason="compiled kernel not built")
@@ -218,3 +231,28 @@ class TestKernelAgreement:
         nums, dens = utility_matrix(enc, "fuzzy")
         got = Fraction(nums[0][0], dens[0])
         assert got == individual_profile("fuzzy", env, ind, u).values[0]
+
+
+class TestCountedBounds:
+    def test_wide_pseudo_row_takes_no_limb_pass(self, monkeypatch):
+        # 200 individuals with distinct 300-digit weight totals make the
+        # social mean's pseudo row about 198,000 bits wide: summed in limbs,
+        # it would take one unpack per limb, over 3,000 of them; summed per
+        # offer, it takes none
+        scenario = parse_scenario(distinct_weights_document(200, 8, 300))
+        u, env, soc = scenario.universe, scenario.environment, scenario.society
+        unpacks, real = [], kernel_py.struct.Struct
+
+        def counting_struct(fmt):
+            unpack = real(fmt).unpack
+            return SimpleNamespace(unpack=lambda data: unpacks.append(fmt)
+                                   or unpack(data))
+
+        monkeypatch.setattr(kernel_py, "struct",
+                            SimpleNamespace(Struct=counting_struct))
+        social = evaluate(build_process("fuzzy", "mean", env, soc, u))
+        assert unpacks == []
+        profiles = [individual_profile("fuzzy", env, ind, u)
+                    for ind in soc.individuals]
+        assert (social.nums, social.den) == exact_mean(
+            [p.nums for p in profiles], [p.den for p in profiles])

@@ -32,7 +32,9 @@ from setchoice import (
     ValidationReport,
     build_process,
     compute_pipeline,
+    evaluate,
     partition_universe,
+    rank,
 )
 from setchoice._core.encode import EncodedScenario, encode
 from setchoice._record import Record
@@ -79,6 +81,14 @@ def social_profile():
 
 def ranking_tier():
     return RankingTier(Fraction(1, 2), ("x",))
+
+
+def ranked_tiers():
+    """The tiers ``rank`` builds over ``parts()`` under ``fuzzy``: ``y`` at
+    6/6 and ``x`` at 5/6, each over the social denominator 6."""
+    u, env, soc = parts()
+    return rank(evaluate(build_process("fuzzy", "mean", env, soc, u)),
+                env).tiers
 
 
 def scenario():
@@ -227,6 +237,23 @@ class TestConstruction:
         assert pickle.loads(pickle.dumps(u))._bits == u._bits
 
 
+class TestRankedTiers:
+    @pytest.mark.parametrize("k,value,ratio", [(0, Fraction(1), (6, 6)),
+                                               (1, Fraction(5, 6), (5, 6))])
+    def test_compare_hash_print_and_round_trip_as_built_from_a_value(
+            self, k, value, ratio):
+        made, unread = ranked_tiers()[k], ranked_tiers()[k]
+        public = RankingTier(value, made.ids)
+        assert "value" not in made.__dict__ and made._ratio == ratio
+        assert made == public and public == made
+        assert hash(made) == hash(public)
+        assert repr(made) == repr(public)
+        pickled, copied = pickle.loads(pickle.dumps(unread)), copy.copy(unread)
+        for twin in (pickled, copied):
+            assert type(twin) is RankingTier and repr(twin) == repr(public)
+            assert twin == public and hash(twin) == hash(public)
+
+
 class TestCachedProperties:
     def test_each_fills_on_first_read(self):
         u, env, soc = parts()
@@ -238,6 +265,7 @@ class TestCachedProperties:
             (social_profile(), "values"),
             (encode(u, env, soc), "weights"),
             (process(), "profiles"),
+            (ranked_tiers()[1], "value"),
         ]
         for record, name in lazy:
             assert name not in record.__dict__

@@ -16,7 +16,8 @@ from setchoice import (
     opportunity_universe,
     partition_universe,
 )
-from setchoice.universe import bit_columns, check_token
+from setchoice.universe import (bit_columns, check_token, position_bytes,
+                                positions)
 
 from _gen import (
     oracle_difference,
@@ -57,6 +58,14 @@ class TestUniverse:
         assert u.objectives == ("gamma", "alpha")
         assert isinstance(u.objectives, tuple)
         assert u == Universe(("gamma", "alpha"))
+
+    def test_rejects_a_bare_string(self):
+        # a string is iterable, but its characters are not its objectives
+        with pytest.raises(ScenarioError) as raised:
+            Universe("abc")
+        assert str(raised.value) == ("universe objectives must be a list of "
+                                     "names, not one string")
+        assert Universe(["a", "b"]).objectives == ("a", "b")
 
     def test_rejects_duplicates(self):
         with pytest.raises(ScenarioError, match="duplicate objective"):
@@ -199,6 +208,20 @@ class TestBitColumns:
         for p, column in enumerate(columns):
             assert column == sum(((mask >> p) & 1) << (i * width)
                                  for i, mask in enumerate(masks))
+
+
+class TestPositions:
+    """``position_bytes`` and ``positions`` agree with a per-bit oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mask=st.one_of(st.just(0), st.just(ALL_200),
+                          st.integers(0, ALL_200),
+                          st.integers(0, 199).map(lambda p: 1 << p)))
+    def test_match_a_per_bit_oracle(self, mask):
+        selector = position_bytes(mask)
+        assert len(selector) == max(mask.bit_length(), 1)
+        assert list(selector) == [(mask >> p) & 1 for p in range(len(selector))]
+        assert positions(mask) == [p for p in range(200) if mask >> p & 1]
 
 
 class TestOpportunityUniverse:
