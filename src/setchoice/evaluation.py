@@ -264,8 +264,8 @@ class RankingTier(Record):
     ids: tuple[str, ...]
 
     def __init__(self, value: Fraction, ids: tuple[str, ...]):
-        # one per tier, up to one per alternative: a plain signature builds
-        # a tier in less than half the time of the generic record init
+        # not the generic record init, which would take the ``value``
+        # property below for the field's default
         items = self.__dict__
         items["value"] = value
         items["ids"] = ids
@@ -281,8 +281,8 @@ class RankingTier(Record):
         items["ids"] = ids
         return tier
 
-    # Neither property is a field default: the own ``__init__`` takes both
-    # fields, and an instance's dict entry comes before either property.
+    # A tier stores ``value`` or ``_ratio``; an instance's dict entry comes
+    # before either property, which builds the other on first read.
     @cached_property
     def value(self) -> Fraction:
         return Fraction(*self._ratio)

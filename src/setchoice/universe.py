@@ -5,9 +5,9 @@ declared objectives and their canonical order; every other set in a
 scenario is a subset of one universe, stored as a bitmask over universe
 positions: bit p stands for ``universe.objectives[p]``.  Which token maps
 to which bit is decided here alone (:func:`token_bits`,
-:func:`position_bytes`, :func:`positions`, :func:`bit_columns`).  Set algebra is integer ``&``, ``|`` and ``& ~``;
-tokens are built only when a set is read, in universe declaration order,
-so output is deterministic.
+:func:`position_bytes`, :func:`positions`, :func:`bit_columns`).  Set
+algebra is integer ``&``, ``|`` and ``& ~``; tokens are built only when a
+set is read, in universe declaration order, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def position_bytes(mask: int) -> bytes:
-    """One byte per position of ``mask`` up to its highest set bit: byte p
-    is 1 when bit p is set, else 0 (a selector for ``itertools.compress``)."""
+    """One byte per position of ``mask`` up to its highest set bit (one
+    byte for 0): byte p is 1 when bit p is set, else 0, a selector for
+    ``itertools.compress``."""
     return bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
 
 
