@@ -59,15 +59,12 @@ def _field_width(largest: int) -> int:
 def _fuzzy_matrix(enc: EncodedScenario) -> list[list[int]]:
     count = enc.alternative_count
     width = _field_width(max(enc.totals, default=0))
+    cols = bit_columns(enc.offer_masks, enc.objective_count, width)
+    size = count * width // 8
+    unpack = struct.Struct(f"<{count}{_FIELD_CODES[width]}").unpack
     limb = 64 - enc.objective_count.bit_length()
     low = (1 << limb) - 1
     widest_limbed = _LIMB_PASSES * limb
-    # the packed columns serve the rows summed in fields alone
-    cols = (bit_columns(enc.offer_masks, enc.objective_count, width)
-            if min(enc.totals, default=0).bit_length() <= widest_limbed
-            else [])
-    size = count * width // 8
-    unpack = struct.Struct(f"<{count}{_FIELD_CODES[width]}").unpack
     offer_bytes = None
     nums = []
     for mask, weights, total in zip(enc.support_masks, enc.support_weights,

@@ -860,19 +860,12 @@ def _profiles_lines(section, alt_ids) -> list[str]:
 
 def _ranking_section(result: PipelineResult, precision: int):
     """The tiers of ``result.ranking``: their utilities are formatted in
-    one ``format_ratios`` call, over the tiers' one denominator when they
-    share it (as the tiers ``rank`` builds do), else over the lcm of their
-    denominators."""
+    one ``format_ratios`` call over the lcm of their denominators."""
     tiers = result.ranking.tiers
     ratios = [tier._ratio for tier in tiers]
-    dens = {d for _, d in ratios}
-    if len(dens) == 1:
-        den = dens.pop()
-        nums = [n for n, _ in ratios]
-    else:
-        den = lcm(*dens)
-        nums = [n * (den // d) for n, d in ratios]
-    utilities = format_ratios(nums, den, precision)
+    den = lcm(*{d for _, d in ratios})
+    utilities = format_ratios([n * (den // d) for n, d in ratios], den,
+                              precision)
     return [{"tier": i, "utility": utility, "alternatives": list(tier.ids)}
             for i, (tier, utility) in enumerate(zip(tiers, utilities),
                                                 start=1)]

@@ -159,9 +159,11 @@ class TestKernelAgreement:
         # universes of 65-130 objectives, rows of totals up to 2**64 beside
         # rows summed in two or three limbs and rows wider than that, which
         # are summed per offer; "full" holds every objective with all-ones
-        # limbs, the largest fields a limb row makes, and each "top" row a
-        # weight whose top limb is its one top bit, or the widest row the
-        # limbs sum, or the narrowest row summed per offer
+        # limbs, the largest fields a limb row makes, and each "top" row,
+        # of total (3 << top - 1) + 1, is the widest row packed in 64-bit
+        # fields, the narrowest row summed in limbs, a row whose top limb
+        # is its one top bit, the widest row the limbs sum, or the
+        # narrowest row summed per offer
         rng = random.Random(404)
         for _ in range(10):
             universe = random_universe(rng, max_size=130, min_size=65)
@@ -178,16 +180,18 @@ class TestKernelAgreement:
                 universe.objectives,
                 Fraction(2 ** (2 * limb) - 1, 2 ** (2 * limb)))))
             passes = kernel_py._LIMB_PASSES
-            for top in ((passes - 1) * limb, passes * limb - 1, passes * limb):
+            for top in (63, 64, (passes - 1) * limb, passes * limb - 1,
+                        passes * limb):
                 individuals.append(Individual(f"top{top}", universe, dict(zip(
                     universe.objectives,
                     (Fraction(1, 2), Fraction(1, 3 << top))))))
             rng.shuffle(individuals)
             parts = universe, environment, Society(tuple(individuals))
             enc = encoded(parts)
-            forms = {0 if bits <= 64 else 1 if bits <= passes * limb else 2
-                     for bits in map(int.bit_length, enc.totals)}
-            assert forms == {0, 1, 2}
+            bits = set(map(int.bit_length, enc.totals))
+            assert {64, 65, passes * limb, passes * limb + 1} <= bits
+            assert {0 if b <= 64 else 1 if b <= passes * limb else 2
+                    for b in bits} == {0, 1, 2}
             assert_fuzzy_matches_reference(parts, enc)
 
     @pytest.mark.skipif(not HAVE_FAST, reason="compiled kernel not built")
