@@ -2,12 +2,18 @@
 
 :class:`Record` is the one base of setchoice's immutable value classes.
 A subclass's fields are its public annotated names, in order, and a class
-attribute of the same name is that field's default.  A record is built
-positionally or by keyword, then checked by the class's ``__post_init__``
-when it has one; it refuses assignment and deletion, compares and hashes
-by its tuple of field values within one class, and prints as
-``Name(field=value, ...)``.  All of it is written once here, so importing
-a record class generates and compiles no code.
+attribute of the same name that is not a descriptor is that field's
+default (so a ``cached_property`` named like a field is no default).  A
+record is built positionally or by keyword, then checked by the class's
+``__post_init__`` when it has one; it refuses assignment and deletion,
+compares and hashes by its tuple of field values within one class, and
+prints as ``Name(field=value, ...)``.  All of it is written once here, so
+importing a record class generates and compiles no code.
+
+``Record._of(*values, **extra)`` is the one unchecked constructor: it
+stores ``values`` in field order and ``extra`` attributes by name, as
+given, with no argument parsing and no ``__post_init__``, for a caller
+that has already checked them (the parser, ``build_process``).
 
 A subclass may define ``__init__``, ``__eq__`` or ``__hash__`` of its own;
 such an ``__init__`` fills ``self.__dict__`` directly.  A
@@ -44,11 +50,21 @@ class Record:
             self.__post_init__()
 
     @classmethod
+    def _of(cls, *values, **extra):
+        """A record of ``values`` in field order and ``extra`` attributes,
+        stored as given: not parsed, not checked."""
+        record = cls.__new__(cls)
+        record.__dict__.update(zip(cls._fields, values), **extra)
+        return record
+
+    @classmethod
     def _arguments(cls, args: tuple, kwargs: dict) -> list:
         """The field values, in field order, of a call with keywords or
         defaults; a missing, unknown or repeated argument raises
         ``TypeError``."""
         name, fields = cls.__qualname__, cls._fields
+        defaults = {field: value for field, value in cls.__dict__.items()
+                    if field in fields and not hasattr(type(value), "__get__")}
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} arguments but "
                             f"{len(args)} were given")
@@ -61,11 +77,11 @@ class Record:
                 raise TypeError(f"{name}() got multiple values for argument {key!r}")
             values[key] = value
         missing = [field for field in fields
-                   if field not in values and field not in cls.__dict__]
+                   if field not in values and field not in defaults]
         if missing:
             raise TypeError(f"{name}() missing required argument(s): "
                             + ", ".join(map(repr, missing)))
-        return [values[field] if field in values else cls.__dict__[field]
+        return [values[field] if field in values else defaults[field]
                 for field in fields]
 
     def _values(self) -> tuple:

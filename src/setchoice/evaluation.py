@@ -90,6 +90,7 @@ class IndividualProfile(Record):
     def from_row(cls, individual_id: str, nums: Sequence[int], den: int,
                  integral: bool) -> "IndividualProfile":
         """A profile straight from a kernel row; ``values`` stays unbuilt."""
+        # not ``_of``: 0.9 against 1.5 us a 400-value profile
         profile = cls.__new__(cls)
         profile.__dict__.update(individual_id=individual_id, nums=tuple(nums),
                                 den=den, integral=integral)
@@ -198,7 +199,8 @@ class EvaluationProcess(Record):
     measure)`` checks hand-made profiles against the society and the
     environment; its ``encoding`` is None.  ``build_process`` keeps the
     kernel ``encoding`` instead, and ``profiles`` are computed from it on
-    first read.  Processes compare and hash by identity.
+    first read.  Processes compare and hash by their fields, as every
+    record does; a hand-made process also compares its profiles.
     """
 
     environment: Environment
@@ -206,9 +208,6 @@ class EvaluationProcess(Record):
     aggregator: Aggregator
     measure: UtilityMeasure
     encoding: EncodedScenario | None
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(self, environment: Environment, society: Society,
                  profiles: Sequence[IndividualProfile], aggregator: Aggregator,
@@ -231,16 +230,11 @@ class EvaluationProcess(Record):
                              aggregator=aggregator, measure=measure,
                              encoding=None, profiles=profiles)
 
-    @classmethod
-    def _from_encoding(cls, environment: Environment, society: Society,
-                       aggregator: Aggregator, measure: UtilityMeasure,
-                       encoding: EncodedScenario) -> "EvaluationProcess":
-        """A process over the society's own encoding; not re-checked."""
-        process = cls.__new__(cls)
-        process.__dict__.update(environment=environment, society=society,
-                                aggregator=aggregator, measure=measure,
-                                encoding=encoding)
-        return process
+    def _values(self) -> tuple:
+        # a kernel-built process's profiles follow from its encoding
+        if self.encoding is None:
+            return super()._values() + (self.profiles,)
+        return super()._values()
 
     @cached_property
     def profiles(self) -> tuple[IndividualProfile, ...]:
@@ -263,18 +257,12 @@ class RankingTier(Record):
     value: Fraction
     ids: tuple[str, ...]
 
-    def __init__(self, value: Fraction, ids: tuple[str, ...]):
-        # not the generic record init, which would take the ``value``
-        # property below for the field's default
-        items = self.__dict__
-        items["value"] = value
-        items["ids"] = ids
-
     @classmethod
     def _from_ratio(cls, num: int, den: int,
                     ids: tuple[str, ...]) -> "RankingTier":
         """The tier of the utility ``num / den`` (``den > 0``); ``value``
         stays unbuilt."""
+        # not ``_of``: 0.6 against 1.5 us a tier (``rank`` of 400: 0.48 / 0.82 ms)
         tier = cls.__new__(cls)
         items = tier.__dict__
         items["_ratio"] = (num, den)
@@ -352,8 +340,8 @@ def build_process(measure: UtilityMeasure | str, aggregator: str | Aggregator,
         raise ScenarioError("environment and society must share the given universe")
     _precheck(measure, society, environment)
     enc = _core.encode(universe, environment, society)
-    return EvaluationProcess._from_encoding(environment, society, aggregator,
-                                            measure, enc)
+    return EvaluationProcess._of(environment, society, aggregator, measure,
+                                 enc)
 
 
 def _pseudo_weights(measure: UtilityMeasure,
@@ -380,7 +368,8 @@ def _pseudo_weights(measure: UtilityMeasure,
         for mask, total in zip(enc.support_masks, enc.totals):
             groups.setdefault(total, []).append(mask)
     common = lcm(*groups)
-    width = 8 * -(-size // 8)
+    # at most 128 bits a field: the columns hold N * R * 128 bits, not N * R^2
+    width = min(8 * -(-size // 8), 128)
     weights = [0] * size
     for total, masks in groups.items():
         counts = map(int.bit_count, bit_columns(masks, size, width))

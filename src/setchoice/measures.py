@@ -27,9 +27,9 @@ as parallel columns (``ids`` and ``masks``, plus the weight rows and
 scales of a society), which the kernel, the universes and the renderers
 read directly.  The checking constructors ``Society(individuals)`` and
 ``Environment(alternatives)`` fill the columns from the objects they
-check; the parser fills them from its checked sections, so a parsed
-scenario holds no ``Individual`` or ``Alternative`` until
-``individuals`` or ``alternatives`` is first read.
+check; the parser stores the columns of its checked sections unchecked
+(``Record._of``), so a parsed scenario holds no ``Individual`` or
+``Alternative`` until ``individuals`` or ``alternatives`` is first read.
 """
 
 from __future__ import annotations
@@ -235,8 +235,8 @@ def _shared_universe(items, what: str) -> Universe:
     """The items' one universe.  Items that hold the first item's universe
     object, as a library caller builds them over one ``Universe``, are
     accepted by one identity pass; otherwise each is compared by value, so
-    an equal universe passes.  The parser fills its columns through
-    ``_from_columns`` and never comes here."""
+    an equal universe passes.  The parser builds its checked columns with
+    ``Record._of`` and never comes here."""
     universe = items[0].universe
     if all(map(is_, map(attrgetter("universe"), items), repeat(universe))):
         return universe
@@ -253,8 +253,8 @@ class Environment(Record):
     of the position mask ``masks[m]`` over ``universe``.
 
     ``Environment(alternatives)`` checks the alternatives and fills the
-    columns; the parser fills them from its checked sections through
-    ``_from_columns``.  Equal columns compare and hash equal, and
+    columns; the parser stores its checked columns with
+    ``Environment._of``.  Equal columns compare and hash equal, and
     ``alternatives`` is built on first read.
     """
 
@@ -273,15 +273,6 @@ class Environment(Record):
             universe=_shared_universe(alternatives, "alternative"), ids=ids,
             masks=tuple(alternative.offers.mask for alternative in alternatives),
             alternatives=alternatives)
-
-    @classmethod
-    def _from_columns(cls, universe: Universe, ids: tuple[str, ...],
-                      masks: tuple[int, ...]) -> "Environment":
-        """An environment of checked, distinct ids, each with a non-empty
-        mask over ``universe``; not re-checked."""
-        environment = cls.__new__(cls)
-        environment.__dict__.update(universe=universe, ids=ids, masks=masks)
-        return environment
 
     @cached_property
     def alternatives(self) -> tuple[Alternative, ...]:
@@ -308,9 +299,9 @@ class Society(Record):
     stores them).
 
     ``Society(individuals)`` checks the individuals and fills the columns;
-    the parser fills them from its checked section through
-    ``_from_columns``.  Equal columns compare and hash equal, and
-    ``individuals`` is built on first read.
+    the parser stores its checked columns with ``Society._of``.  Equal
+    columns compare and hash equal, and ``individuals`` is built on first
+    read.
     """
 
     universe: Universe
@@ -332,18 +323,6 @@ class Society(Record):
             weights=tuple(map(attrgetter("_weights"), individuals)),
             scales=tuple(map(attrgetter("_scale"), individuals)),
             individuals=individuals)
-
-    @classmethod
-    def _from_columns(cls, universe: Universe, ids: tuple[str, ...],
-                      masks: tuple[int, ...],
-                      weights: tuple[tuple[int, ...], ...],
-                      scales: tuple[int, ...]) -> "Society":
-        """A society of checked, distinct ids, each with the ``_scaled``
-        form of its checked weights; not re-checked."""
-        society = cls.__new__(cls)
-        society.__dict__.update(universe=universe, ids=ids, masks=masks,
-                                weights=weights, scales=scales)
-        return society
 
     @cached_property
     def individuals(self) -> tuple[Individual, ...]:

@@ -20,16 +20,18 @@ a weight's range, is read as its exact ``(numerator, denominator)``, and
 any other as an ``int`` or a ``Decimal``, which a finding quotes.
 The parser is the one validator of a file: it reports each rule as a
 located finding and emits each section as columns (ids, masks, and for
-individuals the ``_scaled`` weight rows and scales), from which the
-society and the environment are built without checking them again and
-without an ``Individual`` or ``Alternative`` object.  A valid objective
-list is accepted whole by a few C-level passes, and so is a section of one
-kind of entry: alternatives that are all ``{"id", "offers"}``, or
-individuals that are all ``{"id", "requires"}`` or all ``{"id",
-"membership"}``, with valid ids, lists and memberships whose values are
-all ratios.  A membership with a zero weight is left to the located pass,
-which drops the zero, and so is every section that mixes ``requires`` and
-``membership`` entries.  A section that is refused is tried again in
+individuals the ``_scaled`` weight rows and scales), and stores the
+universe, the society and the environment from its checked columns
+(``Record._of``), without checking them again and without an
+``Individual`` or ``Alternative`` object: each declared objective is
+checked once per parse.  A valid objective list is accepted whole by a
+few C-level passes, and so is a section of one kind of entry:
+alternatives that are all ``{"id", "offers"}``, or individuals that are
+all ``{"id", "requires"}`` or all ``{"id", "membership"}``, with valid
+ids, lists and memberships whose values are all ratios.  A membership
+with a zero weight is left to the located pass, which drops the zero,
+and so is every section that mixes ``requires`` and ``membership``
+entries.  A section that is refused is tried again in
 chunks of ``_CHUNK`` entries, in order: a chunk accepted the same way, with
 ids disjoint from those before it, adds its columns, and only the other
 chunks go through the located pass, the only code that words a finding
@@ -619,10 +621,9 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
         if any(f.severity == ERROR for f in findings):
             return None, ValidationReport(tuple(findings))
 
-        universe = Universe(tuple(declared))
-        scenario = Scenario(universe,
-                            Environment._from_columns(universe, *alternatives),
-                            Society._from_columns(universe, *individuals))
+        universe = Universe._of(tuple(declared), _bits=known)
+        scenario = Scenario(universe, Environment._of(universe, *alternatives),
+                            Society._of(universe, *individuals))
         return scenario, ValidationReport(tuple(findings))
     finally:
         if enabled:

@@ -115,6 +115,33 @@ def distinct_weights_document(individuals: int = 200, objectives: int = 48,
             f'"individuals": [{", ".join(lines)}]}}')
 
 
+def sparse_wide_document(objectives: int, individuals: int,
+                         alternatives: int, weighted: bool = False,
+                         seed: int = 0) -> str:
+    """A scenario file over a wide universe of ``objectives`` objectives in
+    which each individual and each alternative names two of them: the file
+    grows with ``individuals + alternatives``, while the individual x
+    objective matrix grows with ``individuals * objectives``.  An
+    individual ``requires`` its two objectives or, when ``weighted``,
+    weights them by two decimals in (0, 1]."""
+    rng = random.Random(seed)
+    universe = token_pool(objectives)
+
+    def individual(i: int) -> dict:
+        pair = rng.sample(universe, 2)
+        if not weighted:
+            return {"id": f"p{i}", "requires": pair}
+        return {"id": f"p{i}", "membership": {
+            token: float(rng.choice(("0.25", "0.5", "0.75", "1")))
+            for token in pair}}
+
+    return json.dumps({
+        "universe": list(universe),
+        "alternatives": [{"id": f"a{j}", "offers": rng.sample(universe, 2)}
+                         for j in range(alternatives)],
+        "individuals": [individual(i) for i in range(individuals)]})
+
+
 # --- oracles ----------------------------------------------------------------
 
 def oracle_union(token_lists) -> list[str]:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -45,6 +46,7 @@ from _gen import (
     oracle_ranking,
     oracle_shares_two,
     random_scenario_parts,
+    sparse_wide_document,
     token_pool,
 )
 
@@ -458,6 +460,34 @@ class TestPseudoIndividualRow:
         soc = Society(tuple(Individual.crisp(f"p{i}", u, u.objectives[i % 13:])
                             for i in range(40)))
         assert_matches_kernel_mean(measure, u, env, soc)
+
+
+class TestSparseWideScenarios:
+    """The crisp mean's objective columns hold at most 128 bits an
+    individual, so their memory grows with N * R, not N * R^2 (ROADMAP
+    item 15)."""
+
+    @pytest.mark.parametrize("measure", ["cardinal", "normalized"])
+    def test_columns_of_several_fields_give_the_kernel_mean(self, measure):
+        scenario = parse_scenario(sparse_wide_document(300, 60, 4))
+        assert_matches_kernel_mean(measure, scenario.universe,
+                                   scenario.environment, scenario.society)
+
+    @pytest.mark.parametrize("measure", ["cardinal", "normalized"])
+    def test_mean_peak_grows_with_individuals_times_objectives(self, measure):
+        def peak(n):
+            scenario = parse_scenario(sparse_wide_document(n, n, 4))
+            process = build_process(measure, "mean", scenario.environment,
+                                    scenario.society, scenario.universe)
+            tracemalloc.start()
+            try:
+                evaluate(process)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # R = N doubled: N * R grows 4x, N * R^2 8x
+        assert peak(600) < 6 * peak(300)
 
 
 class TestKernelCalls:

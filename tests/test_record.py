@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from setchoice import (
     build_process,
     compute_pipeline,
     evaluate,
+    parse_scenario,
     partition_universe,
     rank,
 )
@@ -146,9 +148,6 @@ RECORDS = [
      "RankingTier(value=Fraction(5, 6), ids=('x',)))))"),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
-#: a process compares by identity, so these compare equal only when they
-#: hold the same process
-HOLD_A_PROCESS = (EvaluationProcess, PipelineResult)
 
 
 def field_values(record):
@@ -180,10 +179,6 @@ class TestRecordContract:
         other = type("Other", (Record,), {"__annotations__": dict.fromkeys(
             cls._fields)})(*field_values(first))
         assert first == first and first != other and other != first
-        if cls is EvaluationProcess:
-            assert first != twin
-            assert hash(first) == object.__hash__(first)
-            return
         assert first == twin and hash(first) == hash(twin)
         if cls is not IndividualProfile:  # equal over other denominators
             assert hash(first) == hash(field_values(first))
@@ -194,10 +189,7 @@ class TestRecordContract:
         pickled, copied = pickle.loads(pickle.dumps(record)), copy.copy(record)
         for twin in (pickled, copied):
             assert type(twin) is cls and repr(twin) == expected
-        if cls is not EvaluationProcess:
-            assert copied == record
-        if cls not in HOLD_A_PROCESS:
-            assert pickled == record
+        assert copied == record and pickled == record
 
 
 class TestConstruction:
@@ -218,11 +210,42 @@ class TestConstruction:
         (Finding, ("error", "$", "m"), {"line": 3}),
         (SocialProfile, ((1,), 2), {"measure": UtilityMeasure.FUZZY}),
         (RankingTier, (Fraction(1, 2),), {}),
+        # the ``value`` property is no default
+        (RankingTier, (), {"ids": ("x",)}),
     ])
     def test_missing_or_extra_arguments_raise_type_error(self, cls, args,
                                                          kwargs):
         with pytest.raises(TypeError, match=cls.__name__):
             cls(*args, **kwargs)
+
+    def test_of_stores_values_and_extras_and_runs_no_post_init(self):
+        class Checked(Record):
+            first: int
+            second: str
+
+            def __post_init__(self):
+                raise AssertionError("__post_init__ ran")
+
+        made = Checked._of(1, "b", _note=3)
+        assert made.__dict__ == {"first": 1, "second": "b", "_note": 3}
+        assert made == Checked._of(1, "b")
+        assert repr(made).endswith("Checked(first=1, second='b')")
+        with pytest.raises(AssertionError, match="__post_init__ ran"):
+            Checked(1, "b")
+
+    def test_a_cached_property_named_like_a_field_is_no_default(self):
+        class Lazy(Record):
+            size: int
+            label: str = "x"
+
+            @cached_property
+            def size(self):
+                raise AssertionError("the property was read")
+
+        with pytest.raises(TypeError, match="'size'"):
+            Lazy(label="y")
+        assert (Lazy(3).size, Lazy(3).label) == (3, "x")
+        assert Lazy(label="y", size=2) == Lazy(2, "y")
 
     def test_post_init_checks_positional_and_keyword_calls(self):
         u = Universe(("a",))
@@ -235,6 +258,36 @@ class TestConstruction:
         assert "_bits" not in repr(u) and u._bits == {"a": 1, "b": 2}
         assert u == pickle.loads(pickle.dumps(u))
         assert pickle.loads(pickle.dumps(u))._bits == u._bits
+
+
+class TestProcessEquality:
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).resolve().parents[1] / "scenarios").glob("*.json")),
+        ids=lambda path: path.stem)
+    def test_pipeline_results_compare_equal_and_survive_pickle(self, path):
+        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        crisp = set(scenario.society.scales) == {1}
+        for measure in UtilityMeasure if crisp else [UtilityMeasure.FUZZY]:
+            first, second = (compute_pipeline(scenario, measure)
+                             for _ in range(2))
+            assert first == second and hash(first) == hash(second)
+            assert first.process is not second.process
+            pickled = pickle.loads(pickle.dumps(first))
+            assert pickled == first and hash(pickled) == hash(first)
+
+    def test_hand_made_processes_compare_their_profiles(self):
+        u, env, soc = parts()
+        mean = Aggregator("mean", exact_mean)
+
+        def made(last):
+            profiles = (IndividualProfile("p", (1, 1)),
+                        IndividualProfile("q", (Fraction(2, 3), last)))
+            return EvaluationProcess(env, soc, profiles, mean,
+                                     UtilityMeasure.FUZZY)
+
+        assert made(Fraction(1)) == made(Fraction(1))
+        assert hash(made(Fraction(1))) == hash(made(Fraction(1)))
+        assert made(Fraction(1)) != made(Fraction(1, 2))
 
 
 class TestRankedTiers:
@@ -258,9 +311,9 @@ class TestCachedProperties:
     def test_each_fills_on_first_read(self):
         u, env, soc = parts()
         lazy = [
-            (Society._from_columns(u, soc.ids, soc.masks, soc.weights,
-                                   soc.scales), "individuals"),
-            (Environment._from_columns(u, env.ids, env.masks), "alternatives"),
+            (Society._of(u, soc.ids, soc.masks, soc.weights, soc.scales),
+             "individuals"),
+            (Environment._of(u, env.ids, env.masks), "alternatives"),
             (IndividualProfile.from_row("p", (1, 2), 2, False), "values"),
             (social_profile(), "values"),
             (encode(u, env, soc), "weights"),

@@ -50,6 +50,7 @@ from setchoice.scenario_io import (
     render_utilities,
     render_validation,
 )
+from setchoice import universe as universe_module
 from setchoice.universe import token_bits
 
 from _gen import (distinct_weights_document, one_objective_document,
@@ -310,6 +311,19 @@ class TestValidateOnce:
                     render_universes(scenario, fmt)
                 ran += 1
         assert ran == 1 + 3 * (len(texts) - 1)
+
+    @pytest.mark.parametrize("name", ["crisp_pair.json", "partial_overlap.json",
+                                      "weighted_split.json"])
+    def test_each_declared_objective_is_checked_once(self, name, monkeypatch):
+        checked = []
+        for module in (scenario_io, universe_module):
+            def counted(token, what="objective name", check=module.check_token):
+                checked.append(token)
+                return check(token, what)
+            monkeypatch.setattr(module, "check_token", counted)
+        scenario = parse_scenario(bundled(name))
+        assert isinstance(scenario, Scenario)
+        assert checked == list(scenario.universe.objectives)
 
     def test_parse_never_runs_the_public_constructor(self, monkeypatch):
         texts = [path.read_text(encoding="utf-8")
