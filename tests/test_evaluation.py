@@ -463,13 +463,15 @@ class TestPseudoIndividualRow:
 
 
 class TestSparseWideScenarios:
-    """The crisp mean's objective columns hold at most 128 bits an
-    individual, so their memory grows with N * R, not N * R^2 (ROADMAP
-    item 15)."""
+    """Wide universes of sparse masks (ROADMAP item 15): the mean still
+    equals the kernel's, and the crisp mean's objective columns hold at
+    most 128 bits an individual, so their memory grows with N * R, not
+    N * R^2."""
 
-    @pytest.mark.parametrize("measure", ["cardinal", "normalized"])
+    @pytest.mark.parametrize("measure", MEASURES)
     def test_columns_of_several_fields_give_the_kernel_mean(self, measure):
-        scenario = parse_scenario(sparse_wide_document(300, 60, 4))
+        scenario = parse_scenario(sparse_wide_document(
+            300, 60, 4, weighted=measure == "fuzzy"))
         assert_matches_kernel_mean(measure, scenario.universe,
                                    scenario.environment, scenario.society)
 
