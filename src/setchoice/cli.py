@@ -1,8 +1,11 @@
 """Command-line driver.
 
-Verbs: validate, universes, utilities, evaluate, rank.  Exit status is 0
-on success, 1 when the input fails validation (or a measure rejects the
-scenario), 2 on usage errors.
+Verbs: validate, universes, utilities, evaluate, rank.  Every verb takes
+``--format``; ``utilities``, ``evaluate`` and ``rank`` take ``--measure``
+and ``--precision``, and ``evaluate`` and ``rank`` ``--aggregator``.  A
+verb is given no option it does not read.  Exit status is 0 on success, 1
+when the input fails validation (or a measure rejects the scenario), 2 on
+usage errors, which argparse words.
 """
 
 from __future__ import annotations
@@ -36,49 +39,43 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 
 
-def _precision(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"precision must be an integer, got {text!r}")
-    if not 0 <= value <= 18:
-        raise argparse.ArgumentTypeError("precision must be between 0 and 18")
-    return value
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
-    unchanged, so every ``main`` call shares it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("file", help="scenario file (JSON)")
-    common.add_argument("--format", choices=FORMATS, default="table",
-                        help="output format (default: table)")
-    common.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION,
-                        help="decimal digits for utilities (default: 6)")
+    unchanged, so every ``main`` call shares it.  Each option is declared
+    once, on the verbs that read it."""
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("file", help="scenario file (JSON)")
+    formatted.add_argument("--format", choices=FORMATS, default="table",
+                           help="output format (default: table)")
 
     measured = argparse.ArgumentParser(add_help=False)
     measured.add_argument("--measure", required=True,
                           choices=[m.value for m in UtilityMeasure],
                           help="utility measure")
-    measured.add_argument("--aggregator", choices=sorted(AGGREGATORS),
-                          default="mean",
-                          help="social aggregator (default: mean)")
+    measured.add_argument("--precision", type=int, choices=range(19),
+                          metavar="N", default=DEFAULT_PRECISION,
+                          help="decimal digits for utilities, 0-18 (default: 6)")
+
+    aggregated = argparse.ArgumentParser(add_help=False)
+    aggregated.add_argument("--aggregator", choices=sorted(AGGREGATORS),
+                            default="mean",
+                            help="social aggregator (default: mean)")
 
     parser = argparse.ArgumentParser(
         prog="setchoice",
         description="Evaluate and rank alternatives offered to a society of "
                     "individuals, all described as sets of shared objectives.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common],
+    sub.add_parser("validate", parents=[formatted],
                    help="check a scenario file and report findings")
-    sub.add_parser("universes", parents=[common],
+    sub.add_parser("universes", parents=[formatted],
                    help="show declared/offered/requested objectives and their partition")
-    sub.add_parser("utilities", parents=[common, measured],
+    sub.add_parser("utilities", parents=[formatted, measured],
                    help="per-individual utilities for every alternative")
-    sub.add_parser("evaluate", parents=[common, measured],
+    sub.add_parser("evaluate", parents=[formatted, measured, aggregated],
                    help="full report: universes, profiles, social profile, ranking")
-    sub.add_parser("rank", parents=[common, measured],
+    sub.add_parser("rank", parents=[formatted, measured, aggregated],
                    help="alternatives by decreasing social utility")
     return parser
 

@@ -219,32 +219,32 @@ class Individual:
         return f"Individual({self.id!r}, {weights})"
 
 
-def _unique_ids(ids: tuple[str, ...], what: str) -> None:
-    """Raise naming the first repeated id; distinct ids are accepted by one
-    C-level set."""
-    if len(set(ids)) == len(ids):
-        return
-    seen = set()
-    for item_id in ids:
-        if item_id in seen:
-            raise ScenarioError(f"duplicate {what} id {_quoted_id(item_id)}")
-        seen.add(item_id)
-
-
-def _shared_universe(items, what: str) -> Universe:
-    """The items' one universe.  Items that hold the first item's universe
-    object, as a library caller builds them over one ``Universe``, are
-    accepted by one identity pass; otherwise each is compared by value, so
-    an equal universe passes.  The parser builds its checked columns with
-    ``Record._of`` and never comes here."""
+def _checked(items: Iterable, owner: str, what: str
+             ) -> tuple[tuple, tuple[str, ...], Universe]:
+    """``(items, ids, universe)`` of a non-empty collection of items with
+    distinct ids over one universe; raise on the first fault, in that
+    order.  Distinct ids are accepted by one C-level set, and items that
+    hold the first item's universe object, as a library caller builds them
+    over one ``Universe``, by one identity pass; otherwise each universe is
+    compared by value, so an equal one passes.  The parser builds its
+    checked columns with ``Record._of`` and never comes here."""
+    items = tuple(items)
+    if not items:
+        raise ScenarioError(f"{owner} must contain at least one {what}")
+    ids = tuple(map(attrgetter("id"), items))
+    if len(set(ids)) != len(ids):
+        seen = set()
+        for item_id in ids:
+            if item_id in seen:
+                raise ScenarioError(f"duplicate {what} id {_quoted_id(item_id)}")
+            seen.add(item_id)
     universe = items[0].universe
-    if all(map(is_, map(attrgetter("universe"), items), repeat(universe))):
-        return universe
-    for item in items[1:]:
-        if item.universe != universe:
-            raise ScenarioError(
-                f"{what} {_quoted_id(item.id)} uses a different universe")
-    return universe
+    if not all(map(is_, map(attrgetter("universe"), items), repeat(universe))):
+        for item in items[1:]:
+            if item.universe != universe:
+                raise ScenarioError(
+                    f"{what} {_quoted_id(item.id)} uses a different universe")
+    return items, ids, universe
 
 
 class Environment(Record):
@@ -263,14 +263,11 @@ class Environment(Record):
     masks: tuple[int, ...]
 
     def __init__(self, alternatives: Iterable[Alternative]):
-        alternatives = tuple(alternatives)
-        if not alternatives:
-            raise ScenarioError("environment must contain at least one alternative")
-        ids = tuple(map(attrgetter("id"), alternatives))
-        _unique_ids(ids, "alternative")
+        alternatives, ids, universe = _checked(alternatives, "environment",
+                                               "alternative")
         # frozen: fill the instance dict directly, ``alternatives`` included
         self.__dict__.update(
-            universe=_shared_universe(alternatives, "alternative"), ids=ids,
+            universe=universe, ids=ids,
             masks=tuple(alternative.offers.mask for alternative in alternatives),
             alternatives=alternatives)
 
@@ -311,14 +308,11 @@ class Society(Record):
     scales: tuple[int, ...]
 
     def __init__(self, individuals: Iterable[Individual]):
-        individuals = tuple(individuals)
-        if not individuals:
-            raise ScenarioError("society must contain at least one individual")
-        ids = tuple(map(attrgetter("id"), individuals))
-        _unique_ids(ids, "individual")
+        individuals, ids, universe = _checked(individuals, "society",
+                                              "individual")
         # frozen: fill the instance dict directly, ``individuals`` included
         self.__dict__.update(
-            universe=_shared_universe(individuals, "individual"), ids=ids,
+            universe=universe, ids=ids,
             masks=tuple(map(attrgetter("_mask"), individuals)),
             weights=tuple(map(attrgetter("_weights"), individuals)),
             scales=tuple(map(attrgetter("_scale"), individuals)),

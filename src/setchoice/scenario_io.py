@@ -75,7 +75,6 @@ from .evaluation import (
     SocialProfile,
     build_process,
     evaluate,
-    get_aggregator,
     rank,
 )
 from .literals import (
@@ -681,15 +680,13 @@ class PipelineResult(Record):
 def compute_pipeline(scenario: Scenario, measure: UtilityMeasure | str,
                      aggregator: str = "mean") -> PipelineResult:
     """Run universes, profiles, social aggregation, and ranking."""
-    measure = UtilityMeasure(measure)
-    aggregator_obj = get_aggregator(aggregator)
-    process = build_process(measure, aggregator_obj, scenario.environment,
+    process = build_process(measure, aggregator, scenario.environment,
                             scenario.society, scenario.universe)
     social = evaluate(process)
     return PipelineResult(
         scenario=scenario,
-        measure=measure,
-        aggregator=aggregator_obj.name,
+        measure=process.measure,
+        aggregator=process.aggregator.name,
         opportunity=opportunity_universe(scenario.environment),
         exigence=exigence_universe(scenario.society),
         partition=partition_universe(scenario.environment, scenario.society),
@@ -912,19 +909,18 @@ def render_utilities(scenario: Scenario, measure: UtilityMeasure | str,
                      output_format: str = "table",
                      precision: int = DEFAULT_PRECISION) -> str:
     _check_format(output_format)
-    measure = UtilityMeasure(measure)
     process = build_process(measure, "mean", scenario.environment,
                             scenario.society, scenario.universe)
     alt_ids = scenario.environment.ids
     section = _profiles_section(process.profiles, alt_ids, precision)
     if output_format == "json":
-        return _json_text({"measure": measure.value, "precision": precision,
-                           "utilities": section})
+        return _json_text({"measure": process.measure.value,
+                           "precision": precision, "utilities": section})
     if output_format == "csv":
         quoted = {alt_id: _csv_field(alt_id) for alt_id in alt_ids}
         return "individual,alternative,value\n" + "".join(
             _profiles_csv(section, quoted, "", "\n"))
-    lines = [f"utilities (measure={measure.value})",
+    lines = [f"utilities (measure={process.measure.value})",
              *_profiles_lines(section, alt_ids)]
     return "\n".join(lines) + "\n"
 

@@ -142,6 +142,19 @@ def sparse_wide_document(objectives: int, individuals: int,
         "individuals": [individual(i) for i in range(individuals)]})
 
 
+def tiny_negative_weights_document(individuals: int) -> str:
+    """A weighted scenario file of ``individuals`` individuals whose one
+    weight is the 999-character literal ``-0.000...1`` (996 places): inside
+    the number bound and just below 0, so each individual is one
+    ``membership out of range`` finding, whose quote of the value must not
+    grow with the literal."""
+    literal = "-0." + "0" * 995 + "1"
+    entries = ", ".join(f'{{"id": "p{i}", "membership": {{"a": {literal}}}}}'
+                        for i in range(individuals))
+    return ('{"universe": ["a"], "alternatives": [{"id": "x", "offers": ["a"]}], '
+            f'"individuals": [{entries}]}}')
+
+
 # --- oracles ----------------------------------------------------------------
 
 def oracle_union(token_lists) -> list[str]:

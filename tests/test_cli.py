@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -252,12 +253,42 @@ class TestUsageErrors:
         assert proc.returncode == 2
 
     def test_aggregator_choices_are_the_registry(self):
-        commands = next(action.choices for action in build_parser()._actions
-                        if action.dest == "command")
-        for name in ("utilities", "evaluate", "rank"):
-            (aggregator,) = [action for action in commands[name]._actions
+        for name in ("evaluate", "rank"):
+            (aggregator,) = [action for action in _verbs()[name]._actions
                              if action.dest == "aggregator"]
             assert aggregator.choices == sorted(AGGREGATORS)
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", str(SCENARIOS / "crisp_pair.json"), "--precision", "3"],
+        ["universes", str(SCENARIOS / "crisp_pair.json"), "--precision", "3"],
+        ["utilities", str(SCENARIOS / "crisp_pair.json"), "--measure", "fuzzy",
+         "--aggregator", "mean"],
+    ], ids=["validate-precision", "universes-precision", "utilities-aggregator"])
+    def test_an_option_the_verb_does_not_read_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_synopsis_lists_each_verbs_options(self):
+        """The README's CLI synopsis names, per verb, exactly the options
+        that verb's parser takes, so ``--help`` and the README agree."""
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## CLI\n", 1)[1]
+        synopsis = section.split("```\n", 2)[1]
+        documented = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+                      for line in synopsis.splitlines()
+                      if line.startswith("setchoice ")}
+        parsed = {name: {option for action in verb._actions
+                         for option in action.option_strings} - {"-h", "--help"}
+                  for name, verb in _verbs().items()}
+        assert documented == parsed
+
+
+def _verbs() -> dict:
+    """Each verb's subparser, by name."""
+    return next(action.choices for action in build_parser()._actions
+                if action.dest == "command")
 
 
 class TestInProcessEntryPoint:
