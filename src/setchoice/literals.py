@@ -14,7 +14,6 @@ is that rule for one value.
 
 from __future__ import annotations
 
-import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -129,8 +128,13 @@ def _plain_number(value: int | Fraction) -> str:
         return f"{sign}{digits[0]}.{digits[1:6]}e+{len(digits) - 1}"
     num, den = value.numerator, value.denominator
     twos = (den & -den).bit_length() - 1
-    fives = round(math.log(den >> twos, 5))
-    if 5 ** fives << twos != den:  # the expansion does not end
+    rest = den >> twos
+    # 5**k has b bits for (b - 1) / log2(5) <= k < b / log2(5), and
+    # log2(5) < 2321929 / 10**6, so k is this quotient or the next integer
+    fives = rest.bit_length() * 10 ** 6 // 2321929
+    if 5 ** fives != rest:
+        fives += 1
+    if 5 ** fives != rest:  # the expansion does not end
         return _quoted(f"{num}/{den}", str)
     whole, rest = divmod(abs(num), den)
     head = f"{'-' if num < 0 else ''}{whole}"

@@ -16,9 +16,9 @@ Three measures are provided:
 All arithmetic is exact: an individual stores its support as a
 universe-position mask and its weights as integers over one scale, and
 results are ``int`` or ``Fraction``.  ``_scaled`` builds that scale from
-each weight's ``as_integer_ratio()``, so the parser's exact ``Decimal``
-weights and the constructor's ``Fraction``s share one definition; the
-parser passes one ratio per distinct value of a file.
+each weight's exact ``(numerator, denominator)``: the constructor takes
+it from a ``Fraction``, and the parser reads it once per distinct weight
+literal of a file.
 Rendering to fixed-precision decimal happens only at the output layer.
 
 A scenario is two bit matrices over the universe: individual x objective
@@ -29,7 +29,8 @@ read directly.  The checking constructors ``Society(individuals)`` and
 ``Environment(alternatives)`` fill the columns from the objects they
 check; the parser stores the columns of its checked sections unchecked
 (``Record._of``), so a parsed scenario holds no ``Individual`` or
-``Alternative`` until ``individuals`` or ``alternatives`` is first read.
+``Alternative`` until ``individuals`` or ``alternatives`` is first read,
+and those read its members back unchecked as well.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _scaled(ratios: Mapping[int, tuple[int, int]]
             scale)
 
 
-class Individual:
+class Individual(Record):
     """An individual characterised by objective weights in [0, 1].
 
     ``membership`` maps objective tokens to weights; objectives of the
@@ -127,12 +128,16 @@ class Individual:
     construction, so two individuals that differ only in spelled-out zeros
     compare equal.  The support is stored as a universe-position mask, and
     its weights as integers over one scale (1 exactly when *crisp*), one per
-    set bit in ascending position order.  ``_scaled`` builds that form in
-    the checking constructor and in the parser, which reports the same rules
-    as findings (``_from_checked``); every token-keyed view is built on read.
+    set bit in ascending position order (``_mask``, ``_weights``, ``_scale``,
+    built by ``_scaled``).  A frozen record of ``id`` and ``universe``, it
+    compares and hashes by them and that stored form.  The parser reports
+    the constructor's rules as findings, and ``Society.individuals`` reads
+    its columns back unchecked with ``Individual._of``; every token-keyed
+    view is built on read.
     """
 
-    __slots__ = ("id", "universe", "_mask", "_weights", "_scale")
+    id: str
+    universe: Universe
 
     def __init__(self, id: str, universe: Universe,
                  membership: Mapping[str, object]):
@@ -151,19 +156,10 @@ class Individual:
             raise ScenarioError(
                 f"individual {_quoted_id(id)} requires no objectives "
                 "(empty support)")
-        self.id, self.universe = id, universe
-        self._mask, self._weights, self._scale = _scaled(ratios)
-
-    @classmethod
-    def _from_checked(cls, id: str, universe: Universe, mask: int,
-                      weights: tuple[int, ...], scale: int) -> "Individual":
-        """An individual from a valid id and the ``_scaled`` form of checked
-        non-empty ``{declared bit: weight in (0, 1]}``; not re-checked."""
-        individual = cls.__new__(cls)
-        individual.id, individual.universe = id, universe
-        individual._mask, individual._weights = mask, weights
-        individual._scale = scale
-        return individual
+        mask, weights, scale = _scaled(ratios)
+        # frozen: fill the instance dict directly
+        self.__dict__.update(id=id, universe=universe, _mask=mask,
+                             _weights=weights, _scale=scale)
 
     @classmethod
     def crisp(cls, id: str, universe: Universe,
@@ -203,16 +199,8 @@ class Individual:
     def is_crisp(self) -> bool:
         return self._scale == 1
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Individual):
-            return NotImplemented
-        return (self.id == other.id and self.universe == other.universe
-                and (self._mask, self._weights, self._scale)
-                == (other._mask, other._weights, other._scale))
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.universe, self._mask, self._weights,
-                     self._scale))
+    def _values(self) -> tuple:
+        return super()._values() + (self._mask, self._weights, self._scale)
 
     def __repr__(self) -> str:
         weights = {t: str(v) for t, v in sorted(self.membership.items())}
@@ -274,7 +262,7 @@ class Environment(Record):
     @cached_property
     def alternatives(self) -> tuple[Alternative, ...]:
         universe = self.universe
-        return tuple(Alternative(alt_id, ObjectiveSet(universe, mask))
+        return tuple(Alternative._of(alt_id, ObjectiveSet._of(universe, mask))
                      for alt_id, mask in zip(self.ids, self.masks))
 
     @property
@@ -320,9 +308,11 @@ class Society(Record):
 
     @cached_property
     def individuals(self) -> tuple[Individual, ...]:
-        return tuple(map(Individual._from_checked, self.ids,
-                         repeat(self.universe), self.masks, self.weights,
-                         self.scales))
+        universe = self.universe
+        return tuple(Individual._of(individual_id, universe, _mask=mask,
+                                    _weights=weights, _scale=scale)
+                     for individual_id, mask, weights, scale
+                     in zip(self.ids, self.masks, self.weights, self.scales))
 
     @property
     def size(self) -> int:

@@ -1,10 +1,13 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import setchoice
 from setchoice.cli import build_parser, main
 from setchoice.evaluation import AGGREGATORS
 
@@ -30,6 +33,39 @@ class TestGolden:
         args = ["evaluate", "--measure", "fuzzy", "--format", "json"]
         assert run_cli("scenarios/weighted_split.json", args) == run_cli(
             "scenarios/weighted_split.json", args)
+
+
+#: runs every golden case in one interpreter through ``main``; prints, per
+#: case, its exit code, standard error and standard output as bytes
+ALL_CASES_IN_PROCESS = """
+import contextlib, io, json, sys
+from setchoice.cli import main
+from _golden import CASES, ROOT
+results = []
+for _, scenario, args in CASES:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([args[0], str(ROOT / scenario), *args[1:]])
+    results.append([code, err.getvalue(), out.getvalue().encode(
+        sys.stdout.encoding, sys.stdout.errors).hex()])
+json.dump(results, sys.stdout)
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    path = os.pathsep.join([str(Path(setchoice.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    runs = [subprocess.run(
+        [sys.executable, "-c", ALL_CASES_IN_PROCESS], capture_output=True,
+        check=True, timeout=120,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}).stdout
+        for seed in ("0", "1")]
+    assert runs[0] == runs[1]
+    results = json.loads(runs[0])
+    for (name, _, args), (code, err, out) in zip(CASES, results, strict=True):
+        assert code in ((0, 1) if args[0] == "validate" else (0,)), name
+        assert err == "", name
+        assert bytes.fromhex(out) == (GOLDEN_DIR / name).read_bytes(), name
 
 
 class TestValidateVerb:

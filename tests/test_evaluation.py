@@ -216,7 +216,8 @@ class TestBuildProcess:
         # the constructors refuse an empty support; the society holds the
         # columns of the individuals it was built from
         p, q = soc.individuals
-        q._mask, q._weights = 0, ()
+        q = Individual._of(q.id, q.universe, _mask=0, _weights=(),
+                           _scale=q._scale)
         soc = Society((p, q))
         with pytest.raises(ZeroMembershipMass) as exc_info:
             build_process("fuzzy", "mean", env, soc, u)

@@ -26,6 +26,7 @@ from setchoice import (
     parse_scenario,
     utility,
 )
+from setchoice.literals import _plain_number
 from setchoice.scenario_io import format_ratio
 
 BEYOND_BOUND = ("number literal longer than 1000 characters or with "
@@ -64,10 +65,10 @@ def demanding(greek):
 
 
 def gutted(individual):
-    """A copy whose weights were emptied behind the constructor's back,
+    """A copy whose weights are empty, built past the constructor's checks,
     to reach the defensive error paths."""
-    individual._mask, individual._weights = 0, ()
-    return individual
+    return Individual._of(individual.id, individual.universe, _mask=0,
+                          _weights=(), _scale=individual._scale)
 
 
 class TestCardinal:
@@ -218,6 +219,20 @@ class TestConstruction:
             Individual("v", greek, {"alpha": literal})
         assert str(exc.value) == message
 
+    def test_factors_of_five_are_counted_exactly_within_the_bound(self):
+        # 1431 is the most factors of 5 a denominator within the number
+        # bound can have
+        def cut(text):
+            return (text if len(text) <= 40
+                    else f"{text[:40]}... ({len(text)} characters)")
+
+        for k in range(1432):
+            ending, places = 5 ** k << 3, max(k, 3)
+            assert _plain_number(Fraction(1, ending)) == cut(
+                format_ratio(1, ending, places))
+            assert _plain_number(Fraction(1, 3 * 5 ** k)) == cut(
+                f"1/{3 * 5 ** k}")
+
     def test_long_tokens_are_quoted_briefly(self, greek):
         long = "x" * 2000
         quoted = f"'{'x' * 40}'... (2000 characters)"
@@ -333,6 +348,34 @@ class TestConstruction:
         assert ind.is_crisp
         assert ind.support == frozenset({"alpha"})
         assert ind == Individual.crisp("v", greek, ["alpha"])
+
+    def test_compares_and_hashes_by_id_universe_and_stored_weights(self, greek):
+        made = Individual("v", greek, {"alpha": "1/2", "beta": "1/4"})
+        assert (made._mask, made._weights, made._scale) == (3, (2, 1), 4)
+        twin = Individual("v", Universe(greek.objectives),
+                          {"beta": Fraction(1, 4), "alpha": 0.5, "gamma": 0})
+        assert made == twin and hash(made) == hash(twin)
+        # each differs from ``made`` in one of id, universe, mask, weights
+        # and scale, in that order
+        others = [
+            Individual("w", greek, {"alpha": "1/2", "beta": "1/4"}),
+            Individual("v", Universe(("alpha", "beta")),
+                       {"alpha": "1/2", "beta": "1/4"}),
+            Individual("v", greek, {"alpha": "1/2", "gamma": "1/4"}),
+            Individual("v", greek, {"alpha": "1/4", "beta": "1/2"}),
+            Individual("v", greek, {"alpha": "1/4", "beta": "1/8"}),
+        ]
+        for other in others:
+            assert other != made and hash(other) != hash(made)
+
+    def test_refuses_assignment_and_deletion(self, greek):
+        made = Individual("v", greek, {"alpha": "1/2"})
+        for name in ("id", "universe", "_mask", "_weights", "_scale", "new"):
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(made, name, None)
+            with pytest.raises(AttributeError, match="cannot delete"):
+                delattr(made, name)
+        assert made == Individual("v", greek, {"alpha": "1/2"})
 
     def test_exact_decimal_weights(self, greek):
         ind = Individual("v", greek, {"alpha": "0.1"})

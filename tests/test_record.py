@@ -102,7 +102,8 @@ def process():
     return build_process("fuzzy", "mean", env, soc, u)
 
 
-#: (class, factory of an instance, its repr as the dataclass wrote it)
+#: (class, factory of an instance, its repr: as the dataclass wrote it,
+#: and ``Individual``'s own)
 RECORDS = [
     (Universe, lambda: parts()[0], U),
     (ObjectiveSet, objective_set, f"ObjectiveSet(universe={U}, mask=1)"),
@@ -113,6 +114,8 @@ RECORDS = [
     (Alternative, lambda: parts()[1].alternatives[0],
      f"Alternative(id='x', offers=ObjectiveSet(universe={U}, mask=1))"),
     (Environment, lambda: parts()[1], ENV),
+    (Individual, lambda: parts()[2].individuals[1],
+     "Individual('q', {'a': '1/2', 'b': '1/4'})"),
     (Society, lambda: parts()[2], SOC),
     (IndividualProfile, individual_profile,
      "IndividualProfile(individual_id='p', nums=(2, 1), den=2, integral=False)"),
@@ -180,7 +183,10 @@ class TestRecordContract:
             cls._fields)})(*field_values(first))
         assert first == first and first != other and other != first
         assert first == twin and hash(first) == hash(twin)
-        if cls is not IndividualProfile:  # equal over other denominators
+        if cls is Individual:  # also by its stored weights
+            assert hash(first) == hash(field_values(first) + (
+                first._mask, first._weights, first._scale))
+        elif cls is not IndividualProfile:  # equal over other denominators
             assert hash(first) == hash(field_values(first))
 
     def test_pickle_and_copy_round_trips_compare_equal(self, cls, make,

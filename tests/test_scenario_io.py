@@ -13,6 +13,7 @@ from setchoice import (
     Alternative,
     Environment,
     Individual,
+    ObjectiveSet,
     PipelineResult,
     Ranking,
     RankingTier,
@@ -50,6 +51,7 @@ from setchoice.scenario_io import (
     render_utilities,
     render_validation,
 )
+from setchoice import measures as measures_module
 from setchoice import universe as universe_module
 from setchoice.universe import token_bits
 
@@ -296,8 +298,9 @@ class TestValidateOnce:
         # __new__ is left alone: CPython does not restore an inherited
         # __new__ once it has been patched on the class
         monkeypatch.setattr(Individual, "__init__", refuse)
-        monkeypatch.setattr(Individual, "_from_checked", refuse)
+        monkeypatch.setattr(Individual, "_of", refuse)
         monkeypatch.setattr(Alternative, "__init__", refuse)
+        monkeypatch.setattr(Alternative, "_of", refuse)
         ran = 0
         for text in texts:
             scenario = parse_scenario(text)
@@ -325,24 +328,35 @@ class TestValidateOnce:
         assert isinstance(scenario, Scenario)
         assert checked == list(scenario.universe.objectives)
 
-    def test_parse_never_runs_the_public_constructor(self, monkeypatch):
+    def test_parse_and_read_run_no_checking_constructor(self, monkeypatch):
         texts = [path.read_text(encoding="utf-8")
                  for path in sorted((ROOT / "scenarios").glob("*.json"))]
         texts.append(generated_document(3))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("Individual.__init__ ran while parsing")
+            raise AssertionError("a checking constructor ran")
 
         monkeypatch.setattr(Individual, "__init__", refuse)
         scenarios = [parse_scenario(text) for text in texts]
+        # the members are read back from the checked columns, unchecked
+        for module in (scenario_io, universe_module, measures_module):
+            monkeypatch.setattr(module, "check_token", refuse)
+        monkeypatch.setattr(ObjectiveSet, "__post_init__", refuse)
+        members = [(scenario.environment.alternatives,
+                    scenario.society.individuals) for scenario in scenarios]
         monkeypatch.undo()
-        for text, scenario in zip(texts, scenarios):
+        for text, scenario, (alternatives, individuals) in zip(texts, scenarios,
+                                                               members):
             assert isinstance(scenario, Scenario)
-            entries = json.loads(text, parse_float=Fraction)["individuals"]
-            assert list(scenario.society) == [
-                Individual(e["id"], scenario.universe,
+            document = json.loads(text, parse_float=Fraction)
+            universe = scenario.universe
+            assert alternatives == tuple(
+                Alternative(e["id"], universe.subset(e["offers"]))
+                for e in document["alternatives"])
+            assert individuals == tuple(
+                Individual(e["id"], universe,
                            e.get("membership") or dict.fromkeys(e["requires"], 1))
-                for e in entries]
+                for e in document["individuals"])
 
     def test_spelled_out_zero_weight_is_dropped(self, tmp_path, capsys):
         universe = '{"universe": ["a", "b"], ' \
