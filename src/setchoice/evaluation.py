@@ -25,7 +25,11 @@ process needs no rows: the mean is linear in each individual's weights,
 so with L the lcm of the T_i and ``W[p] = sum_i w_i[p] * L / T_i`` the
 social numerator of alternative m is the sum of W over m's offer, over
 ``L * N``.  That is the kernel row of one pseudo-individual with weights
-W, so ``rank`` builds no profile and runs no N x M matrix.  Hand-built
+W, so ``rank`` builds no profile and runs no N x M matrix.  For the crisp
+measures W[p] is, over the groups of equal T_i, L / T_i times the number
+of the group's supports holding p; ``universe.packed_counts`` counts a
+group in folds of packed 16-bit fields, and a tall group over a narrow
+universe takes the popcounts of its ``bit_columns`` instead.  Hand-built
 processes and other aggregators take ``fn(rows, dens)`` over every row,
 with ``exact_mean`` as the mean's definition.
 
@@ -59,7 +63,17 @@ from .measures import (
     _check_domain,
     utility,
 )
-from .universe import Universe, bit_columns, positions
+from .universe import Universe, bit_columns, packed_counts, positions
+
+# A crisp support-size group of more than _COLUMN_ROWS supports over fewer
+# than _COLUMN_SIZE objectives is counted through ``bit_columns``; any other
+# group by ``packed_counts`` (measured sweep, R = 8..2000, 1..4096 supports)
+_COLUMN_ROWS = 64
+_COLUMN_SIZE = 64
+# ``packed_counts`` folds at most this many bit positions at once, so at most
+# 2**16 // 8 supports: a 16-bit count never carries, and the peak stays flat
+_FOLD_BITS = 1 << 16
+
 
 class IndividualProfile(Record):
     """One individual's utilities: ``nums[m] / den`` for alternative m.
@@ -347,7 +361,12 @@ def build_process(measure: UtilityMeasure | str, aggregator: str | Aggregator,
 def _pseudo_weights(measure: UtilityMeasure,
                     enc: EncodedScenario) -> tuple[list[int], int]:
     """``(W, L)``: L the lcm of the row denominators T_i, and
-    ``W[p] = sum_i w_i[p] * L / T_i`` per objective p."""
+    ``W[p] = sum_i w_i[p] * L / T_i`` per objective p.
+
+    A crisp group of supports of one size is counted by ``bit_columns``
+    popcounts when it is tall and narrow, else by ``packed_counts`` folds,
+    whose counts are widened to fields that hold ``L * N`` and summed,
+    times ``L / T_i``, in one integer that is split into W once."""
     size = enc.objective_count
     if measure is UtilityMeasure.FUZZY:
         common = lcm(*set(enc.totals))
@@ -360,7 +379,7 @@ def _pseudo_weights(measure: UtilityMeasure,
         return weights, common
     # Crisp: every weight is 1 and T_i is 1 or the support size (the weight
     # total), so W[p] sums, over the groups of equal T_i, the group's count
-    # of supports holding p (the popcount of column p) times L / T_i.
+    # of supports holding p times L / T_i.
     if measure is UtilityMeasure.CARDINAL:
         groups = {1: enc.support_masks}
     else:
@@ -368,13 +387,31 @@ def _pseudo_weights(measure: UtilityMeasure,
         for mask, total in zip(enc.support_masks, enc.totals):
             groups.setdefault(total, []).append(mask)
     common = lcm(*groups)
-    # at most 128 bits a field: the columns hold N * R * 128 bits, not N * R^2
-    width = min(8 * -(-size // 8), 128)
+    step = -(-size // 8)
+    # W[p] <= L * N, so fields of ``wide`` bytes never carry into the next
+    wide = max(2, -(-(common * enc.individual_count).bit_length() // 8))
+    # each fold's 16-bit counts, copied into the low bytes of those fields
+    widened = bytearray(size * wide)
+    rows = _FOLD_BITS // (8 * step) or 1
+    packed = 0
     weights = [0] * size
     for total, masks in groups.items():
-        counts = map(int.bit_count, bit_columns(masks, size, width))
-        weights = list(map(add, weights,
-                           map((common // total).__mul__, counts)))
+        scale = common // total
+        if len(masks) > _COLUMN_ROWS and size < _COLUMN_SIZE:
+            columns = bit_columns(masks, size, 8 * step)
+            weights = list(map(add, weights, map(scale.__mul__,
+                                                 map(int.bit_count, columns))))
+            continue
+        for start in range(0, len(masks), rows):
+            fields = packed_counts(masks[start:start + rows], step)
+            widened[::wide] = fields[:2 * size:2]
+            widened[1::wide] = fields[1:2 * size:2]
+            packed += scale * int.from_bytes(widened, "little")
+    if packed:
+        fields = packed.to_bytes(size * wide, "little")
+        weights = list(map(add, weights, [
+            int.from_bytes(fields[start:start + wide], "little")
+            for start in range(0, len(fields), wide)]))
     return weights, common
 
 

@@ -5,7 +5,8 @@ declared objectives and their canonical order; every other set in a
 scenario is a subset of one universe, stored as a bitmask over universe
 positions: bit p stands for ``universe.objectives[p]``.  Which token maps
 to which bit is decided here alone (:func:`token_bits`,
-:func:`position_bytes`, :func:`positions`, :func:`bit_columns`).  Set
+:func:`position_bytes`, :func:`positions`, :func:`bit_columns`,
+:func:`packed_counts`).  Set
 algebra is integer ``&``, ``|`` and ``& ~``; tokens are built only when a
 set is read, in universe declaration order, so output is deterministic.
 """
@@ -13,7 +14,7 @@ set is read, in universe declaration order, so output is deterministic.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -55,6 +56,11 @@ def token_bits(tokens: Iterable[str]) -> dict[str, int]:
 # the binary digits "0" and "1" as the bytes 0 and 1
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
+# ``positions`` walks the set bits of a mask with fewer than one set bit in
+# this many positions (measured sweep, R = 16..3000: the walk wins below
+# about 1 in 8 at R <= 1000, 1 in 12 at R = 3000)
+_SPARSE = 12
+
 
 def position_bytes(mask: int) -> bytes:
     """One byte per position of ``mask`` up to its highest set bit (one
@@ -64,8 +70,17 @@ def position_bytes(mask: int) -> bytes:
 
 
 def positions(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    return list(compress(count(), position_bytes(mask)))
+    """The positions of the set bits of ``mask``, ascending.  A sparse mask
+    (fewer than one set bit in ``_SPARSE`` positions) is walked by its
+    lowest set bits, a denser one through its ``bin`` string."""
+    if mask.bit_count() * _SPARSE >= mask.bit_length():
+        return list(compress(count(), position_bytes(mask)))
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
 
 
 def bit_columns(masks: Sequence[int], size: int, width: int) -> list[int]:
@@ -83,6 +98,27 @@ def bit_columns(masks: Sequence[int], size: int, width: int) -> list[int]:
         columns += map(ones.__and__, map(joined.__rshift__,
                                          range(min(width, size - start))))
     return columns
+
+
+def packed_counts(masks: Sequence[int], step: int) -> bytes:
+    """Per position p < ``8 * step``, the number of ``masks`` (each below
+    ``2 ** (8 * step)``, at most ``2 ** 16 - 1`` of them) holding p, as
+    little-endian 16-bit fields.
+
+    One ``format`` of the joined masks, its UTF-16 encoding and one
+    ``translate`` spread every bit into a 16-bit field, a row of
+    ``8 * step`` fields per mask; halving folds then add the rows."""
+    joined = b"".join(map(int.to_bytes, masks, repeat(step), repeat("big")))
+    digits = format(int.from_bytes(joined, "big"), f"0{8 * len(joined)}b")
+    spread = int.from_bytes(
+        digits.encode("utf-16-be").translate(_DIGIT_BYTES), "big")
+    rows, row_bits = len(masks), 128 * step
+    while rows > 1:
+        keep = (rows + 1) >> 1
+        shift = keep * row_bits
+        spread = (spread & ((1 << shift) - 1)) + (spread >> shift)
+        rows = keep
+    return spread.to_bytes(16 * step, "little")
 
 
 class Universe(Record):

@@ -1,7 +1,9 @@
 import random
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +37,10 @@ from setchoice import (
 )
 from setchoice import _core, evaluation
 from setchoice._core import encode
-from setchoice.evaluation import _pseudo_weights, _shares_two, exact_mean
+from setchoice._core.encode import EncodedScenario
+from setchoice.evaluation import (_mean_row, _pseudo_weights, _shares_two,
+                                  exact_mean)
+from setchoice.universe import bit_columns
 from setchoice.scenario_io import render_ranking, render_report
 
 from _golden import GOLDEN_DIR, ROOT
@@ -463,11 +468,92 @@ class TestPseudoIndividualRow:
         assert_matches_kernel_mean(measure, u, env, soc)
 
 
+# (_COLUMN_ROWS, _COLUMN_SIZE, _FOLD_BITS) that force one way of counting
+# the crisp mean's supports on every support-size group
+LAYOUTS = {
+    "columns": (0, 1 << 30, evaluation._FOLD_BITS),
+    "packed": (1 << 30, 0, evaluation._FOLD_BITS),
+    "packed, one support a fold": (1 << 30, 0, 8),
+    "packed, full 16-bit folds": (1 << 30, 0, 8 * ((1 << 16) - 1)),
+}
+
+
+@contextmanager
+def layout(name):
+    rows, size, fold = LAYOUTS[name]
+    with mock.patch.multiple(evaluation, _COLUMN_ROWS=rows, _COLUMN_SIZE=size,
+                             _FOLD_BITS=fold):
+        yield
+
+
+def crisp_encoding(size, offers, supports):
+    """The encoding of crisp ``supports`` and ``offers`` over ``size``
+    objectives, built directly."""
+    return EncodedScenario(size, tuple(offers), tuple(supports),
+                           tuple((1,) * mask.bit_count() for mask in supports),
+                           tuple(mask.bit_count() for mask in supports))
+
+
+def column_popcount_weights(measure, enc):
+    """``(W, L)`` of the crisp mean from each support-size group's
+    ``bit_columns`` popcounts, one objective at a time."""
+    groups = {}
+    for mask, total in zip(enc.support_masks, enc.totals):
+        groups.setdefault(1 if measure == "cardinal" else total, []).append(mask)
+    common = lcm(*groups)
+    weights = [0] * enc.objective_count
+    for total, masks in groups.items():
+        for p, column in enumerate(bit_columns(masks, enc.objective_count, 8)):
+            weights[p] += common // total * column.bit_count()
+    return weights, common
+
+
+class TestCrispSupportCounts:
+    """The crisp mean counts each support-size group's supports per
+    objective by ``bit_columns`` or by ``packed_counts``, whichever the
+    group's shape picks; both give the same ``(W, L)``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(measure=st.sampled_from(("cardinal", "normalized")),
+           data=st.data())
+    def test_every_layout_matches_popcounts_and_the_kernel_mean(self, measure,
+                                                                 data):
+        size = data.draw(st.integers(1, 150))
+        masks = st.one_of(st.integers(1, (1 << size) - 1),
+                          st.integers(0, size - 1).map(lambda p: 1 << p))
+        supports = data.draw(st.lists(masks, min_size=1, max_size=150))
+        offers = data.draw(st.lists(masks, min_size=1, max_size=6))
+        enc = crisp_encoding(size, offers, supports)
+        expected = column_popcount_weights(measure, enc)
+        mean = exact_mean(*_core.utility_matrix(enc, measure))
+        for name in LAYOUTS:
+            with layout(name):
+                measured = UtilityMeasure(measure)
+                assert _pseudo_weights(measured, enc) == expected, name
+                assert _mean_row(measured, enc) == mean, name
+
+    @pytest.mark.parametrize("name", ["columns", "packed",
+                                      "packed, full 16-bit folds"])
+    @pytest.mark.parametrize("measure, supports, expected", [
+        ("cardinal", (0b01,) * (1 << 16), ([1 << 16, 0], 1)),
+        ("normalized", (0b01,) * (1 << 16), ([1 << 16, 0], 1)),
+        ("cardinal", (0b01, 0b11) * (1 << 15), ([1 << 16, 1 << 15], 1)),
+        ("normalized", (0b01, 0b11) * (1 << 15), ([3 << 15, 1 << 15], 2)),
+    ])
+    def test_a_count_of_two_to_the_sixteen(self, name, measure, supports,
+                                           expected):
+        """2**16 supports hold objective 0: one more than a 16-bit field
+        holds, so the count takes two folds and a wider field."""
+        enc = crisp_encoding(2, (0b01,), supports)
+        with layout(name):
+            assert _pseudo_weights(UtilityMeasure(measure), enc) == expected
+
+
 class TestSparseWideScenarios:
     """Wide universes of sparse masks (ROADMAP item 15): the mean still
-    equals the kernel's, and the crisp mean's objective columns hold at
-    most 128 bits an individual, so their memory grows with N * R, not
-    N * R^2."""
+    equals the kernel's, and the crisp mean counts its supports in folds of
+    at most ``_FOLD_BITS`` bit positions, so its peak stays flat while
+    N * R grows."""
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_columns_of_several_fields_give_the_kernel_mean(self, measure):
@@ -490,7 +576,11 @@ class TestSparseWideScenarios:
                 tracemalloc.stop()
 
         # R = N doubled: N * R grows 4x, N * R^2 8x
-        assert peak(600) < 6 * peak(300)
+        at_600 = peak(600)
+        assert at_600 < 6 * peak(300)
+        # a fold's bit positions, not N * R: 0.44 MB at n = 600 (5.35 MB
+        # through 128-bit objective columns)
+        assert at_600 < 548_000
 
 
 class TestKernelCalls:

@@ -17,6 +17,7 @@ from pathlib import Path
 import setchoice
 from setchoice import build_process, evaluate
 from setchoice.scenario_io import parse_scenario, validate_scenario
+from setchoice.universe import positions
 
 from _gen import one_objective_document, tiny_negative_weights_document
 
@@ -86,3 +87,12 @@ def test_out_of_range_quote_is_bounded():
         assert len(findings) == count
         assert max(len(finding.message) for finding in findings) <= 120
     assert peaks[1] / peaks[0] < 2.5
+
+
+def test_positions_of_a_sparse_mask_walk_its_set_bits():
+    """Two set bits a million positions apart: walking the set bits holds
+    a few copies of the 125 KB mask (0.53 MB), where the ``bin`` string,
+    its bytes and their translation hold a million bytes each (2.0 MB)."""
+    peak, found = _peak(lambda: positions(1 | 1 << 10**6))
+    assert found == [0, 10**6]
+    assert peak < 1_000_000

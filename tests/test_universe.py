@@ -1,4 +1,6 @@
 import random
+import struct
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,8 +18,9 @@ from setchoice import (
     opportunity_universe,
     partition_universe,
 )
-from setchoice.universe import (bit_columns, check_token, position_bytes,
-                                positions)
+from setchoice import universe
+from setchoice.universe import (bit_columns, check_token, packed_counts,
+                                position_bytes, positions)
 
 from _gen import (
     oracle_difference,
@@ -222,6 +225,42 @@ class TestPositions:
         assert len(selector) == max(mask.bit_length(), 1)
         assert list(selector) == [(mask >> p) & 1 for p in range(len(selector))]
         assert positions(mask) == [p for p in range(200) if mask >> p & 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask=st.one_of(
+        st.integers(0, (1 << 3000) - 1),
+        st.sets(st.integers(0, 2999), max_size=40).map(
+            lambda bits: sum(1 << p for p in bits))),
+        sparse=st.sampled_from((None, 0, 1 << 20)))
+    @example(mask=1 | 1 << 2999, sparse=None)
+    @example(mask=(1 << 3000) - 1, sparse=None)
+    @example(mask=0, sparse=0)
+    def test_sparse_and_dense_masks_match_a_per_bit_oracle(self, mask, sparse):
+        """Up to 3,000 bits, by the set-bit walk (``_SPARSE`` 0), the
+        ``bin`` walk (``_SPARSE`` huge) or the one the density picks."""
+        expected = [p for p in range(mask.bit_length()) if mask >> p & 1]
+        with mock.patch.object(universe, "_SPARSE",
+                               universe._SPARSE if sparse is None else sparse):
+            assert positions(mask) == expected
+
+
+class TestPackedCounts:
+    """``packed_counts`` gives, per position, the number of masks that hold
+    it, as the popcount of the position's ``bit_columns`` column."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(step=st.integers(1, 20), data=st.data())
+    def test_matches_the_column_popcounts(self, step, data):
+        size = 8 * step
+        masks = data.draw(st.lists(st.integers(0, (1 << size) - 1),
+                                   min_size=1, max_size=70))
+        counts = struct.unpack(f"<{size}H", packed_counts(masks, step))
+        assert list(counts) == list(map(int.bit_count,
+                                        bit_columns(masks, size, 8)))
+
+    def test_the_largest_count_fills_its_field(self):
+        counts = packed_counts([1] * ((1 << 16) - 1), 1)
+        assert struct.unpack("<8H", counts) == ((1 << 16) - 1,) + (0,) * 7
 
 
 class TestOpportunityUniverse:
