@@ -2,9 +2,9 @@
 
 Individuals and alternatives are subsets (or weighted subsets) of one
 universe of objectives.  The package scores alternatives per individual
-with three measures, aggregates the scores into a social profile, and
-ranks the alternatives; a CLI drives the same pipeline from scenario
-files.
+with three measures, takes the exact mean of the scores as the social
+profile, and ranks the alternatives; a CLI drives the same pipeline from
+scenario files.
 """
 
 from .errors import (
@@ -16,8 +16,6 @@ from .errors import (
     ZeroMembershipMass,
 )
 from .evaluation import (
-    AGGREGATORS,
-    Aggregator,
     EvaluationProcess,
     IndividualProfile,
     Ranking,
@@ -25,7 +23,6 @@ from .evaluation import (
     SocialProfile,
     build_process,
     evaluate,
-    get_aggregator,
     individual_profile,
     rank,
 )
@@ -64,8 +61,6 @@ from .universe import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGGREGATORS",
-    "Aggregator",
     "Alternative",
     "EmptyIndividual",
     "Environment",
@@ -97,7 +92,6 @@ __all__ = [
     "format_decimal",
     "format_utility",
     "fuzzy_utility",
-    "get_aggregator",
     "individual_profile",
     "normalized_cardinal_utility",
     "opportunity_universe",

@@ -2,7 +2,7 @@
 
 Verbs: validate, universes, utilities, evaluate, rank.  Every verb takes
 ``--format``; ``utilities``, ``evaluate`` and ``rank`` take ``--measure``
-and ``--precision``, and ``evaluate`` and ``rank`` ``--aggregator``.  A
+and ``--precision``.  The social profile is always the exact mean.  A
 verb is given no option it does not read.  Exit status is 0 on success, 1
 when the input fails validation (or a measure rejects the scenario), 2 on
 usage errors, which argparse words.
@@ -16,7 +16,6 @@ from functools import cache
 from pathlib import Path
 
 from .errors import MeasureError, ScenarioError
-from .evaluation import AGGREGATORS
 from .measures import UtilityMeasure
 from .scenario_io import (
     DEFAULT_PRECISION,
@@ -57,11 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N", default=DEFAULT_PRECISION,
                           help="decimal digits for utilities, 0-18 (default: 6)")
 
-    aggregated = argparse.ArgumentParser(add_help=False)
-    aggregated.add_argument("--aggregator", choices=sorted(AGGREGATORS),
-                            default="mean",
-                            help="social aggregator (default: mean)")
-
     parser = argparse.ArgumentParser(
         prog="setchoice",
         description="Evaluate and rank alternatives offered to a society of "
@@ -73,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="show declared/offered/requested objectives and their partition")
     sub.add_parser("utilities", parents=[formatted, measured],
                    help="per-individual utilities for every alternative")
-    sub.add_parser("evaluate", parents=[formatted, measured, aggregated],
+    sub.add_parser("evaluate", parents=[formatted, measured],
                    help="full report: universes, profiles, social profile, ranking")
-    sub.add_parser("rank", parents=[formatted, measured, aggregated],
+    sub.add_parser("rank", parents=[formatted, measured],
                    help="alternatives by decreasing social utility")
     return parser
 
@@ -118,10 +112,10 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(render_utilities(scenario, args.measure,
                                               args.format, args.precision))
         elif args.command == "evaluate":
-            result = compute_pipeline(scenario, args.measure, args.aggregator)
+            result = compute_pipeline(scenario, args.measure)
             sys.stdout.write(render_report(result, args.format, args.precision))
         elif args.command == "rank":
-            result = compute_pipeline(scenario, args.measure, args.aggregator)
+            result = compute_pipeline(scenario, args.measure)
             sys.stdout.write(render_ranking(result, args.format, args.precision))
     except (MeasureError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)

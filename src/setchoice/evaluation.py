@@ -6,7 +6,7 @@ ratio over one denominator T_i (the support size for ``normalized``, the
 scaled weight total for ``fuzzy``, 1 for ``cardinal``), so a profile is
 held as an integer numerator row over that one positive denominator,
 exactly as the kernel returns it.  A process bundles environment,
-society, the profiles and the aggregator.  Every step reads the columns
+society, the profiles and the measure.  Every step reads the columns
 of the society and the environment (their ``ids``, ``masks``, weight rows
 and scales), so a kernel-built process builds no ``Individual`` and no
 ``Alternative``.  ``build_process`` checks each individual, over the
@@ -18,20 +18,19 @@ the first alternative, as the per-pair path would report it), and keeps
 the kernel encoding; the N x M kernel matrix and the profiles are built
 on the first read of ``profiles``.
 
-Evaluating applies the aggregator column-wise to the integer rows, and
-the social profile it returns is held the same way: one integer numerator
-per alternative over one denominator.  The exact mean of a kernel-built
-process needs no rows: the mean is linear in each individual's weights,
-so with L the lcm of the T_i and ``W[p] = sum_i w_i[p] * L / T_i`` the
-social numerator of alternative m is the sum of W over m's offer, over
-``L * N``.  That is the kernel row of one pseudo-individual with weights
-W, so ``rank`` builds no profile and runs no N x M matrix.  For the crisp
-measures W[p] is, over the groups of equal T_i, L / T_i times the number
-of the group's supports holding p; ``universe.packed_counts`` counts a
-group in folds of packed 16-bit fields, and a tall group over a narrow
-universe takes the popcounts of its ``bit_columns`` instead.  Hand-built
-processes and other aggregators take ``fn(rows, dens)`` over every row,
-with ``exact_mean`` as the mean's definition.
+The social profile is the exact mean of the profiles, column by column,
+held the same way: one integer numerator per alternative over one
+denominator.  The mean of a kernel-built process needs no rows: it is
+linear in each individual's weights, so with L the lcm of the T_i and
+``W[p] = sum_i w_i[p] * L / T_i`` the social numerator of alternative m
+is the sum of W over m's offer, over ``L * N``.  That is the kernel row
+of one pseudo-individual with weights W, so ``rank`` builds no profile
+and runs no N x M matrix.  For the crisp measures W[p] is, over the
+groups of equal T_i, L / T_i times the number of the group's supports
+holding p; ``universe.packed_counts`` counts a group in folds of packed
+16-bit fields, and a tall group over a narrow universe takes the
+popcounts of its ``bit_columns`` instead.  A hand-built process takes
+``exact_mean`` over every row, which is the mean's definition.
 
 A ``Fraction`` is built only for a profile's or the social profile's
 ``values``, or a ranking tier's ``value``, when a caller reads them:
@@ -48,7 +47,7 @@ from functools import cached_property
 from itertools import groupby
 from math import gcd, lcm
 from operator import add, itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import _core
 from ._core.encode import EncodedScenario
@@ -132,16 +131,16 @@ class IndividualProfile(Record):
 
 
 class SocialProfile(Record):
-    """The social utilities: ``nums[m] / den`` for alternative m.
+    """The social utilities, the exact mean of the individual profiles:
+    ``nums[m] / den`` for alternative m.
 
     ``den`` is positive; ``values`` are the Fractions, built on first
-    access.
+    access.  ``out_of_domain`` marks a profile with a utility outside
+    [0, 1].
     """
 
     nums: tuple[int, ...]
     den: int
-    measure: UtilityMeasure
-    aggregator: str
     out_of_domain: bool = False
 
     @cached_property
@@ -176,55 +175,25 @@ def exact_mean(rows: Sequence[Sequence[int]],
     return tuple(t // g for t in totals), count // g
 
 
-class Aggregator(Record):
-    """A named reduction of N individual utility rows to M social utilities.
-
-    ``fn(rows, dens)`` receives integer numerator rows with one positive
-    denominator per row, and returns the social row as ``(nums, den)``:
-    M integer numerators over one positive denominator.  Only the
-    arithmetic mean ships; the registry is the extension point.
-    """
-
-    name: str
-    fn: Callable[[Sequence[Sequence[int]], Sequence[int]],
-                 tuple[Sequence[int], int]]
-
-
-AGGREGATORS: dict[str, Aggregator] = {
-    "mean": Aggregator("mean", exact_mean),
-}
-
-
-def get_aggregator(name: str | Aggregator) -> Aggregator:
-    if isinstance(name, Aggregator):
-        return name
-    try:
-        return AGGREGATORS[name]
-    except KeyError:
-        known = ", ".join(sorted(AGGREGATORS))
-        raise ScenarioError(f"unknown aggregator '{name}' (known: {known})") from None
-
-
 class EvaluationProcess(Record):
-    """Environment, society, one profile per individual, and aggregator,
-    under one measure.
+    """Environment, society and one profile per individual, under one
+    measure.
 
-    ``EvaluationProcess(environment, society, profiles, aggregator,
-    measure)`` checks hand-made profiles against the society and the
-    environment; its ``encoding`` is None.  ``build_process`` keeps the
-    kernel ``encoding`` instead, and ``profiles`` are computed from it on
-    first read.  Processes compare and hash by their fields, as every
-    record does; a hand-made process also compares its profiles.
+    ``EvaluationProcess(environment, society, profiles, measure)`` checks
+    hand-made profiles against the society and the environment; its
+    ``encoding`` is None.  ``build_process`` keeps the kernel ``encoding``
+    instead, and ``profiles`` are computed from it on first read.
+    Processes compare and hash by their fields, as every record does; a
+    hand-made process also compares its profiles.
     """
 
     environment: Environment
     society: Society
-    aggregator: Aggregator
     measure: UtilityMeasure
     encoding: EncodedScenario | None
 
     def __init__(self, environment: Environment, society: Society,
-                 profiles: Sequence[IndividualProfile], aggregator: Aggregator,
+                 profiles: Sequence[IndividualProfile],
                  measure: UtilityMeasure):
         profiles = tuple(profiles)
         if len(profiles) != society.size:
@@ -241,8 +210,8 @@ class EvaluationProcess(Record):
                     "alternatives")
         # frozen: fill the instance dict directly, ``profiles`` included
         self.__dict__.update(environment=environment, society=society,
-                             aggregator=aggregator, measure=measure,
-                             encoding=None, profiles=profiles)
+                             measure=measure, encoding=None,
+                             profiles=profiles)
 
     def _values(self) -> tuple:
         # a kernel-built process's profiles follow from its encoding
@@ -342,20 +311,17 @@ def _precheck(measure: UtilityMeasure, society: Society,
                                    alternative_id=first) from None
 
 
-def build_process(measure: UtilityMeasure | str, aggregator: str | Aggregator,
-                  environment: Environment, society: Society,
-                  universe: Universe) -> EvaluationProcess:
+def build_process(measure: UtilityMeasure | str, environment: Environment,
+                  society: Society, universe: Universe) -> EvaluationProcess:
     """Check every individual against the measure's domain, encode the
-    scenario for the kernel, and bundle the evaluation quadruple; the
+    scenario for the kernel, and bundle the evaluation process; the
     profiles are computed on first read."""
     measure = UtilityMeasure(measure)
-    aggregator = get_aggregator(aggregator)
     if environment.universe != universe or society.universe != universe:
         raise ScenarioError("environment and society must share the given universe")
     _precheck(measure, society, environment)
     enc = _core.encode(universe, environment, society)
-    return EvaluationProcess._of(environment, society, aggregator, measure,
-                                 enc)
+    return EvaluationProcess._of(environment, society, measure, enc)
 
 
 def _pseudo_weights(measure: UtilityMeasure,
@@ -453,15 +419,17 @@ def _shares_two(supports: Sequence[int], offers: Sequence[int],
 
 
 def evaluate(process: EvaluationProcess) -> SocialProfile:
-    """Apply the aggregator per alternative across all individual profiles;
-    flag any utility outside [0, 1].
+    """The exact mean of the individual profiles per alternative; flag any
+    utility outside [0, 1].
 
-    Kernel rows of ``normalized`` and ``fuzzy`` never leave [0, 1]; a
-    ``cardinal`` count does exactly when an individual shares two or more
-    objectives with an alternative.
+    A kernel-built process takes ``_mean_row`` and builds no profile; a
+    hand-built one takes ``exact_mean`` over its rows.  Kernel rows of
+    ``normalized`` and ``fuzzy`` never leave [0, 1]; a ``cardinal`` count
+    does exactly when an individual shares two or more objectives with an
+    alternative.
     """
     enc, measure = process.encoding, process.measure
-    if enc is not None and process.aggregator.fn is exact_mean:
+    if enc is not None:
         nums, den = _mean_row(measure, enc)
         out_of_domain = (measure is UtilityMeasure.CARDINAL and _shares_two(
             enc.support_masks, enc.offer_masks, enc.objective_count))
@@ -470,10 +438,8 @@ def evaluate(process: EvaluationProcess) -> SocialProfile:
         dens = [profile.den for profile in process.profiles]
         out_of_domain = any(row and (min(row) < 0 or max(row) > den)
                             for row, den in zip(rows, dens))
-        nums, den = process.aggregator.fn(rows, dens)
-    return SocialProfile(nums=tuple(nums), den=den, measure=process.measure,
-                         aggregator=process.aggregator.name,
-                         out_of_domain=out_of_domain)
+        nums, den = exact_mean(rows, dens)
+    return SocialProfile(nums, den, out_of_domain)
 
 
 def rank(profile: SocialProfile, environment: Environment) -> Ranking:

@@ -667,8 +667,6 @@ def _profile_cells(profile: IndividualProfile, precision: int) -> list[str]:
 
 class PipelineResult(Record):
     scenario: Scenario
-    measure: UtilityMeasure
-    aggregator: str
     opportunity: ObjectiveSet
     exigence: ObjectiveSet
     partition: UniversePartition
@@ -677,16 +675,14 @@ class PipelineResult(Record):
     ranking: Ranking
 
 
-def compute_pipeline(scenario: Scenario, measure: UtilityMeasure | str,
-                     aggregator: str = "mean") -> PipelineResult:
-    """Run universes, profiles, social aggregation, and ranking."""
-    process = build_process(measure, aggregator, scenario.environment,
-                            scenario.society, scenario.universe)
+def compute_pipeline(scenario: Scenario,
+                     measure: UtilityMeasure | str) -> PipelineResult:
+    """Run universes, profiles, the social mean, and ranking."""
+    process = build_process(measure, scenario.environment, scenario.society,
+                            scenario.universe)
     social = evaluate(process)
     return PipelineResult(
         scenario=scenario,
-        measure=process.measure,
-        aggregator=process.aggregator.name,
         opportunity=opportunity_universe(scenario.environment),
         exigence=exigence_universe(scenario.society),
         partition=partition_universe(scenario.environment, scenario.society),
@@ -697,10 +693,10 @@ def compute_pipeline(scenario: Scenario, measure: UtilityMeasure | str,
 
 
 def run_pipeline(scenario: Scenario, measure: UtilityMeasure | str,
-                 aggregator: str = "mean", output_format: str = "table",
+                 output_format: str = "table",
                  precision: int = DEFAULT_PRECISION) -> str:
     """End-to-end evaluation rendered as a full report."""
-    result = compute_pipeline(scenario, measure, aggregator)
+    result = compute_pipeline(scenario, measure)
     return render_report(result, output_format, precision)
 
 
@@ -909,8 +905,8 @@ def render_utilities(scenario: Scenario, measure: UtilityMeasure | str,
                      output_format: str = "table",
                      precision: int = DEFAULT_PRECISION) -> str:
     _check_format(output_format)
-    process = build_process(measure, "mean", scenario.environment,
-                            scenario.society, scenario.universe)
+    process = build_process(measure, scenario.environment, scenario.society,
+                            scenario.universe)
     alt_ids = scenario.environment.ids
     section = _profiles_section(process.profiles, alt_ids, precision)
     if output_format == "json":
@@ -930,16 +926,16 @@ def render_ranking(result: PipelineResult, output_format: str = "table",
     _check_format(output_format)
     section = _ranking_section(result, precision)
     if output_format == "json":
-        return _json_text({"measure": result.measure.value,
-                           "aggregator": result.aggregator,
+        return _json_text({"measure": result.process.measure.value,
+                           "aggregator": "mean",
                            "precision": precision, "ranking": section})
     if output_format == "csv":
         quoted = {alt_id: _csv_field(alt_id)
                   for alt_id in result.scenario.environment.ids}
         return "tier,value,alternative\n" + "".join(
             _ranking_csv(section, quoted, "{tier},{utility},{alt}\n"))
-    lines = [f"ranking (measure={result.measure.value}, "
-             f"aggregator={result.aggregator})", *_ranking_lines(section)]
+    lines = [f"ranking (measure={result.process.measure.value}, "
+             "aggregator=mean)", *_ranking_lines(section)]
     return "\n".join(lines) + "\n"
 
 
@@ -964,8 +960,8 @@ def render_report(result: PipelineResult, output_format: str = "table",
     universes = _universes_section(scenario.universe, result.opportunity,
                                    result.exigence, result.partition)
     if output_format == "json":
-        return _json_text({"measure": result.measure.value,
-                           "aggregator": result.aggregator,
+        return _json_text({"measure": result.process.measure.value,
+                           "aggregator": "mean",
                            "precision": precision, **universes,
                            "profiles": profiles, "social_profile": social,
                            "ranking": ranking})
@@ -973,14 +969,14 @@ def render_report(result: PipelineResult, output_format: str = "table",
         f"scenario: {scenario.objective_count} objectives, "
         f"{scenario.alternative_count} alternatives, "
         f"{scenario.individual_count} individuals",
-        f"measure: {result.measure.value}, aggregator: {result.aggregator}",
+        f"measure: {result.process.measure.value}, aggregator: mean",
         "",
         *_universes_lines(universes),
         "",
         "individual profiles:",
         *_profiles_lines(profiles, alt_ids),
         "",
-        f"social profile ({result.aggregator}):",
+        "social profile (mean):",
         *_columns([("alternative", "utility"), *social["values"].items()]),
     ]
     if social["out_of_domain"]:

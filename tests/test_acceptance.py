@@ -122,7 +122,7 @@ def test_c3_brute_force_oracle_equivalence():
         u, env, soc = random_scenario_parts(rng, max_universe=8,
                                             max_alternatives=6,
                                             max_individuals=6)
-        process = build_process("fuzzy", "mean", env, soc, u)
+        process = build_process("fuzzy", env, soc, u)
         social = evaluate(process)
         for m in range(env.size):
             column = [p.values[m] for p in process.profiles]
@@ -205,9 +205,9 @@ class TestC4Properties:
             doubled = Society(soc.individuals + tuple(
                 Individual(f"{ind.id}_twin", u, ind.membership)
                 for ind in soc.individuals))
-            base = evaluate(build_process("fuzzy", "mean", env, soc, u)).values
-            assert evaluate(build_process("fuzzy", "mean", env, permuted, u)).values == base
-            assert evaluate(build_process("fuzzy", "mean", env, doubled, u)).values == base
+            base = evaluate(build_process("fuzzy", env, soc, u)).values
+            assert evaluate(build_process("fuzzy", env, permuted, u)).values == base
+            assert evaluate(build_process("fuzzy", env, doubled, u)).values == base
         _finish("C4.5 mean anonymity and duplication", started, 30.0)
 
     def test_c4_ranking_scale_invariance(self):
@@ -215,7 +215,7 @@ class TestC4Properties:
         rng = random.Random(0xC406)
         for _ in range(self.CASES_PER_PROPERTY):
             u, env, soc = random_scenario_parts(rng)
-            process = build_process("fuzzy", "mean", env, soc, u)
+            process = build_process("fuzzy", env, soc, u)
             base = evaluate(process)
             scale = Fraction(rng.randint(1, 12), rng.randint(1, 12))
             scaled = EvaluationProcess(
@@ -223,7 +223,7 @@ class TestC4Properties:
                 tuple(IndividualProfile(p.individual_id,
                                         tuple(v * scale for v in p.values))
                       for p in process.profiles),
-                process.aggregator, process.measure)
+                process.measure)
             scaled_social = evaluate(scaled)
             assert scaled_social.values == tuple(v * scale for v in base.values)
             assert ([t.ids for t in rank(base, env).tiers]
@@ -235,7 +235,7 @@ class TestC4Properties:
         rng = random.Random(0xC407)
         for _ in range(self.CASES_PER_PROPERTY):
             u, env, soc = random_scenario_parts(rng)
-            social = evaluate(build_process("fuzzy", "mean", env, soc, u))
+            social = evaluate(build_process("fuzzy", env, soc, u))
             ranking = rank(social, env)
             assert sorted(ranking.ordered_ids) == sorted(env.ids)
             values = [t.value for t in ranking.tiers]

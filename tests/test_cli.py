@@ -9,7 +9,6 @@ import pytest
 
 import setchoice
 from setchoice.cli import build_parser, main
-from setchoice.evaluation import AGGREGATORS
 
 from _golden import (CASES, EXPECTED_LOCATIONS, GOLDEN_DIR, INVALID_DIR, ROOT,
                      run_cli)
@@ -288,18 +287,24 @@ class TestUsageErrors:
                    "--format", "xml")
         assert proc.returncode == 2
 
-    def test_aggregator_choices_are_the_registry(self):
-        for name in ("evaluate", "rank"):
-            (aggregator,) = [action for action in _verbs()[name]._actions
-                             if action.dest == "aggregator"]
-            assert aggregator.choices == sorted(AGGREGATORS)
+    def test_every_choice_option_has_two_choices_or_more(self):
+        """An option with a single choice is a constant, not a setting."""
+        for name, verb in _verbs().items():
+            for action in verb._actions:
+                if action.choices is not None:
+                    assert len(action.choices) >= 2, (name, action.dest)
 
     @pytest.mark.parametrize("argv", [
         ["validate", str(SCENARIOS / "crisp_pair.json"), "--precision", "3"],
         ["universes", str(SCENARIOS / "crisp_pair.json"), "--precision", "3"],
         ["utilities", str(SCENARIOS / "crisp_pair.json"), "--measure", "fuzzy",
          "--aggregator", "mean"],
-    ], ids=["validate-precision", "universes-precision", "utilities-aggregator"])
+        ["evaluate", str(SCENARIOS / "crisp_pair.json"), "--measure", "fuzzy",
+         "--aggregator", "mean"],
+        ["rank", str(SCENARIOS / "crisp_pair.json"), "--measure", "fuzzy",
+         "--aggregator", "mean"],
+    ], ids=["validate-precision", "universes-precision", "utilities-aggregator",
+            "evaluate-aggregator", "rank-aggregator"])
     def test_an_option_the_verb_does_not_read_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -325,6 +330,17 @@ def _verbs() -> dict:
     """Each verb's subparser, by name."""
     return next(action.choices for action in build_parser()._actions
                 if action.dest == "command")
+
+
+def test_readme_library_use_runs():
+    """The README's "Library use" block runs against this checkout."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```\n", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestInProcessEntryPoint:

@@ -10,8 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setchoice import (
-    AGGREGATORS,
-    Aggregator,
     Alternative,
     Environment,
     EvaluationProcess,
@@ -30,7 +28,6 @@ from setchoice import (
     build_process,
     compute_pipeline,
     evaluate,
-    get_aggregator,
     individual_profile,
     parse_scenario,
     rank,
@@ -72,13 +69,13 @@ def reference(greek):
     return greek, env, soc
 
 
-def make_social(values, measure=UtilityMeasure.NORMALIZED, aggregator="mean"):
+def make_social(values):
     """A social profile of ``values``, over the lcm of their denominators."""
     ratios = [Fraction(v) for v in values]
     den = lcm(*(r.denominator for r in ratios))
     return SocialProfile(
         nums=tuple(r.numerator * (den // r.denominator) for r in ratios),
-        den=den, measure=measure, aggregator=aggregator)
+        den=den)
 
 
 def mean_oracle_edge_cases():
@@ -161,7 +158,7 @@ def assert_matches_kernel_mean(measure, u, env, soc):
     """evaluate's social row and out-of-domain flag equal exact_mean and
     the per-cell scan over the full kernel matrix, without reading a
     profile."""
-    process = build_process(measure, "mean", env, soc, u)
+    process = build_process(measure, env, soc, u)
     social = evaluate(process)
     assert "profiles" not in vars(process)
     nums, dens = _core.utility_matrix(encode(u, env, soc), measure)
@@ -205,15 +202,15 @@ class TestIndividualProfile:
 class TestBuildProcess:
     def test_reference_scenario_normalized(self, reference):
         u, env, soc = reference
-        process = build_process("normalized", "mean", env, soc, u)
+        process = build_process("normalized", env, soc, u)
         assert [p.values for p in process.profiles] == [(Fraction(1),), (Fraction(1),)]
         assert [p.individual_id for p in process.profiles] == ["p", "q"]
-        assert process.aggregator.name == "mean"
+        assert process.measure is UtilityMeasure.NORMALIZED
 
     def test_single_individual(self, greek):
         env = Environment((Alternative("m", greek.subset(["alpha"])),))
         soc = Society((Individual.crisp("p", greek, ["alpha"]),))
-        process = build_process("fuzzy", "mean", env, soc, greek)
+        process = build_process("fuzzy", env, soc, greek)
         assert len(process.profiles) == 1
 
     def test_zero_mass_error_names_individual(self, reference):
@@ -225,7 +222,7 @@ class TestBuildProcess:
                            _scale=q._scale)
         soc = Society((p, q))
         with pytest.raises(ZeroMembershipMass) as exc_info:
-            build_process("fuzzy", "mean", env, soc, u)
+            build_process("fuzzy", env, soc, u)
         assert exc_info.value.individual_id == "q"
         assert exc_info.value.alternative_id == "m"
 
@@ -234,7 +231,7 @@ class TestBuildProcess:
         for _ in range(100):
             u, env, soc = random_scenario_parts(rng)
             for measure in (UtilityMeasure.FUZZY,):
-                process = build_process(measure, "mean", env, soc, u)
+                process = build_process(measure, env, soc, u)
                 for ind, profile in zip(soc.individuals, process.profiles):
                     assert profile == individual_profile(measure, env, ind, u)
 
@@ -243,7 +240,7 @@ class TestBuildProcess:
         for _ in range(100):
             u, env, soc = random_scenario_parts(rng, crisp=True)
             for measure in (UtilityMeasure.CARDINAL, UtilityMeasure.NORMALIZED):
-                process = build_process(measure, "mean", env, soc, u)
+                process = build_process(measure, env, soc, u)
                 for ind, profile in zip(soc.individuals, process.profiles):
                     assert profile == individual_profile(measure, env, ind, u)
 
@@ -256,7 +253,7 @@ class TestBuildProcess:
                        Individual("w1", greek, {"beta": 0.5}),
                        Individual("w2", greek, {"alpha": 0.25})))
         with pytest.raises(NonCrispIndividual) as built:
-            build_process(measure, "mean", env, soc, greek)
+            build_process(measure, env, soc, greek)
         with pytest.raises(NonCrispIndividual) as per_pair:
             individual_profile(measure, env, soc.individuals[1], greek)
         assert str(built.value) == str(per_pair.value)
@@ -265,14 +262,13 @@ class TestBuildProcess:
 
     def test_profiles_are_built_on_first_read(self, reference):
         u, env, soc = reference
-        process = build_process("cardinal", "mean", env, soc, u)
+        process = build_process("cardinal", env, soc, u)
         assert process.encoding == encode(u, env, soc)
         assert "profiles" not in vars(process)
         profiles = process.profiles
         assert process.profiles is profiles
         assert [p.values for p in profiles] == [(1,), (3,)]
-        hand_made = EvaluationProcess(env, soc, profiles, process.aggregator,
-                                      process.measure)
+        hand_made = EvaluationProcess(env, soc, profiles, process.measure)
         assert hand_made.encoding is None
         assert hand_made.profiles == profiles
 
@@ -280,18 +276,17 @@ class TestBuildProcess:
         u, env, soc = reference
         other = Universe(("alpha", "beta", "gamma", "delta"))
         with pytest.raises(ScenarioError):
-            build_process("fuzzy", "mean", env, soc, other)
+            build_process("fuzzy", env, soc, other)
 
     def test_process_invariants(self, reference):
         u, env, soc = reference
-        good = build_process("normalized", "mean", env, soc, u)
+        good = build_process("normalized", env, soc, u)
         with pytest.raises(LengthMismatch):
-            EvaluationProcess(env, soc, good.profiles[:1], good.aggregator,
-                              good.measure)
+            EvaluationProcess(env, soc, good.profiles[:1], good.measure)
         short = IndividualProfile("p", ())
         with pytest.raises(LengthMismatch):
             EvaluationProcess(env, soc, (short, good.profiles[1]),
-                              good.aggregator, good.measure)
+                              good.measure)
 
     @pytest.mark.parametrize("length", [40, 5000])
     def test_profile_ids_are_quoted_briefly(self, greek, length):
@@ -301,7 +296,7 @@ class TestBuildProcess:
         name, stray = "p" * length, "q" * length
         env = Environment((Alternative("m", greek.subset(["alpha"])),))
         soc = Society((Individual.crisp(name, greek, ["alpha"]),))
-        good = build_process("cardinal", "mean", env, soc, greek)
+        good = build_process("cardinal", env, soc, greek)
         for profiles, message in [
             ((IndividualProfile(stray, (1,)),),
              f"profile order disagrees with society order at {shown(stray)}"),
@@ -309,8 +304,7 @@ class TestBuildProcess:
              f"profile of {shown(name)} has 0 values for 1 alternatives"),
         ]:
             with pytest.raises(ScenarioError) as exc:
-                EvaluationProcess(env, soc, profiles, good.aggregator,
-                                  good.measure)
+                EvaluationProcess(env, soc, profiles, good.measure)
             assert str(exc.value) == message
             assert len(str(exc.value)) < 200
 
@@ -320,7 +314,7 @@ class TestEvaluate:
         env = Environment((Alternative("a1", greek.subset(["alpha"])),
                            Alternative("a2", greek.subset(["beta"]))))
         soc = Society((Individual.crisp("p", greek, ["alpha", "beta"]),))
-        process = build_process("normalized", "mean", env, soc, greek)
+        process = build_process("normalized", env, soc, greek)
         social = evaluate(process)
         assert social.values == process.profiles[0].values
 
@@ -329,14 +323,14 @@ class TestEvaluate:
                            Alternative("a2", greek.subset(["beta"]))))
         soc = Society((Individual.crisp("p", greek, ["alpha"]),
                        Individual.crisp("q", greek, ["beta"])))
-        process = build_process("normalized", "mean", env, soc, greek)
+        process = build_process("normalized", env, soc, greek)
         assert [p.values for p in process.profiles] == [
             (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
         assert evaluate(process).values == (Fraction(1, 2), Fraction(1, 2))
 
     def test_reference_scenario_social_profile(self, reference):
         u, env, soc = reference
-        process = build_process("normalized", "mean", env, soc, u)
+        process = build_process("normalized", env, soc, u)
         expected = oracle_mean([Fraction(1), Fraction(1)])
         assert evaluate(process).values == (expected,) == (Fraction(1),)
 
@@ -347,7 +341,7 @@ class TestEvaluate:
                  for _ in range(150)]
         cases += mean_oracle_edge_cases()
         for measure, (u, env, soc) in cases:
-            process = build_process(measure, "mean", env, soc, u)
+            process = build_process(measure, env, soc, u)
             social = evaluate(process)
             for m in range(env.size):
                 column = [p.values[m] for p in process.profiles]
@@ -359,7 +353,7 @@ class TestEvaluate:
         rng = random.Random(304)
         for _ in range(150):
             u, env, soc = random_scenario_parts(rng)
-            process = build_process("fuzzy", "mean", env, soc, u)
+            process = build_process("fuzzy", env, soc, u)
             social = evaluate(process)
             for m in range(env.size):
                 column = [p.values[m] for p in process.profiles]
@@ -372,8 +366,8 @@ class TestEvaluate:
             order = list(range(soc.size))
             rng.shuffle(order)
             shuffled = Society(tuple(soc.individuals[i] for i in order))
-            a = evaluate(build_process("fuzzy", "mean", env, soc, u))
-            b = evaluate(build_process("fuzzy", "mean", env, shuffled, u))
+            a = evaluate(build_process("fuzzy", env, soc, u))
+            b = evaluate(build_process("fuzzy", env, shuffled, u))
             assert a.values == b.values
 
     def test_duplication_invariance(self):
@@ -383,17 +377,17 @@ class TestEvaluate:
             doubled = Society(soc.individuals + tuple(
                 Individual(f"{ind.id}_copy", u, ind.membership)
                 for ind in soc.individuals))
-            a = evaluate(build_process("fuzzy", "mean", env, soc, u))
-            b = evaluate(build_process("fuzzy", "mean", env, doubled, u))
+            a = evaluate(build_process("fuzzy", env, soc, u))
+            b = evaluate(build_process("fuzzy", env, doubled, u))
             assert a.values == b.values
             assert a == b
 
     def test_cardinal_flags_out_of_domain(self, reference):
         u, env, soc = reference
-        social = evaluate(build_process("cardinal", "mean", env, soc, u))
+        social = evaluate(build_process("cardinal", env, soc, u))
         assert social.out_of_domain  # q scores 3 on m
         assert social.values == (Fraction(2),)
-        normalized = evaluate(build_process("normalized", "mean", env, soc, u))
+        normalized = evaluate(build_process("normalized", env, soc, u))
         assert not normalized.out_of_domain
 
 
@@ -566,7 +560,7 @@ class TestSparseWideScenarios:
     def test_mean_peak_grows_with_individuals_times_objectives(self, measure):
         def peak(n):
             scenario = parse_scenario(sparse_wide_document(n, n, 4))
-            process = build_process(measure, "mean", scenario.environment,
+            process = build_process(measure, scenario.environment,
                                     scenario.society, scenario.universe)
             tracemalloc.start()
             try:
@@ -640,31 +634,27 @@ class TestKernelCalls:
 
 
 class TestAggregators:
-    def test_registry_contains_mean_only(self):
-        assert sorted(AGGREGATORS) == ["mean"]
-
-    def test_unknown_aggregator(self):
-        with pytest.raises(ScenarioError, match="unknown aggregator"):
-            get_aggregator("median")
-
     @pytest.mark.parametrize("measure", MEASURES)
-    def test_custom_aggregator_gets_every_kernel_row(self, measure):
-        u, env, soc = one_individual_parts(measure)
-        soc = Society(soc.individuals + (
-            Individual.crisp("other", u, ["g1", "g2"]),))
-        seen = []
-
-        def first(rows, dens):
-            seen.append(([list(row) for row in rows], list(dens)))
-            return rows[0], dens[0]
-
-        process = build_process(measure, Aggregator("first", first), env,
-                                soc, u)
-        social = evaluate(process)
-        assert seen == [_core.utility_matrix(encode(u, env, soc), measure)]
-        assert (social.nums, social.den) == (process.profiles[0].nums,
-                                             process.profiles[0].den)
-        assert social.aggregator == "first"
+    def test_hand_built_process_matches_the_kernel_path(self, measure,
+                                                        reference):
+        """``exact_mean`` over a hand-built process's rows equals
+        ``_mean_row`` on the kernel-built one, out-of-domain flag included
+        (the reference scenario's cardinal count of 3 is out of domain)."""
+        rng = random.Random(306)
+        cases = [reference, *(random_scenario_parts(rng, crisp=measure != "fuzzy")
+                              for _ in range(40))]
+        cases += [parts for name, parts in mean_oracle_edge_cases()
+                  if name == measure]
+        flagged = []
+        for u, env, soc in cases:
+            process = build_process(measure, env, soc, u)
+            hand_built = EvaluationProcess(env, soc, process.profiles, measure)
+            assert hand_built.encoding is None
+            kernel, rows = evaluate(process), evaluate(hand_built)
+            assert (rows.nums, rows.den, rows.out_of_domain) == (
+                kernel.nums, kernel.den, kernel.out_of_domain)
+            flagged.append(kernel.out_of_domain)
+        assert flagged[0] == (measure == "cardinal")
 
     def test_mean_stays_within_input_range(self):
         rng = random.Random(307)
@@ -710,7 +700,7 @@ class TestRank:
         rng = random.Random(309)
         for _ in range(150):
             u, env, soc = random_scenario_parts(rng)
-            social = evaluate(build_process("fuzzy", "mean", env, soc, u))
+            social = evaluate(build_process("fuzzy", env, soc, u))
             ranking = rank(social, env)
             assert sorted(ranking.ordered_ids) == sorted(env.ids)
             seen = [id_ for tier in ranking.tiers for id_ in tier.ids]
@@ -720,7 +710,7 @@ class TestRank:
         rng = random.Random(310)
         for _ in range(100):
             u, env, soc = random_scenario_parts(rng)
-            process = build_process("fuzzy", "mean", env, soc, u)
+            process = build_process("fuzzy", env, soc, u)
             base = evaluate(process)
             scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             scaled_profiles = tuple(
@@ -728,7 +718,7 @@ class TestRank:
                                   tuple(v * scale for v in p.values))
                 for p in process.profiles)
             scaled_process = EvaluationProcess(env, soc, scaled_profiles,
-                                               process.aggregator, process.measure)
+                                               process.measure)
             scaled = evaluate(scaled_process)
             assert scaled.values == tuple(v * scale for v in base.values)
             assert ([t.ids for t in rank(base, env).tiers]

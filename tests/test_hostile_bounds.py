@@ -64,7 +64,7 @@ def test_cardinal_out_of_domain_flag_is_linear():
     (1.99x); scanning every support x offer pair grows 4x (3.98x)."""
     def lines(count: int) -> int:
         scenario = parse_scenario(one_objective_document(count))
-        process = build_process("cardinal", "mean", scenario.environment,
+        process = build_process("cardinal", scenario.environment,
                                 scenario.society, scenario.universe)
         counted, social = _package_lines(lambda: evaluate(process))
         assert social.out_of_domain is False

@@ -254,7 +254,7 @@ class TestCountedBounds:
 
         monkeypatch.setattr(kernel_py, "struct",
                             SimpleNamespace(Struct=counting_struct))
-        social = evaluate(build_process("fuzzy", "mean", env, soc, u))
+        social = evaluate(build_process("fuzzy", env, soc, u))
         assert unpacks == []
         profiles = [individual_profile("fuzzy", env, ind, u)
                     for ind in soc.individuals]

@@ -307,7 +307,7 @@ class TestConstruction:
         env = Environment((Alternative(name, greek.subset(["alpha"])),))
         soc = Society((Individual(name, greek, {"alpha": "0.5"}),))
         with pytest.raises(NonCrispIndividual) as exc:
-            build_process("cardinal", "mean", env, soc, greek)
+            build_process("cardinal", env, soc, greek)
         assert exc.value.individual_id == exc.value.alternative_id == name
         assert str(exc.value) == (
             "cardinal utility is defined only for crisp individuals "

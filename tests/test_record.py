@@ -13,7 +13,6 @@ import pytest
 
 import setchoice
 from setchoice import (
-    Aggregator,
     Alternative,
     Environment,
     EvaluationProcess,
@@ -40,7 +39,6 @@ from setchoice import (
 )
 from setchoice._core.encode import EncodedScenario, encode
 from setchoice._record import Record
-from setchoice.evaluation import exact_mean
 
 U = "Universe(objectives=('a', 'b'))"
 ENV = f"Environment(universe={U}, ids=('x', 'y'), masks=(1, 3))"
@@ -49,7 +47,6 @@ SOC = (f"Society(universe={U}, ids=('p', 'q'), masks=(1, 3), "
 ENC = ("EncodedScenario(objective_count=2, offer_masks=(1, 3), "
        "support_masks=(1, 3), support_weights=((1,), (2, 1)), totals=(1, 3))")
 PROCESS = (f"EvaluationProcess(environment={ENV}, society={SOC}, "
-           f"aggregator=Aggregator(name='mean', fn={exact_mean!r}), "
            f"measure=<UtilityMeasure.FUZZY: 'fuzzy'>, encoding={ENC})")
 
 
@@ -78,7 +75,7 @@ def individual_profile():
 
 
 def social_profile():
-    return SocialProfile((1,), 2, UtilityMeasure.FUZZY, "mean")
+    return SocialProfile((1,), 2)
 
 
 def ranking_tier():
@@ -89,7 +86,7 @@ def ranked_tiers():
     """The tiers ``rank`` builds over ``parts()`` under ``fuzzy``: ``y`` at
     6/6 and ``x`` at 5/6, each over the social denominator 6."""
     u, env, soc = parts()
-    return rank(evaluate(build_process("fuzzy", "mean", env, soc, u)),
+    return rank(evaluate(build_process("fuzzy", env, soc, u)),
                 env).tiers
 
 
@@ -99,7 +96,7 @@ def scenario():
 
 def process():
     u, env, soc = parts()
-    return build_process("fuzzy", "mean", env, soc, u)
+    return build_process("fuzzy", env, soc, u)
 
 
 #: (class, factory of an instance, its repr: as the dataclass wrote it,
@@ -120,10 +117,7 @@ RECORDS = [
     (IndividualProfile, individual_profile,
      "IndividualProfile(individual_id='p', nums=(2, 1), den=2, integral=False)"),
     (SocialProfile, social_profile,
-     "SocialProfile(nums=(1,), den=2, measure=<UtilityMeasure.FUZZY: 'fuzzy'>, "
-     "aggregator='mean', out_of_domain=False)"),
-    (Aggregator, lambda: Aggregator("mean", len),
-     "Aggregator(name='mean', fn=<built-in function len>)"),
+     "SocialProfile(nums=(1,), den=2, out_of_domain=False)"),
     (RankingTier, ranking_tier,
      "RankingTier(value=Fraction(1, 2), ids=('x',))"),
     (Ranking, lambda: Ranking((ranking_tier(),)),
@@ -139,14 +133,13 @@ RECORDS = [
      f"Scenario(universe={U}, environment={ENV}, society={SOC})"),
     (PipelineResult, lambda: compute_pipeline(scenario(), "fuzzy"),
      f"PipelineResult(scenario=Scenario(universe={U}, environment={ENV}, "
-     f"society={SOC}), measure=<UtilityMeasure.FUZZY: 'fuzzy'>, "
-     f"aggregator='mean', opportunity=ObjectiveSet(universe={U}, mask=3), "
+     f"society={SOC}), opportunity=ObjectiveSet(universe={U}, mask=3), "
      f"exigence=ObjectiveSet(universe={U}, mask=3), partition=UniversePartition("
      f"offered_only=ObjectiveSet(universe={U}, mask=0), "
      f"requested_only=ObjectiveSet(universe={U}, mask=0), "
      f"matched=ObjectiveSet(universe={U}, mask=3)), process={PROCESS}, "
-     "social=SocialProfile(nums=(5, 6), den=6, measure=<UtilityMeasure.FUZZY: "
-     "'fuzzy'>, aggregator='mean', out_of_domain=False), ranking=Ranking("
+     "social=SocialProfile(nums=(5, 6), den=6, out_of_domain=False), "
+     "ranking=Ranking("
      "tiers=(RankingTier(value=Fraction(1, 1), ids=('y',)), "
      "RankingTier(value=Fraction(5, 6), ids=('x',)))))"),
 ]
@@ -200,11 +193,9 @@ class TestRecordContract:
 
 class TestConstruction:
     def test_keywords_and_defaults(self):
-        made = SocialProfile(aggregator="mean", measure=UtilityMeasure.FUZZY,
-                             den=2, nums=(1,))
+        made = SocialProfile(den=2, nums=(1,))
         assert made == social_profile() and not made.out_of_domain
-        assert SocialProfile((1,), 2, UtilityMeasure.FUZZY, "mean",
-                             out_of_domain=True).out_of_domain
+        assert SocialProfile((1,), 2, out_of_domain=True).out_of_domain
         assert Finding("error", message="m", location="$") == Finding(
             "error", "$", "m")
 
@@ -283,13 +274,10 @@ class TestProcessEquality:
 
     def test_hand_made_processes_compare_their_profiles(self):
         u, env, soc = parts()
-        mean = Aggregator("mean", exact_mean)
-
         def made(last):
             profiles = (IndividualProfile("p", (1, 1)),
                         IndividualProfile("q", (Fraction(2, 3), last)))
-            return EvaluationProcess(env, soc, profiles, mean,
-                                     UtilityMeasure.FUZZY)
+            return EvaluationProcess(env, soc, profiles, UtilityMeasure.FUZZY)
 
         assert made(Fraction(1)) == made(Fraction(1))
         assert hash(made(Fraction(1))) == hash(made(Fraction(1)))

@@ -1440,8 +1440,7 @@ class TestWritersMatchLibraryOracles:
         result = compute_pipeline(scenario, UtilityMeasure.NORMALIZED)
         values = [Fraction(5, 3), Fraction(1, 2), Fraction(1, 7), Fraction(0)]
         result = PipelineResult(
-            result.scenario, result.measure, result.aggregator,
-            result.opportunity, result.exigence, result.partition,
+            result.scenario, result.opportunity, result.exigence, result.partition,
             result.process, result.social, Ranking(tuple(
                 RankingTier(value, (f"t{i}",))
                 for i, value in enumerate(values))))
