@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import setchoice
 from setchoice import (
     Alternative,
     Environment,
@@ -17,6 +18,7 @@ from setchoice import (
     IndividualProfile,
     LengthMismatch,
     NonCrispIndividual,
+    PipelineResult,
     Ranking,
     Scenario,
     ScenarioError,
@@ -655,6 +657,24 @@ class TestAggregators:
                 kernel.nums, kernel.den, kernel.out_of_domain)
             flagged.append(kernel.out_of_domain)
         assert flagged[0] == (measure == "cardinal")
+
+    def test_the_aggregator_registry_is_gone(self):
+        """The exact mean is the only aggregate: no registry, no
+        extension point and no lookup by name is exported."""
+        for name in ("Aggregator", "AGGREGATORS", "get_aggregator"):
+            assert name not in setchoice.__all__
+            assert not hasattr(setchoice, name)
+            assert not hasattr(evaluation, name)
+
+    def test_the_measure_is_stored_once(self, reference):
+        """The measure lives on the process; neither the social profile
+        nor the pipeline result keeps a copy of it or an aggregator name."""
+        assert SocialProfile._fields == ("nums", "den", "out_of_domain")
+        assert {"measure", "aggregator"}.isdisjoint(PipelineResult._fields)
+        u, env, soc = reference
+        process = build_process("cardinal", env, soc, u)
+        assert process.measure is UtilityMeasure.CARDINAL
+        assert evaluate(process) == SocialProfile((2,), 1, True)
 
     def test_mean_stays_within_input_range(self):
         rng = random.Random(307)

@@ -1300,6 +1300,23 @@ class TestRendering:
             assert first == second
             assert first.endswith("\n")
 
+    @pytest.mark.parametrize("measure", ["cardinal", "normalized", "fuzzy"])
+    def test_reports_name_the_process_measure_and_the_mean(self, measure):
+        """Reports read the measure from the process and write the
+        aggregator as the literal word ``mean``."""
+        result = compute_pipeline(parse_scenario(bundled("crisp_pair.json")),
+                                  measure)
+        assert result.process.measure.value == measure
+        for render in (render_report, render_ranking):
+            payload = json.loads(render(result, "json"))
+            assert (payload["measure"], payload["aggregator"]) == (
+                measure, "mean")
+        report = render_report(result, "table")
+        assert f"measure: {measure}, aggregator: mean\n" in report
+        assert "\nsocial profile (mean):\n" in report
+        assert render_ranking(result, "table").startswith(
+            f"ranking (measure={measure}, aggregator=mean)\n")
+
     def test_unknown_format_rejected(self):
         scenario = parse_scenario(MINIMAL)
         with pytest.raises(Exception, match="unknown format"):
