@@ -3,9 +3,12 @@
 The environment and the society already hold their columns: each offer
 and each support as a bitmask over universe positions, and each
 individual's weights as integers over one scale, one per support bit in
-position order.  ``encode`` reads those columns as they are and sums each
-weight row once, so every utility comes back as an exact
-numerator/denominator pair (the scale cancels in the ratio).
+position order.  ``encode`` reads those columns as they are and totals
+each weight row once, so every utility comes back as an exact
+numerator/denominator pair (the scale cancels in the ratio).  A scale of
+1 holds only weights of 1, since every weight is in (0, 1]: when every
+scale is 1, each row's total is its length, taken without summing it;
+otherwise each row is summed.
 ``weights``, the dense rows, and ``int64_safe``, from the row totals,
 serve the compiled kernel alone.
 """
@@ -58,10 +61,11 @@ class EncodedScenario(Record):
 
 def encode(universe: Universe, environment: Environment,
            society: Society) -> EncodedScenario:
+    crisp = society.scales.count(1) == len(society.scales)
     return EncodedScenario(
         objective_count=universe.size,
         offer_masks=environment.masks,
         support_masks=society.masks,
         support_weights=society.weights,
-        totals=tuple(map(sum, society.weights)),
+        totals=tuple(map(len if crisp else sum, society.weights)),
     )

@@ -18,6 +18,18 @@ distinct literal once, through a memo made for that parse (``_load``): the
 number bound is checked before the value is built, a literal in (0, 1],
 a weight's range, is read as its exact ``(numerator, denominator)``, and
 any other as an ``int`` or a ``Decimal``, which a finding quotes.
+A key repeated within one JSON object is one finding at ``$``,
+``duplicate key``, naming the first repeat: the first repeated key of the
+first object the decoder finishes that has one, an inner object
+finishing before the object that holds it.  The text is decoded once
+without looking for repeats and its colons counted once: each colon
+outside a string separates one key from its value, so a count equal to
+the keys of the document, its alternatives' and individuals' entries and
+their memberships proves that nothing was repeated.  A file that the
+count cannot clear (a colon inside a string, an object anywhere else, a
+repeat) or that the first decode rejects is decoded a second time,
+through the same literal memo, by a decoder that checks every object's
+keys (``_pairs_hook``), the only code that words the finding.
 The parser is the one validator of a file: it reports each rule as a
 located finding and emits each section as columns (ids, masks, and for
 individuals the ``_scaled`` weight rows and scales), and stores the
@@ -60,8 +72,8 @@ import gc
 import json
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache
-from itertools import chain, repeat
+from functools import cache, partial
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from math import lcm
 from operator import itemgetter
@@ -179,19 +191,54 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name}")
 
 
+def _dicts(values) -> list[dict]:
+    """The dicts among ``values``, in order."""
+    values = list(values)
+    return list(compress(values, map(isinstance, values, repeat(dict))))
+
+
+def _scenario_keys(doc) -> int:
+    """The number of keys of the dicts ``doc`` holds where a scenario holds
+    them: the document, each entry of its alternatives and individuals, and
+    each entry's membership.  Each dict is counted once, so the number is
+    never above the key/value pairs, and so the colons, of the text."""
+    if not isinstance(doc, dict):
+        return 0
+    entries = _dicts(chain.from_iterable(
+        section for section in (doc.get("alternatives"), doc.get("individuals"))
+        if isinstance(section, list)))
+    memberships = _dicts(filter(None, map(dict.get, entries,
+                                          repeat("membership"))))
+    return len(doc) + sum(map(len, entries)) + sum(map(len, memberships))
+
+
 def _load(text: str):
     """The JSON document of ``text``.  A memo made for this call reads each
     distinct number literal once, within the number bound: a value in (0, 1]
     as its exact ``(numerator, denominator)``, the form ``_scaled`` takes,
-    any other as an ``int`` or a ``Decimal``."""
+    any other as an ``int`` or a ``Decimal``.
+
+    The first decode keeps the last value of a repeated key; the decode
+    with ``_pairs_hook`` runs only when the colon count of ``text`` differs
+    from ``_scenario_keys`` of that document, or when the first decode
+    raises, and it raises or returns exactly as a single decode with the
+    hook would."""
     def memo(read):
         def value(literal):
             number = read(_bounded(literal))
             return number.as_integer_ratio() if 0 < number <= 1 else number
         return cache(value)
-    return json.loads(text, parse_float=memo(Decimal), parse_int=memo(int),
-                      parse_constant=_reject_constant,
-                      object_pairs_hook=_pairs_hook)
+    decode = partial(json.loads, text, parse_float=memo(Decimal),
+                     parse_int=memo(int), parse_constant=_reject_constant)
+    try:
+        doc = decode()
+    except (ValueError, RecursionError):
+        pass
+    else:
+        if text.count(":") == _scenario_keys(doc):
+            return doc
+        del doc  # freed before the second document is built
+    return decode(object_pairs_hook=_pairs_hook)
 
 
 def _err(findings, location, message):

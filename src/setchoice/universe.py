@@ -86,15 +86,18 @@ def positions(mask: int) -> list[int]:
 def bit_columns(masks: Sequence[int], size: int, width: int) -> list[int]:
     """Column p < ``size`` of the bit matrix with rows ``masks``: bit p of
     ``masks[i]`` at bit ``i * width``, ``width`` a multiple of 8.  Per chunk
-    of ``width`` positions, one join of the masks gives each column."""
+    of ``width`` positions, the masks' ``width // 8`` little-endian bytes,
+    made by one C-level ``map`` of ``int.to_bytes`` as in
+    ``packed_counts``, are joined into one int, and each column is one
+    shift and one ``&`` of it."""
     step = width // 8
     ones = int.from_bytes((b"\1" + bytes(step - 1)) * len(masks), "little")
     low = (1 << width) - 1
     columns: list[int] = []
     for start in range(0, size, width):
         chunk = masks if size <= width else [(m >> start) & low for m in masks]
-        joined = int.from_bytes(b"".join(m.to_bytes(step, "little")
-                                         for m in chunk), "little")
+        joined = int.from_bytes(b"".join(map(int.to_bytes, chunk, repeat(step),
+                                             repeat("little"))), "little")
         columns += map(ones.__and__, map(joined.__rshift__,
                                          range(min(width, size - start))))
     return columns

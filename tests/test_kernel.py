@@ -1,12 +1,13 @@
 """Backend equivalence: the compiled kernel, the pure kernel, and the
 per-pair reference functions must agree exactly."""
 
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setchoice import (
@@ -80,6 +81,15 @@ def weighted_parts(draw, alternatives, largest=None, weights=small_weights):
     return universe, environment, society
 
 
+#: A crisp individual and a weighted one whose every weight is exactly 1,
+#: so its scale is 1.
+ABC = Universe(("a", "b", "c"))
+UNIT_WEIGHTED = (
+    ABC, Environment((Alternative("x", ABC.subset(["a"])),)),
+    Society((Individual.crisp("crisp", ABC, ["a", "c"]),
+             Individual("ones", ABC, {"a": Fraction(1), "b": Fraction(1)}))))
+
+
 def encoded(parts):
     universe, environment, society = parts
     return encode(universe, environment, society)
@@ -100,6 +110,40 @@ class TestEncoding:
         assert enc.weights == ((3, 0, 2),)
         assert enc.totals == (5,)
         assert enc.int64_safe
+
+    @given(parts=weighted_parts(
+        2, weights=st.one_of(st.just(Fraction(1)), small_weights)))
+    @example(parts=UNIT_WEIGHTED)
+    @example(parts=(*UNIT_WEIGHTED[:2], Society((
+        *UNIT_WEIGHTED[2], Individual("half", ABC, {"b": Fraction(1, 2)})))))
+    @settings(max_examples=60, deadline=None)
+    def test_totals_are_the_row_sums(self, parts):
+        """A total is its row's length when every scale is 1, since a
+        scale of 1 holds only weights of 1, and its sum otherwise."""
+        assert encoded(parts).totals == tuple(map(sum, parts[2].weights))
+
+    @given(rows=st.lists(st.one_of(
+        st.lists(st.sampled_from("abc"), min_size=1, unique=True).map(
+            lambda tokens: {"requires": tokens}),
+        st.dictionaries(st.sampled_from("abc"),
+                        st.sampled_from(["1", "1.0", "1e0", "0.5", "0.25"]),
+                        min_size=1).map(lambda weights: {"membership": weights})),
+        min_size=1, max_size=5))
+    @example(rows=[{"requires": ["a"]}, {"membership": {"b": "1", "c": "1.0"}}])
+    @settings(max_examples=60, deadline=None)
+    def test_totals_of_a_parsed_scenario_are_the_row_sums(self, rows):
+        individuals = ", ".join(
+            f'{{"id": "p{n}", "requires": {json.dumps(row["requires"])}}}'
+            if "requires" in row else
+            f'{{"id": "p{n}", "membership": {{'
+            + ", ".join(f'"{t}": {w}' for t, w in row["membership"].items()) + "}}"
+            for n, row in enumerate(rows))
+        scenario = parse_scenario(
+            '{"universe": ["a", "b", "c"], "alternatives": [{"id": "x", '
+            f'"offers": ["a"]}}], "individuals": [{individuals}]}}')
+        society = scenario.society
+        assert encode(scenario.universe, scenario.environment,
+                      society).totals == tuple(map(sum, society.weights))
 
     def test_large_scale_marks_unsafe(self):
         u = Universe(("a", "b"))

@@ -1,9 +1,12 @@
 import csv
 import gc
+import importlib.util
 import io
 import json
 import random
+import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -166,7 +169,19 @@ class TestParse:
         (MINIMAL.replace('"id": "x", "offers": ["a"]',
                          '"id": "x", "offers": ["a"], "id": "y"'), "id"),
         ('{"universe": ["a"], "universe": {"k": 1, "k": 2}}', "k"),
-    ], ids=["first-repeat", "nested", "inner-first"])
+        (MINIMAL.replace('"requires": ["a"]',
+                         '"membership": {"a": 0.5, "a": 1}'), "a"),
+        ('{"universe": ["a"], "extra": {"k": 1, "k": 2}}', "k"),
+        (MINIMAL.replace('"offers": ["a"]', '"offers": [{"k": 1, "k": 2}]'), "k"),
+        (MINIMAL.replace('"requires": ["a"]',
+                         '"membership": {"a:b": 1, "a\\u003ab": 0.5}'), "a:b"),
+        ('{"universe" :\n["a"],\t"universe"\n:\n["b"]}', "universe"),
+        ('[{"a": 1, "a": 2}]', "a"),
+        ('[{"a": 1, "a": 2}, x]', "a"),
+        ('[{"a": 1, "a": 2}, 1e99999]', "a"),
+    ], ids=["first-repeat", "nested", "inner-first", "membership",
+            "unknown-key", "in-offers", "escaped-colon", "whitespace",
+            "top-level-list", "then-syntax-error", "then-past-the-bound"])
     def test_duplicate_key_named_is_the_first_repeat(self, text, key):
         assert [(f.severity, f.location, f.message)
                 for f in validate_scenario(text).findings] == [
@@ -1090,6 +1105,167 @@ class TestLiteralMemo:
         monkeypatch.setattr(scenario_io, "cache", lambda function: function)
         assert [render_validation(validate_scenario(text), "table")
                 for text in texts] == with_memo
+
+
+class Pairs(list):
+    """A JSON object as its ``(key, value)`` pairs, a key possibly
+    repeated; keys and leaves are JSON text as spelled."""
+
+
+def pairs_json(value, colon: str) -> str:
+    """``value`` as JSON text, each key separated from its value by
+    ``colon``."""
+    if isinstance(value, Pairs):
+        return "{" + ", ".join(f"{key}{colon}{pairs_json(item, colon)}"
+                               for key, item in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(pairs_json(item, colon) for item in value) + "]"
+    return value
+
+
+# "a\u003ab" spells the key "a:b" with no colon in the text
+KEY_TEXTS = st.sampled_from(['"id"', '"offers"', '"requires"', '"membership"',
+                             '"universe"', '"a"', '"a:b"', '":"', '"a\\u003ab"'])
+VALUE_TEXTS = st.recursive(
+    st.sampled_from(['"a"', '"a:b"', '"x\\u003ay"', '0.25', '1', '2', '-0.0',
+                     'true', 'null', '1e99999', '[]', '{}']),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.lists(st.tuples(KEY_TEXTS, inner), max_size=3).map(Pairs)),
+    max_leaves=8)
+MEMBERSHIPS = st.lists(st.tuples(
+    st.sampled_from(['"a"', '"b"', '"a:b"', '"a\\u003ab"']),
+    st.sampled_from(["0.5", "1", "0", "2"])), max_size=3).map(Pairs)
+ENTRIES = st.lists(st.one_of(
+    st.tuples(st.just('"id"'), st.sampled_from(['"p"', '"q:r"'])),
+    st.tuples(st.sampled_from(['"offers"', '"requires"']),
+              st.lists(st.sampled_from(['"a"', '"a:b"']), max_size=2) | VALUE_TEXTS),
+    st.tuples(st.just('"membership"'), MEMBERSHIPS | VALUE_TEXTS),
+    st.tuples(KEY_TEXTS, VALUE_TEXTS)), max_size=4).map(Pairs)
+DOCUMENTS = st.lists(st.one_of(
+    st.tuples(st.just('"universe"'),
+              st.lists(st.sampled_from(['"a"', '"b"', '"a:b"']), max_size=3)),
+    st.tuples(st.sampled_from(['"alternatives"', '"individuals"']),
+              st.lists(ENTRIES | VALUE_TEXTS, max_size=3)),
+    st.tuples(KEY_TEXTS, VALUE_TEXTS)), max_size=5).map(Pairs)
+#: Scenario-shaped JSON text, a list at the top level among it, with
+#: repeated keys, colons inside strings and a trailing fault or two.
+SCENARIO_TEXTS = st.builds(
+    lambda top, colon, suffix: pairs_json(top, colon) + suffix,
+    DOCUMENTS | st.lists(ENTRIES | VALUE_TEXTS, max_size=3),
+    st.sampled_from([": ", ":", " : ", "\n:\t"]),
+    st.sampled_from(["", "\n", " x", ",", "]"]))
+
+
+def decoded(text: str):
+    """What ``_load`` makes of ``text``: the document's repr, which keeps
+    the key order, or the exception it raises."""
+    try:
+        return "document", repr(_load(text))
+    except scenario_io._DuplicateKey as exc:
+        return "duplicate key", exc.key
+    except (ValueError, RecursionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def hooked(text: str):
+    """``decoded(text)`` when every decode checks each object's keys with
+    ``_pairs_hook``: the first decode returns or raises as the one decode
+    of a parser without the colon count would."""
+    loads = json.loads
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(json, "loads", partial(
+            loads, object_pairs_hook=scenario_io._pairs_hook))
+        return decoded(text)
+
+
+def workload_documents(seed: int) -> list:
+    """The benchmark's documents of ``seed``, from every workload."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses looks its module up
+    spec.loader.exec_module(workloads)
+    return [document for name in workloads.WORKLOADS
+            for document in workloads.generate(name, seed)]
+
+
+class TestRepeatedKeys:
+    """``_load`` certifies the absence of repeated keys by one colon count,
+    and decodes a second time with ``_pairs_hook`` only when the count
+    cannot: either way it returns or raises as the hooked decode does."""
+
+    @given(text=SCENARIO_TEXTS)
+    @example(text=MINIMAL)
+    @example(text=MINIMAL.replace('"requires": ["a"]',
+                                  '"membership": {"a": 0.5, "a": 1}'))
+    @example(text='{"universe": ["a"], "extra": {"k": 1, "k": 2}}')
+    @example(text='{"universe": ["a"], "extra": {"k": 1}}')
+    @example(text=MINIMAL.replace('"offers": ["a"]', '"offers": [{"k": 1, "k": 2}]'))
+    @example(text='{"universe": ["a:b"], "alternatives": [{"id": "x:y", '
+                  '"offers": ["a:b"]}], "individuals": [{"id": "p", '
+                  '"membership": {"a:b": 1, "a\\u003ab": 0.5}}], "c:d": 1}')
+    # strings where the count looks for objects: their lengths are no keys
+    @example(text='{"alternatives": ["ab"], "x": {"k": 1, "k": 2}}')
+    @example(text='{"individuals": [{"membership": "ab"}], "x": {"k": 1, "k": 2}}')
+    @example(text='{"universe" :\n["a"],\t"universe"\n:\n["b"]}')
+    @example(text='[{"a": 1, "a": 2}]')
+    @example(text='[{"a": 1}]')
+    @example(text='[{"a": 1, "a": 2}, x]')
+    @example(text='{"a": {"b": 1, "b": 2}, "c": ]')
+    @example(text='[{"a": 1, "a": 2}, 1e99999]')
+    @example(text='{"a": 1, "a": 2, "b": 1e99999}')
+    @settings(max_examples=300, deadline=None)
+    def test_the_count_changes_no_document_and_no_exception(self, text):
+        assert decoded(text) == hooked(text)
+
+    def test_the_workloads_are_decoded_once_without_the_hook(self, monkeypatch):
+        hooks, loads = [], []
+        pairs_hook, json_loads = scenario_io._pairs_hook, json.loads
+
+        def counted_hook(pairs):
+            hooks.append(pairs)
+            return pairs_hook(pairs)
+
+        def counted_loads(*args, **kwargs):
+            loads[-1] += 1
+            return json_loads(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_io, "_pairs_hook", counted_hook)
+        monkeypatch.setattr(json, "loads", counted_loads)
+        documents = workload_documents(0)
+        for document in documents:
+            loads.append(0)
+            _parse(document.text)
+        assert hooks == []
+        # the nested probe fails the first decode, and the second decode
+        # meets no object
+        assert loads == [2 if document.probe else 1 for document in documents]
+        for path in sorted(INVALID_DIR.glob("*.json")):
+            loads.append(0)
+            _parse(path.read_text())
+            assert loads[-1] <= 2, path.name
+
+    def test_the_second_decode_bounds_no_literal_again(self, monkeypatch):
+        calls, loads = [], []
+        bounded, json_loads = scenario_io._bounded, json.loads
+
+        def counted(text):
+            calls.append(text)
+            return bounded(text)
+
+        def counted_loads(*args, **kwargs):
+            loads.append(kwargs.get("object_pairs_hook"))
+            return json_loads(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_io, "_bounded", counted)
+        monkeypatch.setattr(json, "loads", counted_loads)
+        # a colon in every token: the count cannot clear the file
+        text = repeated_weights_document().replace('"a"', '"a:1"')
+        text = text.replace('"b"', '"b:1"').replace('"c"', '"c:1"')
+        scenario = parse_scenario(text)
+        assert isinstance(scenario, Scenario)
+        assert loads == [None, scenario_io._pairs_hook]
+        assert sorted(calls) == ["0.25", "1"]
 
 
 class TestInvalidCorpus:
