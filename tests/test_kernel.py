@@ -81,13 +81,19 @@ def weighted_parts(draw, alternatives, largest=None, weights=small_weights):
     return universe, environment, society
 
 
+ABC = Universe(("a", "b", "c"))
 #: A crisp individual and a weighted one whose every weight is exactly 1,
 #: so its scale is 1.
-ABC = Universe(("a", "b", "c"))
 UNIT_WEIGHTED = (
     ABC, Environment((Alternative("x", ABC.subset(["a"])),)),
     Society((Individual.crisp("crisp", ABC, ["a", "c"]),
              Individual("ones", ABC, {"a": Fraction(1), "b": Fraction(1)}))))
+
+
+def membership_entry(weights: dict[str, str]) -> str:
+    """A ``membership`` key and its object, each weight as spelled."""
+    return '"membership": {%s}' % ", ".join(
+        f'"{token}": {weight}' for token, weight in weights.items())
 
 
 def encoded(parts):
@@ -122,22 +128,18 @@ class TestEncoding:
         scale of 1 holds only weights of 1, and its sum otherwise."""
         assert encoded(parts).totals == tuple(map(sum, parts[2].weights))
 
-    @given(rows=st.lists(st.one_of(
+    @given(entries=st.lists(st.one_of(
         st.lists(st.sampled_from("abc"), min_size=1, unique=True).map(
-            lambda tokens: {"requires": tokens}),
+            lambda tokens: f'"requires": {json.dumps(tokens)}'),
         st.dictionaries(st.sampled_from("abc"),
                         st.sampled_from(["1", "1.0", "1e0", "0.5", "0.25"]),
-                        min_size=1).map(lambda weights: {"membership": weights})),
+                        min_size=1).map(membership_entry)),
         min_size=1, max_size=5))
-    @example(rows=[{"requires": ["a"]}, {"membership": {"b": "1", "c": "1.0"}}])
+    @example(entries=['"requires": ["a"]', '"membership": {"b": 1, "c": 1.0}'])
     @settings(max_examples=60, deadline=None)
-    def test_totals_of_a_parsed_scenario_are_the_row_sums(self, rows):
-        individuals = ", ".join(
-            f'{{"id": "p{n}", "requires": {json.dumps(row["requires"])}}}'
-            if "requires" in row else
-            f'{{"id": "p{n}", "membership": {{'
-            + ", ".join(f'"{t}": {w}' for t, w in row["membership"].items()) + "}}"
-            for n, row in enumerate(rows))
+    def test_totals_of_a_parsed_scenario_are_the_row_sums(self, entries):
+        individuals = ", ".join(f'{{"id": "p{n}", {entry}}}'
+                                for n, entry in enumerate(entries))
         scenario = parse_scenario(
             '{"universe": ["a", "b", "c"], "alternatives": [{"id": "x", '
             f'"offers": ["a"]}}], "individuals": [{individuals}]}}')

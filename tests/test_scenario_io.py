@@ -1168,9 +1168,9 @@ def decoded(text: str):
 
 
 def hooked(text: str):
-    """``decoded(text)`` when every decode checks each object's keys with
-    ``_pairs_hook``: the first decode returns or raises as the one decode
-    of a parser without the colon count would."""
+    """``decoded(text)`` with ``_pairs_hook`` on every decode, the first
+    included: that decode returns or raises as a parser that decodes once,
+    checking every object's keys, does."""
     loads = json.loads
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(json, "loads", partial(
