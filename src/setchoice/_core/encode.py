@@ -1,7 +1,9 @@
 """Integer encoding of a scenario for the utility-matrix kernels.
 
 The environment and the society already hold their columns: each offer
-and each support as a bitmask over universe positions, and each
+and each support as a bitmask over the positions of the one universe
+they share (``build_process`` checks that), whose size ``encode`` reads
+from the environment, and each
 individual's weights as integers over one scale, one per support bit in
 position order.  ``encode`` reads those columns as they are and totals
 each weight row once, so every utility comes back as an exact
@@ -19,7 +21,7 @@ from functools import cached_property
 
 from .._record import Record
 from ..measures import Environment, Society
-from ..universe import Universe, positions
+from ..universe import positions
 
 # Leave headroom below 2**63-1 so the compiled kernel can accumulate freely.
 INT64_LIMIT = 2 ** 62
@@ -59,11 +61,10 @@ class EncodedScenario(Record):
         return tuple(rows)
 
 
-def encode(universe: Universe, environment: Environment,
-           society: Society) -> EncodedScenario:
+def encode(environment: Environment, society: Society) -> EncodedScenario:
     crisp = society.scales.count(1) == len(society.scales)
     return EncodedScenario(
-        objective_count=universe.size,
+        objective_count=len(environment.universe),
         offer_masks=environment.masks,
         support_masks=society.masks,
         support_weights=society.weights,

@@ -6,7 +6,9 @@ ratio over one denominator T_i (the support size for ``normalized``, the
 scaled weight total for ``fuzzy``, 1 for ``cardinal``), so a profile is
 held as an integer numerator row over that one positive denominator,
 exactly as the kernel returns it.  A process bundles environment,
-society, the profiles and the measure.  Every step reads the columns
+society, the profiles and the measure; its universe is the one the
+environment and the society hold, and ``build_process`` refuses two that
+use different universes.  Every step reads the columns
 of the society and the environment (their ``ids``, ``masks``, weight rows
 and scales), so a kernel-built process builds no ``Individual`` and no
 ``Alternative``.  ``build_process`` checks each individual, over the
@@ -62,7 +64,7 @@ from .measures import (
     _check_domain,
     utility,
 )
-from .universe import Universe, bit_columns, packed_counts, positions
+from .universe import _check_shared, bit_columns, packed_counts, positions
 
 # A crisp support-size group of more than _COLUMN_ROWS supports over fewer
 # than _COLUMN_SIZE objectives is counted through ``bit_columns``; any other
@@ -196,17 +198,17 @@ class EvaluationProcess(Record):
                  profiles: Sequence[IndividualProfile],
                  measure: UtilityMeasure):
         profiles = tuple(profiles)
-        if len(profiles) != society.size:
+        if len(profiles) != len(society):
             raise LengthMismatch("one profile per individual is required")
         for profile, individual_id in zip(profiles, society.ids):
             if profile.individual_id != individual_id:
                 raise ScenarioError(
                     f"profile order disagrees with society order at "
                     f"{_quoted_id(profile.individual_id)}")
-            if len(profile) != environment.size:
+            if len(profile) != len(environment):
                 raise LengthMismatch(
                     f"profile of {_quoted_id(profile.individual_id)} has "
-                    f"{len(profile)} values for {environment.size} "
+                    f"{len(profile)} values for {len(environment)} "
                     "alternatives")
         # frozen: fill the instance dict directly, ``profiles`` included
         self.__dict__.update(environment=environment, society=society,
@@ -277,15 +279,14 @@ class Ranking(Record):
 
 
 def individual_profile(measure: UtilityMeasure | str, environment: Environment,
-                       individual: Individual,
-                       universe: Universe) -> IndividualProfile:
+                       individual: Individual) -> IndividualProfile:
     """One individual's utilities over all alternatives, per-pair reference
     path (no kernel)."""
     measure = UtilityMeasure(measure)
     values = []
     for alternative in environment.alternatives:
         try:
-            values.append(utility(measure, alternative, individual, universe))
+            values.append(utility(measure, alternative, individual))
         except MeasureError as err:
             raise err.with_context(individual_id=individual.id,
                                    alternative_id=alternative.id) from None
@@ -312,15 +313,15 @@ def _precheck(measure: UtilityMeasure, society: Society,
 
 
 def build_process(measure: UtilityMeasure | str, environment: Environment,
-                  society: Society, universe: Universe) -> EvaluationProcess:
-    """Check every individual against the measure's domain, encode the
-    scenario for the kernel, and bundle the evaluation process; the
-    profiles are computed on first read."""
+                  society: Society) -> EvaluationProcess:
+    """Check that the environment and the society use one universe and
+    every individual the measure's domain, encode the scenario for the
+    kernel, and bundle the evaluation process; the profiles are computed
+    on first read."""
     measure = UtilityMeasure(measure)
-    if environment.universe != universe or society.universe != universe:
-        raise ScenarioError("environment and society must share the given universe")
+    _check_shared(environment, society)
     _precheck(measure, society, environment)
-    enc = _core.encode(universe, environment, society)
+    enc = _core.encode(environment, society)
     return EvaluationProcess._of(environment, society, measure, enc)
 
 
@@ -448,10 +449,10 @@ def rank(profile: SocialProfile, environment: Environment) -> Ranking:
     Equal values (equal numerators over the profile's one denominator)
     form a tier; ids inside a tier are sorted lexicographically.
     """
-    if len(profile) != environment.size:
+    if len(profile) != len(environment):
         raise LengthMismatch(
             f"social profile has {len(profile)} values for "
-            f"{environment.size} alternatives")
+            f"{len(environment)} alternatives")
     ordered = sorted(zip([-num for num in profile.nums], environment.ids))
     den = profile.den
     return Ranking(tuple(

@@ -31,6 +31,11 @@ check; the parser stores the columns of its checked sections unchecked
 (``Record._of``), so a parsed scenario holds no ``Individual`` or
 ``Alternative`` until ``individuals`` or ``alternatives`` is first read,
 and those read its members back unchecked as well.
+
+Every value here holds its universe: an alternative its offer's, and an
+individual, an environment and a society their own.  So no function
+takes a universe beside them; the per-pair functions read it from the
+pair and refuse a pair over two universes.
 """
 
 from __future__ import annotations
@@ -265,10 +270,6 @@ class Environment(Record):
         return tuple(Alternative._of(alt_id, ObjectiveSet._of(universe, mask))
                      for alt_id, mask in zip(self.ids, self.masks))
 
-    @property
-    def size(self) -> int:
-        return len(self.ids)
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -313,10 +314,6 @@ class Society(Record):
                                     _weights=weights, _scale=scale)
                      for individual_id, mask, weights, scale
                      in zip(self.ids, self.masks, self.weights, self.scales))
-
-    @property
-    def size(self) -> int:
-        return len(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -375,24 +372,21 @@ def normalized_cardinal_utility(alternative: Alternative,
                     support.bit_count())
 
 
-def fuzzy_utility(alternative: Alternative, individual: Individual,
-                  universe: Universe) -> Fraction:
+def fuzzy_utility(alternative: Alternative, individual: Individual) -> Fraction:
     """Weight the alternative's offer carries, as a share of the
     individual's total weight over the whole universe."""
     _check_pair(alternative, individual)
-    if alternative.universe != universe:
-        raise ScenarioError("alternative does not belong to the given universe")
     _check_domain(UtilityMeasure.FUZZY, individual)
     covered = sum(individual.mu(t) for t in alternative.offers.members)
     return covered / individual.mass
 
 
 def utility(measure: UtilityMeasure | str, alternative: Alternative,
-            individual: Individual, universe: Universe) -> int | Fraction:
+            individual: Individual) -> int | Fraction:
     """Dispatch to the requested measure."""
     measure = UtilityMeasure(measure)
     if measure is UtilityMeasure.CARDINAL:
         return cardinal_utility(alternative, individual)
     if measure is UtilityMeasure.NORMALIZED:
         return normalized_cardinal_utility(alternative, individual)
-    return fuzzy_utility(alternative, individual, universe)
+    return fuzzy_utility(alternative, individual)

@@ -102,6 +102,7 @@ from .universe import (
     ObjectiveSet,
     Universe,
     UniversePartition,
+    _check_shared,
     _token_text,
     check_token,
     exigence_universe,
@@ -143,27 +144,20 @@ class ValidationReport(Record):
 
 
 class Scenario(Record):
-    universe: Universe
+    """An environment and a society over one universe, which both hold:
+    ``universe`` reads the environment's, and the constructor refuses a
+    society over another.  Sizes are ``len`` of the universe, the
+    environment and the society."""
+
     environment: Environment
     society: Society
 
     def __post_init__(self):
-        if self.environment.universe != self.universe:
-            raise ScenarioError("environment does not use the scenario universe")
-        if self.society.universe != self.universe:
-            raise ScenarioError("society does not use the scenario universe")
+        _check_shared(self.environment, self.society)
 
     @property
-    def objective_count(self) -> int:
-        return self.universe.size
-
-    @property
-    def alternative_count(self) -> int:
-        return self.environment.size
-
-    @property
-    def individual_count(self) -> int:
-        return self.society.size
+    def universe(self) -> Universe:
+        return self.environment.universe
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +319,10 @@ def _entries(raw, start, ids, section, what, allowed, findings):
 
 def _objective_list(entry, key, loc, empty, known, findings) -> int | None:
     """The mask of the objectives of the array ``entry[key]`` (``known``
-    maps each declared token to its bit).  A valid list is accepted by one
-    C-level sum of its tokens' bits: the tokens are distinct exactly when
-    the sum has as many set bits as the list has tokens, since a repeated
-    bit carries.  Any other list is walked once, where a token whose bit
+    maps each declared token to its bit), walked once: a token whose bit
     is set already is warned about as a repeat.  None if it is not a
-    non-empty array of declared objectives."""
+    non-empty array of declared objectives.  Valid lists seldom come
+    here: ``_accepted_masks`` takes them a section or a chunk at a time."""
     raw = entry[key]
     if not isinstance(raw, list):
         _err(findings, f"{loc}.{key}",
@@ -339,14 +331,6 @@ def _objective_list(entry, key, loc, empty, known, findings) -> int | None:
     if not raw:
         _err(findings, f"{loc}.{key}", empty)
         return None
-    try:
-        # an unknown token gives None, which sum() refuses like an unhashable one
-        mask = sum(map(known.get, raw))
-    except TypeError:
-        pass
-    else:
-        if mask.bit_count() == len(raw):
-            return mask
     loc = f"{loc}.{key}"
     mask = 0
     bad = False
@@ -456,15 +440,18 @@ def _accepted_ids(raw: list) -> tuple[str, ...] | None:
 def _accepted_masks(lists: list, known) -> tuple[tuple[int, ...], list[int]] | None:
     """``(masks, counts)`` of objective lists that are all valid, non-empty
     arrays of declared objectives with no repeat; counts are the lists'
-    lengths.  None otherwise."""
+    lengths.  None otherwise.  Each mask is the C-level sum of its tokens'
+    bits, so the tokens are distinct exactly when it has as many set bits
+    as the list has tokens, since a repeated bit carries."""
     if set(map(type, lists)) != {list} or not all(lists):
         return None
     try:
+        # an unknown token gives None, which sum() refuses like an unhashable one
         masks = tuple(map(sum, map(map, repeat(known.get), lists)))
     except TypeError:
         return None
     counts = list(map(len, lists))
-    if list(map(int.bit_count, masks)) != counts:  # a repeat, as in _objective_list
+    if list(map(int.bit_count, masks)) != counts:
         return None
     return masks, counts
 
@@ -668,7 +655,7 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
             return None, ValidationReport(tuple(findings))
 
         universe = Universe._of(tuple(declared), _bits=known)
-        scenario = Scenario(universe, Environment._of(universe, *alternatives),
+        scenario = Scenario(Environment._of(universe, *alternatives),
                             Society._of(universe, *individuals))
         return scenario, ValidationReport(tuple(findings))
     finally:
@@ -725,8 +712,7 @@ class PipelineResult(Record):
 def compute_pipeline(scenario: Scenario,
                      measure: UtilityMeasure | str) -> PipelineResult:
     """Run universes, profiles, the social mean, and ranking."""
-    process = build_process(measure, scenario.environment, scenario.society,
-                            scenario.universe)
+    process = build_process(measure, scenario.environment, scenario.society)
     social = evaluate(process)
     return PipelineResult(
         scenario=scenario,
@@ -952,8 +938,7 @@ def render_utilities(scenario: Scenario, measure: UtilityMeasure | str,
                      output_format: str = "table",
                      precision: int = DEFAULT_PRECISION) -> str:
     _check_format(output_format)
-    process = build_process(measure, scenario.environment, scenario.society,
-                            scenario.universe)
+    process = build_process(measure, scenario.environment, scenario.society)
     alt_ids = scenario.environment.ids
     section = _profiles_section(process.profiles, alt_ids, precision)
     if output_format == "json":
@@ -1013,9 +998,9 @@ def render_report(result: PipelineResult, output_format: str = "table",
                            "profiles": profiles, "social_profile": social,
                            "ranking": ranking})
     lines = [
-        f"scenario: {scenario.objective_count} objectives, "
-        f"{scenario.alternative_count} alternatives, "
-        f"{scenario.individual_count} individuals",
+        f"scenario: {len(scenario.universe)} objectives, "
+        f"{len(scenario.environment)} alternatives, "
+        f"{len(scenario.society)} individuals",
         f"measure: {result.process.measure.value}, aggregator: mean",
         "",
         *_universes_lines(universes),

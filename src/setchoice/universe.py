@@ -146,10 +146,6 @@ class Universe(Record):
             seen.add(token)
         self.__dict__["_bits"] = token_bits(self.objectives)
 
-    @property
-    def size(self) -> int:
-        return len(self.objectives)
-
     def __len__(self) -> int:
         return len(self.objectives)
 
@@ -180,7 +176,7 @@ class Universe(Record):
         return ObjectiveSet(self, 0)
 
     def full(self) -> "ObjectiveSet":
-        return ObjectiveSet(self, (1 << self.size) - 1)
+        return ObjectiveSet(self, (1 << len(self.objectives)) - 1)
 
 
 class ObjectiveSet(Record):
@@ -193,9 +189,9 @@ class ObjectiveSet(Record):
     def __post_init__(self):
         mask = self.mask
         if (not isinstance(mask, int) or isinstance(mask, bool) or mask < 0
-                or mask >> self.universe.size):
+                or mask >> len(self.universe)):
             raise ScenarioError(f"objective set mask must be an int with bits "
-                                f"below {self.universe.size}, got {mask!r}")
+                                f"below {len(self.universe)}, got {mask!r}")
 
     @property
     def members(self) -> frozenset[str]:
@@ -257,11 +253,16 @@ def exigence_universe(society: "Society") -> ObjectiveSet:
     return ObjectiveSet(society.universe, reduce(or_, society.masks))
 
 
+def _check_shared(environment: "Environment", society: "Society") -> None:
+    """Raise unless the environment and the society use one universe."""
+    if environment.universe != society.universe:
+        raise ScenarioError("environment and society use different universes")
+
+
 def partition_universe(environment: "Environment",
                        society: "Society") -> UniversePartition:
     """Split offered/requested objectives into the three disjoint regions."""
-    if environment.universe != society.universe:
-        raise ScenarioError("environment and society use different universes")
+    _check_shared(environment, society)
     offered = opportunity_universe(environment)
     requested = exigence_universe(society)
     return UniversePartition(

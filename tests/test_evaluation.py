@@ -91,7 +91,7 @@ def mean_oracle_edge_cases():
         Individual("p", u, {"g0": Fraction(1, 10 ** 20), "g1": Fraction(1, 3)}),
         Individual("q", u, {"g2": Fraction(7, 10 ** 21), "g4": Fraction(1)}),
         Individual("r", u, {"g0": Fraction(1, 2)})))
-    assert not encode(u, env, huge).int64_safe
+    assert not encode(env, huge).int64_safe
     # supports of sizes 1..6, so every row has its own denominator
     nested = Society(tuple(Individual.crisp(f"n{k}", u, u.objectives[:k])
                            for k in range(1, 7)))
@@ -156,14 +156,14 @@ def scenario_parts(draw, crisp):
     return universe, environment, Society(tuple(individuals))
 
 
-def assert_matches_kernel_mean(measure, u, env, soc):
+def assert_matches_kernel_mean(measure, env, soc):
     """evaluate's social row and out-of-domain flag equal exact_mean and
     the per-cell scan over the full kernel matrix, without reading a
     profile."""
-    process = build_process(measure, env, soc, u)
+    process = build_process(measure, env, soc)
     social = evaluate(process)
     assert "profiles" not in vars(process)
-    nums, dens = _core.utility_matrix(encode(u, env, soc), measure)
+    nums, dens = _core.utility_matrix(encode(env, soc), measure)
     assert (social.nums, social.den) == exact_mean(nums, dens)
     assert social.out_of_domain == any(min(row) < 0 or max(row) > den
                                        for row, den in zip(nums, dens))
@@ -171,17 +171,17 @@ def assert_matches_kernel_mean(measure, u, env, soc):
 
 class TestIndividualProfile:
     def test_cardinal_single_alternative(self, reference):
-        u, env, soc = reference
-        profile = individual_profile("cardinal", env, soc.individuals[0], u)
+        _, env, soc = reference
+        profile = individual_profile("cardinal", env, soc.individuals[0])
         assert profile.values == (1,)
-        profile = individual_profile("cardinal", env, soc.individuals[1], u)
+        profile = individual_profile("cardinal", env, soc.individuals[1])
         assert profile.values == (3,)
 
     def test_subset_and_disjoint_extremes(self, greek):
         env = Environment((Alternative("a1", greek.subset(["alpha"])),
                            Alternative("a2", greek.subset(["beta"]))))
         ind = Individual.crisp("v", greek, ["alpha"])
-        profile = individual_profile("normalized", env, ind, greek)
+        profile = individual_profile("normalized", env, ind)
         assert profile.values == (Fraction(1), Fraction(0))
 
     def test_weighted_profile(self):
@@ -189,22 +189,22 @@ class TestIndividualProfile:
         env = Environment((Alternative("a1", u.subset(["a", "c"])),
                            Alternative("a2", u.subset(["b", "d"]))))
         ind = Individual("v", u, {"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1})
-        profile = individual_profile("fuzzy", env, ind, u)
+        profile = individual_profile("fuzzy", env, ind)
         assert profile.values == (Fraction(3, 5), Fraction(2, 5))
 
     def test_measure_error_names_alternative_and_individual(self, greek):
         env = Environment((Alternative("first", greek.subset(["alpha"])),))
         weighted = Individual("w", greek, {"alpha": 0.5})
         with pytest.raises(NonCrispIndividual) as exc_info:
-            individual_profile("cardinal", env, weighted, greek)
+            individual_profile("cardinal", env, weighted)
         assert exc_info.value.individual_id == "w"
         assert exc_info.value.alternative_id == "first"
 
 
 class TestBuildProcess:
     def test_reference_scenario_normalized(self, reference):
-        u, env, soc = reference
-        process = build_process("normalized", env, soc, u)
+        _, env, soc = reference
+        process = build_process("normalized", env, soc)
         assert [p.values for p in process.profiles] == [(Fraction(1),), (Fraction(1),)]
         assert [p.individual_id for p in process.profiles] == ["p", "q"]
         assert process.measure is UtilityMeasure.NORMALIZED
@@ -212,11 +212,11 @@ class TestBuildProcess:
     def test_single_individual(self, greek):
         env = Environment((Alternative("m", greek.subset(["alpha"])),))
         soc = Society((Individual.crisp("p", greek, ["alpha"]),))
-        process = build_process("fuzzy", env, soc, greek)
+        process = build_process("fuzzy", env, soc)
         assert len(process.profiles) == 1
 
     def test_zero_mass_error_names_individual(self, reference):
-        u, env, soc = reference
+        _, env, soc = reference
         # the constructors refuse an empty support; the society holds the
         # columns of the individuals it was built from
         p, q = soc.individuals
@@ -224,27 +224,27 @@ class TestBuildProcess:
                            _scale=q._scale)
         soc = Society((p, q))
         with pytest.raises(ZeroMembershipMass) as exc_info:
-            build_process("fuzzy", env, soc, u)
+            build_process("fuzzy", env, soc)
         assert exc_info.value.individual_id == "q"
         assert exc_info.value.alternative_id == "m"
 
     def test_matches_reference_path(self):
         rng = random.Random(301)
         for _ in range(100):
-            u, env, soc = random_scenario_parts(rng)
+            _, env, soc = random_scenario_parts(rng)
             for measure in (UtilityMeasure.FUZZY,):
-                process = build_process(measure, env, soc, u)
+                process = build_process(measure, env, soc)
                 for ind, profile in zip(soc.individuals, process.profiles):
-                    assert profile == individual_profile(measure, env, ind, u)
+                    assert profile == individual_profile(measure, env, ind)
 
     def test_matches_reference_path_crisp_measures(self):
         rng = random.Random(302)
         for _ in range(100):
-            u, env, soc = random_scenario_parts(rng, crisp=True)
+            _, env, soc = random_scenario_parts(rng, crisp=True)
             for measure in (UtilityMeasure.CARDINAL, UtilityMeasure.NORMALIZED):
-                process = build_process(measure, env, soc, u)
+                process = build_process(measure, env, soc)
                 for ind, profile in zip(soc.individuals, process.profiles):
-                    assert profile == individual_profile(measure, env, ind, u)
+                    assert profile == individual_profile(measure, env, ind)
 
     @pytest.mark.parametrize("measure", ["cardinal", "normalized"])
     def test_first_failing_individual_is_reported_per_pair(self, greek,
@@ -255,17 +255,17 @@ class TestBuildProcess:
                        Individual("w1", greek, {"beta": 0.5}),
                        Individual("w2", greek, {"alpha": 0.25})))
         with pytest.raises(NonCrispIndividual) as built:
-            build_process(measure, env, soc, greek)
+            build_process(measure, env, soc)
         with pytest.raises(NonCrispIndividual) as per_pair:
-            individual_profile(measure, env, soc.individuals[1], greek)
+            individual_profile(measure, env, soc.individuals[1])
         assert str(built.value) == str(per_pair.value)
         assert (built.value.individual_id, built.value.alternative_id) == (
             "w1", "first")
 
     def test_profiles_are_built_on_first_read(self, reference):
-        u, env, soc = reference
-        process = build_process("cardinal", env, soc, u)
-        assert process.encoding == encode(u, env, soc)
+        _, env, soc = reference
+        process = build_process("cardinal", env, soc)
+        assert process.encoding == encode(env, soc)
         assert "profiles" not in vars(process)
         profiles = process.profiles
         assert process.profiles is profiles
@@ -275,14 +275,18 @@ class TestBuildProcess:
         assert hand_made.profiles == profiles
 
     def test_universe_mismatch_rejected(self, reference):
-        u, env, soc = reference
+        _, env, soc = reference
         other = Universe(("alpha", "beta", "gamma", "delta"))
-        with pytest.raises(ScenarioError):
-            build_process("fuzzy", env, soc, other)
+        other_env = Environment((Alternative("x", other.subset(["alpha"])),))
+        other_soc = Society((Individual.crisp("p", other, ["alpha"]),))
+        for environment, society in ((env, other_soc), (other_env, soc)):
+            with pytest.raises(ScenarioError) as exc:
+                build_process("fuzzy", environment, society)
+            assert str(exc.value) == "environment and society use different universes"
 
     def test_process_invariants(self, reference):
-        u, env, soc = reference
-        good = build_process("normalized", env, soc, u)
+        _, env, soc = reference
+        good = build_process("normalized", env, soc)
         with pytest.raises(LengthMismatch):
             EvaluationProcess(env, soc, good.profiles[:1], good.measure)
         short = IndividualProfile("p", ())
@@ -298,7 +302,7 @@ class TestBuildProcess:
         name, stray = "p" * length, "q" * length
         env = Environment((Alternative("m", greek.subset(["alpha"])),))
         soc = Society((Individual.crisp(name, greek, ["alpha"]),))
-        good = build_process("cardinal", env, soc, greek)
+        good = build_process("cardinal", env, soc)
         for profiles, message in [
             ((IndividualProfile(stray, (1,)),),
              f"profile order disagrees with society order at {shown(stray)}"),
@@ -316,7 +320,7 @@ class TestEvaluate:
         env = Environment((Alternative("a1", greek.subset(["alpha"])),
                            Alternative("a2", greek.subset(["beta"]))))
         soc = Society((Individual.crisp("p", greek, ["alpha", "beta"]),))
-        process = build_process("normalized", env, soc, greek)
+        process = build_process("normalized", env, soc)
         social = evaluate(process)
         assert social.values == process.profiles[0].values
 
@@ -325,14 +329,14 @@ class TestEvaluate:
                            Alternative("a2", greek.subset(["beta"]))))
         soc = Society((Individual.crisp("p", greek, ["alpha"]),
                        Individual.crisp("q", greek, ["beta"])))
-        process = build_process("normalized", env, soc, greek)
+        process = build_process("normalized", env, soc)
         assert [p.values for p in process.profiles] == [
             (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
         assert evaluate(process).values == (Fraction(1, 2), Fraction(1, 2))
 
     def test_reference_scenario_social_profile(self, reference):
-        u, env, soc = reference
-        process = build_process("normalized", env, soc, u)
+        _, env, soc = reference
+        process = build_process("normalized", env, soc)
         expected = oracle_mean([Fraction(1), Fraction(1)])
         assert evaluate(process).values == (expected,) == (Fraction(1),)
 
@@ -342,10 +346,10 @@ class TestEvaluate:
                                                  max_individuals=6))
                  for _ in range(150)]
         cases += mean_oracle_edge_cases()
-        for measure, (u, env, soc) in cases:
-            process = build_process(measure, env, soc, u)
+        for measure, (_, env, soc) in cases:
+            process = build_process(measure, env, soc)
             social = evaluate(process)
-            for m in range(env.size):
+            for m in range(len(env)):
                 column = [p.values[m] for p in process.profiles]
                 assert social.values[m] == oracle_mean(column)
             assert social.out_of_domain == any(
@@ -354,22 +358,22 @@ class TestEvaluate:
     def test_mean_within_bounds(self):
         rng = random.Random(304)
         for _ in range(150):
-            u, env, soc = random_scenario_parts(rng)
-            process = build_process("fuzzy", env, soc, u)
+            _, env, soc = random_scenario_parts(rng)
+            process = build_process("fuzzy", env, soc)
             social = evaluate(process)
-            for m in range(env.size):
+            for m in range(len(env)):
                 column = [p.values[m] for p in process.profiles]
                 assert min(column) <= social.values[m] <= max(column)
 
     def test_anonymity(self):
         rng = random.Random(305)
         for _ in range(100):
-            u, env, soc = random_scenario_parts(rng)
-            order = list(range(soc.size))
+            _, env, soc = random_scenario_parts(rng)
+            order = list(range(len(soc)))
             rng.shuffle(order)
             shuffled = Society(tuple(soc.individuals[i] for i in order))
-            a = evaluate(build_process("fuzzy", env, soc, u))
-            b = evaluate(build_process("fuzzy", env, shuffled, u))
+            a = evaluate(build_process("fuzzy", env, soc))
+            b = evaluate(build_process("fuzzy", env, shuffled))
             assert a.values == b.values
 
     def test_duplication_invariance(self):
@@ -379,17 +383,17 @@ class TestEvaluate:
             doubled = Society(soc.individuals + tuple(
                 Individual(f"{ind.id}_copy", u, ind.membership)
                 for ind in soc.individuals))
-            a = evaluate(build_process("fuzzy", env, soc, u))
-            b = evaluate(build_process("fuzzy", env, doubled, u))
+            a = evaluate(build_process("fuzzy", env, soc))
+            b = evaluate(build_process("fuzzy", env, doubled))
             assert a.values == b.values
             assert a == b
 
     def test_cardinal_flags_out_of_domain(self, reference):
-        u, env, soc = reference
-        social = evaluate(build_process("cardinal", env, soc, u))
+        _, env, soc = reference
+        social = evaluate(build_process("cardinal", env, soc))
         assert social.out_of_domain  # q scores 3 on m
         assert social.values == (Fraction(2),)
-        normalized = evaluate(build_process("normalized", env, soc, u))
+        normalized = evaluate(build_process("normalized", env, soc))
         assert not normalized.out_of_domain
 
 
@@ -418,7 +422,7 @@ class TestCardinalOutOfDomainFlag:
 
     def test_hostile_file_visits_each_mask_once(self, monkeypatch):
         scenario = parse_scenario(one_objective_document(1000))
-        enc = encode(scenario.universe, scenario.environment, scenario.society)
+        enc = encode(scenario.environment, scenario.society)
         assert not oracle_shares_two(enc.support_masks, enc.offer_masks)
         visited = []
         positions = evaluation.positions
@@ -438,20 +442,20 @@ class TestPseudoIndividualRow:
     @settings(max_examples=150, deadline=None)
     @given(measure=st.sampled_from(MEASURES), data=st.data())
     def test_matches_exact_mean_of_the_kernel_matrix(self, measure, data):
-        u, env, soc = data.draw(scenario_parts(crisp=measure != "fuzzy"))
-        assert_matches_kernel_mean(measure, u, env, soc)
+        _, env, soc = data.draw(scenario_parts(crisp=measure != "fuzzy"))
+        assert_matches_kernel_mean(measure, env, soc)
 
     @pytest.mark.parametrize("measure, parts", mean_oracle_edge_cases()
                              + [("fuzzy", many_limb_parts())]
                              + [(m, one_individual_parts(m)) for m in MEASURES])
     def test_edge_cases(self, measure, parts):
-        assert_matches_kernel_mean(measure, *parts)
+        assert_matches_kernel_mean(measure, *parts[1:])
 
     def test_weights_span_several_limbs(self):
         u, env, soc = many_limb_parts()
-        weights, _ = _pseudo_weights(UtilityMeasure.FUZZY, encode(u, env, soc))
+        weights, _ = _pseudo_weights(UtilityMeasure.FUZZY, encode(env, soc))
         # the packed kernel's limb: R limbs of it stay below 2**64
-        limb = 64 - u.size.bit_length()
+        limb = 64 - len(u).bit_length()
         assert max(weights).bit_length() > 3 * limb
 
     @pytest.mark.parametrize("measure", ["cardinal", "normalized"])
@@ -461,7 +465,7 @@ class TestPseudoIndividualRow:
                            Alternative("hi", u.subset(u.objectives[8:]))))
         soc = Society(tuple(Individual.crisp(f"p{i}", u, u.objectives[i % 13:])
                             for i in range(40)))
-        assert_matches_kernel_mean(measure, u, env, soc)
+        assert_matches_kernel_mean(measure, env, soc)
 
 
 # (_COLUMN_ROWS, _COLUMN_SIZE, _FOLD_BITS) that force one way of counting
@@ -555,15 +559,15 @@ class TestSparseWideScenarios:
     def test_columns_of_several_fields_give_the_kernel_mean(self, measure):
         scenario = parse_scenario(sparse_wide_document(
             300, 60, 4, weighted=measure == "fuzzy"))
-        assert_matches_kernel_mean(measure, scenario.universe,
-                                   scenario.environment, scenario.society)
+        assert_matches_kernel_mean(measure, scenario.environment,
+                                   scenario.society)
 
     @pytest.mark.parametrize("measure", ["cardinal", "normalized"])
     def test_mean_peak_grows_with_individuals_times_objectives(self, measure):
         def peak(n):
             scenario = parse_scenario(sparse_wide_document(n, n, 4))
             process = build_process(measure, scenario.environment,
-                                    scenario.society, scenario.universe)
+                                    scenario.society)
             tracemalloc.start()
             try:
                 evaluate(process)
@@ -617,7 +621,7 @@ class TestKernelCalls:
         individuals = tuple(
             Individual(f"p{i}", u, soc.individuals[0].membership)
             for i in range(12))
-        return request.param, Scenario(u, env, Society(individuals))
+        return request.param, Scenario(env, Society(individuals))
 
     def test_ranking_builds_no_profile_and_no_matrix(self, calls, scenario):
         measure, scenario = scenario
@@ -648,8 +652,8 @@ class TestAggregators:
         cases += [parts for name, parts in mean_oracle_edge_cases()
                   if name == measure]
         flagged = []
-        for u, env, soc in cases:
-            process = build_process(measure, env, soc, u)
+        for _, env, soc in cases:
+            process = build_process(measure, env, soc)
             hand_built = EvaluationProcess(env, soc, process.profiles, measure)
             assert hand_built.encoding is None
             kernel, rows = evaluate(process), evaluate(hand_built)
@@ -671,8 +675,8 @@ class TestAggregators:
         nor the pipeline result keeps a copy of it or an aggregator name."""
         assert SocialProfile._fields == ("nums", "den", "out_of_domain")
         assert {"measure", "aggregator"}.isdisjoint(PipelineResult._fields)
-        u, env, soc = reference
-        process = build_process("cardinal", env, soc, u)
+        _, env, soc = reference
+        process = build_process("cardinal", env, soc)
         assert process.measure is UtilityMeasure.CARDINAL
         assert evaluate(process) == SocialProfile((2,), 1, True)
 
@@ -719,8 +723,8 @@ class TestRank:
     def test_is_permutation_of_environment(self):
         rng = random.Random(309)
         for _ in range(150):
-            u, env, soc = random_scenario_parts(rng)
-            social = evaluate(build_process("fuzzy", env, soc, u))
+            _, env, soc = random_scenario_parts(rng)
+            social = evaluate(build_process("fuzzy", env, soc))
             ranking = rank(social, env)
             assert sorted(ranking.ordered_ids) == sorted(env.ids)
             seen = [id_ for tier in ranking.tiers for id_ in tier.ids]
@@ -729,8 +733,8 @@ class TestRank:
     def test_scale_invariance_of_tier_structure(self):
         rng = random.Random(310)
         for _ in range(100):
-            u, env, soc = random_scenario_parts(rng)
-            process = build_process("fuzzy", env, soc, u)
+            _, env, soc = random_scenario_parts(rng)
+            process = build_process("fuzzy", env, soc)
             base = evaluate(process)
             scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             scaled_profiles = tuple(

@@ -65,7 +65,7 @@ def test_cardinal_out_of_domain_flag_is_linear():
     def lines(count: int) -> int:
         scenario = parse_scenario(one_objective_document(count))
         process = build_process("cardinal", scenario.environment,
-                                scenario.society, scenario.universe)
+                                scenario.society)
         counted, social = _package_lines(lambda: evaluate(process))
         assert social.out_of_domain is False
         return counted

@@ -97,8 +97,7 @@ def membership_entry(weights: dict[str, str]) -> str:
 
 
 def encoded(parts):
-    universe, environment, society = parts
-    return encode(universe, environment, society)
+    return encode(*parts[1:])
 
 
 class TestEncoding:
@@ -107,7 +106,7 @@ class TestEncoding:
         env = Environment((Alternative("x", u.subset(["a", "c"])),))
         soc = Society((Individual("v", u, {"a": Fraction(1, 2),
                                            "c": Fraction(1, 3)}),))
-        enc = encode(u, env, soc)
+        enc = encode(env, soc)
         assert enc.offer_masks == (0b101,)
         assert enc.support_masks == (0b101,)
         assert enc.support_weights == ((3, 2),)
@@ -144,24 +143,24 @@ class TestEncoding:
             '{"universe": ["a", "b", "c"], "alternatives": [{"id": "x", '
             f'"offers": ["a"]}}], "individuals": [{individuals}]}}')
         society = scenario.society
-        assert encode(scenario.universe, scenario.environment,
-                      society).totals == tuple(map(sum, society.weights))
+        assert encode(scenario.environment, society).totals == tuple(
+            map(sum, society.weights))
 
     def test_large_scale_marks_unsafe(self):
         u = Universe(("a", "b"))
         env = Environment((Alternative("x", u.subset(["a"])),))
         soc = Society((Individual("v", u, {"a": Fraction(1, 10 ** 20),
                                            "b": Fraction(1, 3)}),))
-        enc = encode(u, env, soc)
+        enc = encode(env, soc)
         assert not enc.int64_safe
 
 
 def assert_fuzzy_matches_reference(parts, enc):
-    universe, environment, society = parts
+    _, environment, society = parts
     nums, dens = kernel_py.utility_matrix(enc, "fuzzy")
-    assert len(nums) == len(dens) == society.size
+    assert len(nums) == len(dens) == len(society)
     for n, ind in enumerate(society.individuals):
-        ref = individual_profile("fuzzy", environment, ind, universe)
+        ref = individual_profile("fuzzy", environment, ind)
         assert [Fraction(num, dens[n]) for num in nums[n]] == list(ref.values)
 
 
@@ -174,7 +173,7 @@ class TestKernelAgreement:
             for measure in MEASURES:
                 nums, dens = kernel_py.utility_matrix(enc, measure)
                 for n, ind in enumerate(parts[2].individuals):
-                    ref = individual_profile(measure, parts[1], ind, parts[0])
+                    ref = individual_profile(measure, parts[1], ind)
                     got = [Fraction(num, dens[n]) for num in nums[n]]
                     assert got == [Fraction(v) for v in ref.values]
 
@@ -220,8 +219,8 @@ class TestKernelAgreement:
                 individuals.append(Individual(f"wide{k}", universe, {
                     token: Fraction(rng.randrange(1, den), den)
                     for token in rng.sample(universe.objectives,
-                                            rng.randint(1, universe.size))}))
-            limb = 64 - universe.size.bit_length()
+                                            rng.randint(1, len(universe)))}))
+            limb = 64 - len(universe).bit_length()
             individuals.append(Individual("full", universe, dict.fromkeys(
                 universe.objectives,
                 Fraction(2 ** (2 * limb) - 1, 2 ** (2 * limb)))))
@@ -266,7 +265,7 @@ class TestKernelAgreement:
             universe = random_universe(rng, max_size=130, min_size=65)
             environment = random_environment(rng, universe, 4)
             society = random_society(rng, universe, 4)
-            enc = encode(universe, environment, society)
+            enc = encode(environment, society)
             for measure in MEASURES:
                 assert _fast_matrix(enc, measure) == kernel_py.utility_matrix(
                     enc, measure)
@@ -276,11 +275,11 @@ class TestKernelAgreement:
         env = Environment((Alternative("x", u.subset(["a"])),))
         ind = Individual("v", u, {"a": Fraction(1, 10 ** 20), "b": Fraction(1, 3)})
         soc = Society((ind,))
-        enc = encode(u, env, soc)
+        enc = encode(env, soc)
         assert not enc.int64_safe
         nums, dens = utility_matrix(enc, "fuzzy")
         got = Fraction(nums[0][0], dens[0])
-        assert got == individual_profile("fuzzy", env, ind, u).values[0]
+        assert got == individual_profile("fuzzy", env, ind).values[0]
 
 
 class TestCountedBounds:
@@ -290,7 +289,7 @@ class TestCountedBounds:
         # it would take one unpack per limb, over 3,000 of them; summed per
         # offer, it takes none
         scenario = parse_scenario(distinct_weights_document(200, 8, 300))
-        u, env, soc = scenario.universe, scenario.environment, scenario.society
+        _, env, soc = scenario.universe, scenario.environment, scenario.society
         unpacks, real = [], kernel_py.struct.Struct
 
         def counting_struct(fmt):
@@ -300,9 +299,9 @@ class TestCountedBounds:
 
         monkeypatch.setattr(kernel_py, "struct",
                             SimpleNamespace(Struct=counting_struct))
-        social = evaluate(build_process("fuzzy", env, soc, u))
+        social = evaluate(build_process("fuzzy", env, soc))
         assert unpacks == []
-        profiles = [individual_profile("fuzzy", env, ind, u)
+        profiles = [individual_profile("fuzzy", env, ind)
                     for ind in soc.individuals]
         assert (social.nums, social.den) == exact_mean(
             [p.nums for p in profiles], [p.den for p in profiles])

@@ -115,8 +115,8 @@ class TestNormalizedCardinal:
 
 class TestFuzzy:
     def test_crisp_reduction_scores_one(self, greek, offer_all, demanding):
-        assert fuzzy_utility(offer_all, demanding, greek) == Fraction(1)
-        assert (fuzzy_utility(offer_all, demanding, greek)
+        assert fuzzy_utility(offer_all, demanding) == Fraction(1)
+        assert (fuzzy_utility(offer_all, demanding)
                 == normalized_cardinal_utility(offer_all, demanding))
 
     def test_weighted_share(self):
@@ -127,40 +127,35 @@ class TestFuzzy:
         alt = Alternative("m", u.subset(["a", "c"]))
         expected = oracle_fuzzy(["a", "c"], weights, u.objectives)
         assert expected == Fraction(3, 5)
-        assert fuzzy_utility(alt, ind, u) == expected
+        assert fuzzy_utility(alt, ind) == expected
 
     def test_zero_weight_on_every_offer(self):
         u = Universe(("a", "b", "c"))
         ind = Individual("v", u, {"c": Fraction(1, 2)})
         alt = Alternative("m", u.subset(["a", "b"]))
-        assert fuzzy_utility(alt, ind, u) == Fraction(0)
+        assert fuzzy_utility(alt, ind) == Fraction(0)
 
     def test_zero_mass_guard(self, greek, offer_all):
         emptied = gutted(Individual.crisp("v", greek, ["alpha"]))
         with pytest.raises(ZeroMembershipMass):
-            fuzzy_utility(offer_all, emptied, greek)
-
-    def test_universe_must_match(self, greek, offer_all, modest):
-        other = Universe(("alpha", "beta", "gamma", "delta"))
-        with pytest.raises(ScenarioError):
-            fuzzy_utility(offer_all, modest, other)
+            fuzzy_utility(offer_all, emptied)
 
 
 class TestDispatch:
     def test_normalized(self, greek, offer_all, modest):
-        assert utility(UtilityMeasure.NORMALIZED, offer_all, modest, greek) == Fraction(1)
+        assert utility(UtilityMeasure.NORMALIZED, offer_all, modest) == Fraction(1)
 
     def test_cardinal_by_name(self, greek, offer_all, demanding):
-        assert utility("cardinal", offer_all, demanding, greek) == 3
+        assert utility("cardinal", offer_all, demanding) == 3
 
     def test_error_path_passes_through(self, greek, offer_all):
         with pytest.raises(ZeroMembershipMass):
             utility("fuzzy", offer_all,
-                    gutted(Individual.crisp("v", greek, ["alpha"])), greek)
+                    gutted(Individual.crisp("v", greek, ["alpha"])))
 
     def test_unknown_measure(self, greek, offer_all, modest):
         with pytest.raises(ValueError):
-            utility("jaccard", offer_all, modest, greek)
+            utility("jaccard", offer_all, modest)
 
 
 class TestConstruction:
@@ -307,7 +302,7 @@ class TestConstruction:
         env = Environment((Alternative(name, greek.subset(["alpha"])),))
         soc = Society((Individual(name, greek, {"alpha": "0.5"}),))
         with pytest.raises(NonCrispIndividual) as exc:
-            build_process("cardinal", env, soc, greek)
+            build_process("cardinal", env, soc)
         assert exc.value.individual_id == exc.value.alternative_id == name
         assert str(exc.value) == (
             "cardinal utility is defined only for crisp individuals "
@@ -452,10 +447,10 @@ class TestMeasureProperties:
     def test_ranges(self):
         rng = random.Random(201)
         for _ in range(150):
-            u, env, soc = random_scenario_parts(rng)
+            _, env, soc = random_scenario_parts(rng)
             for alt in env.alternatives:
                 for ind in soc.individuals:
-                    fu = fuzzy_utility(alt, ind, u)
+                    fu = fuzzy_utility(alt, ind)
                     assert 0 <= fu <= 1
                     if ind.is_crisp:
                         ncu = normalized_cardinal_utility(alt, ind)
@@ -477,7 +472,7 @@ class TestMeasureProperties:
             u = random_universe(rng)
             alt = random_environment(rng, u, 1).alternatives[0]
             ind = random_crisp_individual(rng, u, "v")
-            assert (fuzzy_utility(alt, ind, u)
+            assert (fuzzy_utility(alt, ind)
                     == normalized_cardinal_utility(alt, ind))
 
     def test_monotone_in_offers(self):
@@ -490,7 +485,7 @@ class TestMeasureProperties:
             big = Alternative("big", u.subset(extra))
             fuzzy_ind = random_fuzzy_individual(rng, u, "w")
             crisp_ind = random_crisp_individual(rng, u, "c")
-            assert fuzzy_utility(small, fuzzy_ind, u) <= fuzzy_utility(big, fuzzy_ind, u)
+            assert fuzzy_utility(small, fuzzy_ind) <= fuzzy_utility(big, fuzzy_ind)
             assert cardinal_utility(small, crisp_ind) <= cardinal_utility(big, crisp_ind)
 
     def test_padding_invariance(self):
@@ -507,7 +502,7 @@ class TestMeasureProperties:
             assert cardinal_utility(alt_p, crisp_p) == cardinal_utility(alt, crisp_ind)
             assert (normalized_cardinal_utility(alt_p, crisp_p)
                     == normalized_cardinal_utility(alt, crisp_ind))
-            assert fuzzy_utility(alt_p, fuzzy_p, padded) == fuzzy_utility(alt, fuzzy_ind, u)
+            assert fuzzy_utility(alt_p, fuzzy_p) == fuzzy_utility(alt, fuzzy_ind)
 
     def test_cardinal_bounded_by_smaller_set(self):
         rng = random.Random(206)
@@ -526,7 +521,7 @@ class TestMeasureProperties:
                 offers = list(alt.offers.members)
                 for ind in soc.individuals:
                     weights = ind.membership
-                    assert fuzzy_utility(alt, ind, u) == oracle_fuzzy(
+                    assert fuzzy_utility(alt, ind) == oracle_fuzzy(
                         offers, weights, u.objectives)
                     if ind.is_crisp:
                         required = list(ind.support)

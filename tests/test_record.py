@@ -85,18 +85,18 @@ def ranking_tier():
 def ranked_tiers():
     """The tiers ``rank`` builds over ``parts()`` under ``fuzzy``: ``y`` at
     6/6 and ``x`` at 5/6, each over the social denominator 6."""
-    u, env, soc = parts()
-    return rank(evaluate(build_process("fuzzy", env, soc, u)),
+    _, env, soc = parts()
+    return rank(evaluate(build_process("fuzzy", env, soc)),
                 env).tiers
 
 
 def scenario():
-    return Scenario(*parts())
+    return Scenario(*parts()[1:])
 
 
 def process():
-    u, env, soc = parts()
-    return build_process("fuzzy", env, soc, u)
+    _, env, soc = parts()
+    return build_process("fuzzy", env, soc)
 
 
 #: (class, factory of an instance, its repr: as the dataclass wrote it,
@@ -123,16 +123,16 @@ RECORDS = [
     (Ranking, lambda: Ranking((ranking_tier(),)),
      "Ranking(tiers=(RankingTier(value=Fraction(1, 2), ids=('x',)),))"),
     (EvaluationProcess, process, PROCESS),
-    (EncodedScenario, lambda: encode(*parts()), ENC),
+    (EncodedScenario, lambda: encode(*parts()[1:]), ENC),
     (Finding, lambda: Finding("error", "$", "m"),
      "Finding(severity='error', location='$', message='m')"),
     (ValidationReport, lambda: ValidationReport((Finding("warning", "$.a", "n"),)),
      "ValidationReport(findings=(Finding(severity='warning', location='$.a', "
      "message='n'),))"),
     (Scenario, scenario,
-     f"Scenario(universe={U}, environment={ENV}, society={SOC})"),
+     f"Scenario(environment={ENV}, society={SOC})"),
     (PipelineResult, lambda: compute_pipeline(scenario(), "fuzzy"),
-     f"PipelineResult(scenario=Scenario(universe={U}, environment={ENV}, "
+     f"PipelineResult(scenario=Scenario(environment={ENV}, "
      f"society={SOC}), opportunity=ObjectiveSet(universe={U}, mask=3), "
      f"exigence=ObjectiveSet(universe={U}, mask=3), partition=UniversePartition("
      f"offered_only=ObjectiveSet(universe={U}, mask=0), "
@@ -310,7 +310,7 @@ class TestCachedProperties:
             (Environment._of(u, env.ids, env.masks), "alternatives"),
             (IndividualProfile.from_row("p", (1, 2), 2, False), "values"),
             (social_profile(), "values"),
-            (encode(u, env, soc), "weights"),
+            (encode(env, soc), "weights"),
             (process(), "profiles"),
             (ranked_tiers()[1], "value"),
         ]

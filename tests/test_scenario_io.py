@@ -1,6 +1,7 @@
 import csv
 import gc
 import importlib.util
+import inspect
 import io
 import json
 import random
@@ -26,13 +27,18 @@ from setchoice import (
     Universe,
     UtilityMeasure,
     ValidationReport,
+    build_process,
     format_decimal,
     format_utility,
+    fuzzy_utility,
+    individual_profile,
     parse_scenario,
     run_pipeline,
     scenario_io,
+    utility,
     validate_scenario,
 )
+from setchoice._core.encode import encode
 from setchoice.cli import main
 from setchoice.measures import _scaled
 from setchoice.scenario_io import (
@@ -101,9 +107,9 @@ class TestParse:
     def test_minimal_scenario(self):
         scenario = parse_scenario(MINIMAL)
         assert isinstance(scenario, Scenario)
-        assert scenario.objective_count == 1
-        assert scenario.alternative_count == 1
-        assert scenario.individual_count == 1
+        assert len(scenario.universe) == 1
+        assert len(scenario.environment) == 1
+        assert len(scenario.society) == 1
 
     def test_numbers_parse_exactly(self):
         scenario = parse_scenario(bundled("weighted_split.json"))
@@ -129,11 +135,35 @@ class TestParse:
         scenario = parse_scenario(MINIMAL)
         other = parse_scenario(MINIMAL.replace('["a"]', '["b"]'))
         with pytest.raises(ScenarioError) as exc:
-            Scenario(scenario.universe, other.environment, scenario.society)
-        assert str(exc.value) == "environment does not use the scenario universe"
+            Scenario(other.environment, scenario.society)
+        assert str(exc.value) == "environment and society use different universes"
         with pytest.raises(ScenarioError) as exc:
-            Scenario(scenario.universe, scenario.environment, other.society)
-        assert str(exc.value) == "society does not use the scenario universe"
+            Scenario(scenario.environment, other.society)
+        assert str(exc.value) == "environment and society use different universes"
+
+    def test_the_universe_is_the_one_the_members_hold(self):
+        scenario = parse_scenario(MINIMAL)
+        assert Scenario._fields == ("environment", "society")
+        assert scenario.universe is scenario.environment.universe
+        assert scenario.universe is scenario.society.universe
+
+    def test_no_function_takes_the_universe_beside_its_holders(self):
+        assert {function.__name__: tuple(inspect.signature(function).parameters)
+                for function in (build_process, individual_profile, utility,
+                                 fuzzy_utility, encode)} == {
+            "build_process": ("measure", "environment", "society"),
+            "individual_profile": ("measure", "environment", "individual"),
+            "utility": ("measure", "alternative", "individual"),
+            "fuzzy_utility": ("alternative", "individual"),
+            "encode": ("environment", "society"),
+        }
+
+    @pytest.mark.parametrize("owner, name", [
+        (Universe, "size"), (Environment, "size"), (Society, "size"),
+        (Scenario, "objective_count"), (Scenario, "alternative_count"),
+        (Scenario, "individual_count")])
+    def test_sizes_are_read_by_len_alone(self, owner, name):
+        assert not hasattr(owner, name)
 
     def test_warnings_do_not_block_parsing(self):
         text = MINIMAL.replace('"universe"', '"note": "hi", "universe"')
@@ -443,8 +473,8 @@ class TestColumnsEqualConstructors:
             assert parsed == built and hash(parsed) == hash(built)
             assert getattr(parsed, items) == getattr(built, items)
             assert list(parsed) == list(built)
-            assert (parsed.ids, parsed.size, len(parsed), parsed.universe) == (
-                built.ids, built.size, len(built), built.universe)
+            assert (parsed.ids, len(parsed), parsed.universe) == (
+                built.ids, len(built), built.universe)
 
 
 json_values = st.recursive(
@@ -1069,7 +1099,7 @@ class TestLiteralMemo:
         scenario = parse_scenario(text)
         assert isinstance(scenario, Scenario)
         assert sorted(calls["_bounded"]) == sorted(set(literals))
-        assert list(map(len, calls["_accept_memberships"])) == [scenario.society.size]
+        assert list(map(len, calls["_accept_memberships"])) == [len(scenario.society)]
         assert calls["_located_individual"] == []
 
     def test_each_kind_of_weight_value_keeps_its_finding(self):
@@ -1628,7 +1658,7 @@ class TestWritersMatchLibraryOracles:
     def test_tier_utilities_read_the_tiers_alone(self):
         # tiers over unrelated denominators, not from the result's social row
         u = Universe(("a", "b"))
-        scenario = Scenario(u, Environment((Alternative("x", u.subset(["a"])),)),
+        scenario = Scenario(Environment((Alternative("x", u.subset(["a"])),)),
                             Society((Individual.crisp("p", u, ["a"]),)))
         result = compute_pipeline(scenario, UtilityMeasure.NORMALIZED)
         values = [Fraction(5, 3), Fraction(1, 2), Fraction(1, 7), Fraction(0)]

@@ -1,5 +1,6 @@
 """Rules over the package's source, read with ``ast``: no binary float on
-any path from file to report, and one unchecked way to build a record."""
+any path from file to report, one unchecked way to build a record, and no
+universe passed beside a value that holds it."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,8 @@ PACKAGE = Path(setchoice.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 #: the ``math`` functions that take and return integers only
 INTEGER_MATH = {"gcd", "lcm", "isqrt", "comb", "perm", "factorial"}
+#: the parameters whose values hold their universe
+UNIVERSE_HOLDERS = {"environment", "society", "alternative", "individual"}
 
 
 def parsed():
@@ -89,3 +92,30 @@ def test_no_class_defines_slots():
              if isinstance(node, ast.Name) and node.id == "__slots__"
              and isinstance(node.ctx, ast.Store)]
     assert found == []
+
+
+def universe_beside_holders(tree):
+    """``(line, name)`` of each function that takes a ``universe``
+    parameter together with one of UNIVERSE_HOLDERS, which holds it."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            names = {arg.arg for arg in (*args.posonlyargs, *args.args,
+                                         *args.kwonlyargs)}
+            if "universe" in names and names & UNIVERSE_HOLDERS:
+                yield node.lineno, node.name
+
+
+def test_no_universe_beside_a_value_that_holds_it():
+    found = [f"{name}:{line}: {function}" for name, tree in parsed()
+             for line, function in universe_beside_holders(tree)]
+    assert found == []
+
+
+def test_the_lint_flags_a_universe_beside_each_holder():
+    tree = ast.parse("def a(measure, environment, society, universe): pass\n"
+                     "def b(alternative, *, universe=None): pass\n"
+                     "async def c(universe, /, individual): pass\n"
+                     "def d(id, universe, membership): pass\n"
+                     "def e(environment, society): pass\n")
+    assert list(universe_beside_holders(tree)) == [(1, "a"), (2, "b"), (3, "c")]
