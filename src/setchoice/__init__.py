@@ -43,8 +43,6 @@ from .scenario_io import (
     Scenario,
     ValidationReport,
     compute_pipeline,
-    format_decimal,
-    format_utility,
     parse_scenario,
     run_pipeline,
     validate_scenario,
@@ -89,8 +87,6 @@ __all__ = [
     "compute_pipeline",
     "evaluate",
     "exigence_universe",
-    "format_decimal",
-    "format_utility",
     "fuzzy_utility",
     "individual_profile",
     "normalized_cardinal_utility",

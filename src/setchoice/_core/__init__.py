@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from . import kernel_py
 from .encode import EncodedScenario, encode
+from .kernel_py import plan
 
 try:
     from . import _fast
@@ -47,12 +48,12 @@ def _fast_matrix(enc: EncodedScenario, measure: str):
     offers = _mask_words(enc.offer_masks, word_count)
     supports = _mask_words(enc.support_masks, word_count)
     # weights are padded to whole words so bit positions index directly
-    weights = np.zeros((enc.individual_count, word_count * 64), dtype=np.int64)
+    weights = np.zeros((len(supports), word_count * 64), dtype=np.int64)
     if enc.objective_count:
         weights[:, :enc.objective_count] = np.asarray(enc.weights, dtype=np.int64)
     totals = np.asarray(enc.totals, dtype=np.int64)
-    num = np.empty((enc.individual_count, enc.alternative_count), dtype=np.int64)
-    den = np.empty(enc.individual_count, dtype=np.int64)
+    num = np.empty((len(supports), len(offers)), dtype=np.int64)
+    den = np.empty(len(supports), dtype=np.int64)
     _fast.utility_matrix(offers, supports, weights, totals,
                          kernel_py.MEASURE_CODES[measure], num, den)
     return num.tolist(), den.tolist()

@@ -40,14 +40,6 @@ class EncodedScenario(Record):
         """Whether every row total fits the compiled kernel's int64 math."""
         return all(total < INT64_LIMIT for total in self.totals)
 
-    @property
-    def alternative_count(self) -> int:
-        return len(self.offer_masks)
-
-    @property
-    def individual_count(self) -> int:
-        return len(self.support_masks)
-
     @cached_property
     def weights(self) -> tuple[tuple[int, ...], ...]:
         """One dense row of R weights per individual; only the compiled

@@ -31,8 +31,9 @@ and runs no N x M matrix.  For the crisp measures W[p] is, over the
 groups of equal T_i, L / T_i times the number of the group's supports
 holding p; ``universe.packed_counts`` counts a group in folds of packed
 16-bit fields, and a tall group over a narrow universe takes the
-popcounts of its ``bit_columns`` instead.  A hand-built process takes
-``exact_mean`` over every row, which is the mean's definition.
+popcounts of its ``bit_columns`` instead, as ``_core.plan`` chooses.  A
+hand-built process takes ``exact_mean`` over every row, which is the
+mean's definition.
 
 A ``Fraction`` is built only for a profile's or the social profile's
 ``values``, or a ranking tier's ``value``, when a caller reads them:
@@ -53,6 +54,7 @@ from typing import Sequence
 
 from . import _core
 from ._core.encode import EncodedScenario
+from ._core.kernel_py import Plan
 from ._record import Record
 from .errors import LengthMismatch, MeasureError, ScenarioError
 from .literals import _quoted_id
@@ -65,15 +67,6 @@ from .measures import (
     utility,
 )
 from .universe import _check_shared, bit_columns, packed_counts, positions
-
-# A crisp support-size group of more than _COLUMN_ROWS supports over fewer
-# than _COLUMN_SIZE objectives is counted through ``bit_columns``; any other
-# group by ``packed_counts`` (measured sweep, R = 8..2000, 1..4096 supports)
-_COLUMN_ROWS = 64
-_COLUMN_SIZE = 64
-# ``packed_counts`` folds at most this many bit positions at once, so at most
-# 2**16 // 8 supports: a 16-bit count never carries, and the peak stays flat
-_FOLD_BITS = 1 << 16
 
 
 class IndividualProfile(Record):
@@ -325,13 +318,13 @@ def build_process(measure: UtilityMeasure | str, environment: Environment,
     return EvaluationProcess._of(environment, society, measure, enc)
 
 
-def _pseudo_weights(measure: UtilityMeasure,
-                    enc: EncodedScenario) -> tuple[list[int], int]:
+def _pseudo_weights(measure: UtilityMeasure, enc: EncodedScenario,
+                    chosen: Plan) -> tuple[list[int], int]:
     """``(W, L)``: L the lcm of the row denominators T_i, and
     ``W[p] = sum_i w_i[p] * L / T_i`` per objective p.
 
     A crisp group of supports of one size is counted by ``bit_columns``
-    popcounts when it is tall and narrow, else by ``packed_counts`` folds,
+    popcounts when ``chosen`` names it, else by ``packed_counts`` folds,
     whose counts are widened to fields that hold ``L * N`` and summed,
     times ``L / T_i``, in one integer that is split into W once."""
     size = enc.objective_count
@@ -356,15 +349,15 @@ def _pseudo_weights(measure: UtilityMeasure,
     common = lcm(*groups)
     step = -(-size // 8)
     # W[p] <= L * N, so fields of ``wide`` bytes never carry into the next
-    wide = max(2, -(-(common * enc.individual_count).bit_length() // 8))
+    wide = max(2, -(-(common * len(enc.support_masks)).bit_length() // 8))
     # each fold's 16-bit counts, copied into the low bytes of those fields
     widened = bytearray(size * wide)
-    rows = _FOLD_BITS // (8 * step) or 1
+    rows = chosen.fold_supports
     packed = 0
     weights = [0] * size
     for total, masks in groups.items():
         scale = common // total
-        if len(masks) > _COLUMN_ROWS and size < _COLUMN_SIZE:
+        if total in chosen.column_groups:
             columns = bit_columns(masks, size, 8 * step)
             weights = list(map(add, weights, map(scale.__mul__,
                                                  map(int.bit_count, columns))))
@@ -382,18 +375,18 @@ def _pseudo_weights(measure: UtilityMeasure,
     return weights, common
 
 
-def _mean_row(measure: UtilityMeasure,
-              enc: EncodedScenario) -> tuple[tuple[int, ...], int]:
+def _mean_row(measure: UtilityMeasure, enc: EncodedScenario,
+              chosen: Plan) -> tuple[tuple[int, ...], int]:
     """``exact_mean`` of the kernel rows of ``enc``: the one fuzzy kernel
     row of weights W, over ``L * N``, in lowest terms."""
-    weights, common = _pseudo_weights(measure, enc)
+    weights, common = _pseudo_weights(measure, enc, chosen)
     support = tuple(filter(None, weights))
     pseudo = EncodedScenario(
         enc.objective_count, enc.offer_masks,
         (sum(1 << p for p, weight in enumerate(weights) if weight),),
         (support,), (sum(support),))
     (nums,), _ = _core.utility_matrix(pseudo, "fuzzy")
-    count = common * enc.individual_count
+    count = common * len(enc.support_masks)
     g = gcd(count, *nums)
     return tuple(num // g for num in nums), count // g
 
@@ -431,7 +424,7 @@ def evaluate(process: EvaluationProcess) -> SocialProfile:
     """
     enc, measure = process.encoding, process.measure
     if enc is not None:
-        nums, den = _mean_row(measure, enc)
+        nums, den = _mean_row(measure, enc, _core.plan(enc, measure))
         out_of_domain = (measure is UtilityMeasure.CARDINAL and _shares_two(
             enc.support_masks, enc.offer_masks, enc.objective_count))
     else:

@@ -8,8 +8,7 @@ never builds a huge integer; a message quotes a value briefly
 token is echoed whole.  The scenario parser, which reads a decimal literal as
 an exact ``Decimal``, and the library's checking constructor ``Individual``
 both apply these rules.  ``format_ratios`` writes every rational the
-program prints, exactly, a whole row of them in one pass; ``format_ratio``
-is that rule for one value.
+program prints, exactly, a whole row of them in one pass.
 """
 
 from __future__ import annotations
@@ -104,12 +103,6 @@ def format_ratios(nums, den: int,
     return ["0." + str(q + scale)[1:] if 0 <= q < scale
             else pattern % divmod(q, scale) if q > 0
             else "-" + pattern % divmod(-q, scale) for q in out]
-
-
-def format_ratio(num: int, den: int, digits: int = DEFAULT_PRECISION) -> str:
-    """Exact fixed-point rendering of ``num / den`` (``den > 0``), rounded
-    half to even: ``format_ratios`` of one value."""
-    return format_ratios((num,), den, digits)[0]
 
 
 def _plain_number(value: int | Fraction) -> str:

@@ -94,7 +94,6 @@ from .literals import (
     _bounded,
     _plain_number,
     _quoted,
-    format_ratio,
     format_ratios,
 )
 from .measures import Environment, Society, UtilityMeasure, _scaled
@@ -665,27 +664,6 @@ def _parse(text: str) -> tuple[Scenario | None, ValidationReport]:
 
 # ---------------------------------------------------------------------------
 # number rendering
-
-
-def format_decimal(value, digits: int = DEFAULT_PRECISION) -> str:
-    """Exact fixed-point rendering of a rational (round half to even).
-
-    A float is read as the decimal literal it prints as (``2.675`` means
-    2675/1000, not its binary expansion), as ``measures.to_fraction``
-    reads it; a bool is not a number."""
-    if isinstance(value, bool):
-        raise TypeError("decimal values are numbers")
-    f = Fraction(repr(value) if isinstance(value, float) else value)
-    return format_ratio(f.numerator, f.denominator, digits)
-
-
-def format_utility(value, precision: int = DEFAULT_PRECISION) -> str:
-    """Counts render as integers, everything else as fixed-point decimal."""
-    if isinstance(value, bool):
-        raise TypeError("utility values are numbers")
-    if isinstance(value, int):
-        return str(value)
-    return format_decimal(value, precision)
 
 
 def _profile_cells(profile: IndividualProfile, precision: int) -> list[str]:

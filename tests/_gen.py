@@ -7,11 +7,16 @@ implementation if it is wrong.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
+import sys
 from fractions import Fraction
 
 from setchoice import Alternative, Environment, Individual, Society, Universe
+from setchoice._core.kernel_py import Plan
+
+from _golden import ROOT
 
 DENOMS = (1, 2, 3, 4, 5, 8, 10, 100)
 
@@ -68,10 +73,17 @@ def random_society(rng, universe, max_individuals=5, crisp=False) -> Society:
 
 def random_scenario_parts(rng, max_universe=8, max_alternatives=5,
                           max_individuals=5, crisp=False):
+    """``(environment, society)`` over one random universe."""
     universe = random_universe(rng, max_universe)
     environment = random_environment(rng, universe, max_alternatives)
     society = random_society(rng, universe, max_individuals, crisp=crisp)
-    return universe, environment, society
+    return environment, society
+
+
+def planned(natural: Plan, **paths) -> Plan:
+    """The plan ``natural`` with the fields named in ``paths`` replaced: a
+    test forces a kernel or mean path with it."""
+    return Plan(**{**dict(zip(Plan._fields, natural._values())), **paths})
 
 
 def one_objective_document(count: int, objectives: int = 64,
@@ -153,6 +165,17 @@ def tiny_negative_weights_document(individuals: int) -> str:
                         for i in range(individuals))
     return ('{"universe": ["a"], "alternatives": [{"id": "x", "offers": ["a"]}], '
             f'"individuals": [{entries}]}}')
+
+
+def workload_documents(seed: int) -> list:
+    """The benchmark's documents of ``seed``, from every workload."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses looks its module up
+    spec.loader.exec_module(workloads)
+    return [document for name in workloads.WORKLOADS
+            for document in workloads.generate(name, seed)]
 
 
 # --- oracles ----------------------------------------------------------------

@@ -77,9 +77,9 @@ def test_c2_crisp_reduction_theorem():
     rng = random.Random(0xC2)
     checked = 0
     for _ in range(1000):
-        _, env, soc = random_scenario_parts(rng, max_universe=10,
-                                            max_alternatives=5,
-                                            max_individuals=5, crisp=True)
+        env, soc = random_scenario_parts(rng, max_universe=10,
+                                         max_alternatives=5,
+                                         max_individuals=5, crisp=True)
         for alt in env.alternatives:
             for ind in soc.individuals:
                 assert (fuzzy_utility(alt, ind)
@@ -98,14 +98,14 @@ def test_c3_brute_force_oracle_equivalence():
     rng = random.Random(0xC3)
     pair_checks = 0
     for _ in range(1000):
-        u, env, soc = random_scenario_parts(rng, max_universe=8,
-                                            max_alternatives=5,
-                                            max_individuals=5)
+        env, soc = random_scenario_parts(rng, max_universe=8,
+                                         max_alternatives=5,
+                                         max_individuals=5)
         for alt in env.alternatives:
             offers = list(alt.offers.members)
             for ind in soc.individuals:
                 assert fuzzy_utility(alt, ind) == oracle_fuzzy(
-                    offers, ind.membership, u.objectives)
+                    offers, ind.membership, env.universe.objectives)
                 if ind.is_crisp:
                     required = list(ind.support)
                     assert cardinal_utility(alt, ind) == oracle_cardinal(
@@ -119,9 +119,9 @@ def test_c3_brute_force_oracle_equivalence():
 
     mean_checks = 0
     for _ in range(300):
-        u, env, soc = random_scenario_parts(rng, max_universe=8,
-                                            max_alternatives=6,
-                                            max_individuals=6)
+        env, soc = random_scenario_parts(rng, max_universe=8,
+                                         max_alternatives=6,
+                                         max_individuals=6)
         process = build_process("fuzzy", env, soc)
         social = evaluate(process)
         for m in range(len(env)):
@@ -139,7 +139,7 @@ class TestC4Properties:
         started = time.perf_counter()
         rng = random.Random(0xC401)
         for _ in range(self.CASES_PER_PROPERTY):
-            _, env, soc = random_scenario_parts(rng)
+            env, soc = random_scenario_parts(rng)
             for alt in env.alternatives:
                 for ind in soc.individuals:
                     assert 0 <= fuzzy_utility(alt, ind) <= 1
@@ -185,7 +185,7 @@ class TestC4Properties:
         started = time.perf_counter()
         rng = random.Random(0xC404)
         for _ in range(self.CASES_PER_PROPERTY):
-            u, env, soc = random_scenario_parts(rng, max_universe=12)
+            env, soc = random_scenario_parts(rng, max_universe=12)
             part = partition_universe(env, soc)
             a, b, c = (part.offered_only.members, part.requested_only.members,
                        part.matched.members)
@@ -198,12 +198,12 @@ class TestC4Properties:
         started = time.perf_counter()
         rng = random.Random(0xC405)
         for _ in range(self.CASES_PER_PROPERTY):
-            u, env, soc = random_scenario_parts(rng)
+            env, soc = random_scenario_parts(rng)
             order = list(range(len(soc)))
             rng.shuffle(order)
             permuted = Society(tuple(soc.individuals[i] for i in order))
             doubled = Society(soc.individuals + tuple(
-                Individual(f"{ind.id}_twin", u, ind.membership)
+                Individual(f"{ind.id}_twin", env.universe, ind.membership)
                 for ind in soc.individuals))
             base = evaluate(build_process("fuzzy", env, soc)).values
             assert evaluate(build_process("fuzzy", env, permuted)).values == base
@@ -214,7 +214,7 @@ class TestC4Properties:
         started = time.perf_counter()
         rng = random.Random(0xC406)
         for _ in range(self.CASES_PER_PROPERTY):
-            _, env, soc = random_scenario_parts(rng)
+            env, soc = random_scenario_parts(rng)
             process = build_process("fuzzy", env, soc)
             base = evaluate(process)
             scale = Fraction(rng.randint(1, 12), rng.randint(1, 12))
@@ -234,7 +234,7 @@ class TestC4Properties:
         started = time.perf_counter()
         rng = random.Random(0xC407)
         for _ in range(self.CASES_PER_PROPERTY):
-            _, env, soc = random_scenario_parts(rng)
+            env, soc = random_scenario_parts(rng)
             social = evaluate(build_process("fuzzy", env, soc))
             ranking = rank(social, env)
             assert sorted(ranking.ordered_ids) == sorted(env.ids)

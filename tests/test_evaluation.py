@@ -1,9 +1,7 @@
 import random
 import tracemalloc
-from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +33,7 @@ from setchoice import (
     rank,
 )
 from setchoice import _core, evaluation
-from setchoice._core import encode
+from setchoice._core import encode, plan
 from setchoice._core.encode import EncodedScenario
 from setchoice.evaluation import (_mean_row, _pseudo_weights, _shares_two,
                                   exact_mean)
@@ -49,6 +47,7 @@ from _gen import (
     oracle_mean,
     oracle_ranking,
     oracle_shares_two,
+    planned,
     random_scenario_parts,
     sparse_wide_document,
     token_pool,
@@ -68,7 +67,7 @@ def reference(greek):
     env = Environment((Alternative("m", greek.subset(["alpha", "beta", "gamma"])),))
     soc = Society((Individual.crisp("p", greek, ["alpha"]),
                    Individual.crisp("q", greek, ["alpha", "beta", "gamma"])))
-    return greek, env, soc
+    return env, soc
 
 
 def make_social(values):
@@ -81,7 +80,7 @@ def make_social(values):
 
 
 def mean_oracle_edge_cases():
-    """(measure, scenario parts) that stress the integer-row mean."""
+    """(measure, (environment, society)) that stress the integer-row mean."""
     u = Universe(tuple(f"g{i}" for i in range(6)))
     env = Environment((Alternative("lo", u.subset(["g0"])),
                        Alternative("mid", u.subset(["g0", "g2", "g4"])),
@@ -99,9 +98,9 @@ def mean_oracle_edge_cases():
     # cardinal counts: above 1 for "mid"/"all", and all within [0, 1]
     singles = Society(tuple(Individual.crisp(f"s{k}", u, [t])
                             for k, t in enumerate(u.objectives)))
-    return [("fuzzy", (u, env, huge)), ("normalized", (u, env, nested)),
-            ("fuzzy", (u, env, nested)), ("cardinal", (u, env, nested)),
-            ("cardinal", (u, env, singles))]
+    return [("fuzzy", (env, huge)), ("normalized", (env, nested)),
+            ("fuzzy", (env, nested)), ("cardinal", (env, nested)),
+            ("cardinal", (env, singles))]
 
 
 def many_limb_parts():
@@ -118,7 +117,7 @@ def many_limb_parts():
         Individual(f"w{q}", u, {"g0": Fraction(1, 2), "g1": Fraction(1, q),
                                 "g3": Fraction(1, 2)})
         for q in range(10 ** 6 + 1, 10 ** 6 + 13)))
-    return u, env, soc
+    return env, soc
 
 
 def one_individual_parts(measure):
@@ -127,7 +126,7 @@ def one_individual_parts(measure):
                        Alternative("b", u.subset(["g2"]))))
     weights = ({"g0": 1, "g1": 1, "g3": 1} if measure != "fuzzy" else
                {"g0": Fraction(1, 3), "g1": Fraction(7, 10 ** 21), "g3": 1})
-    return u, env, Society((Individual("solo", u, weights),))
+    return env, Society((Individual("solo", u, weights),))
 
 
 # weights from the files' two decimals to denominators far beyond int64,
@@ -153,7 +152,7 @@ def scenario_parts(draw, crisp):
             Individual.crisp(f"p{i}", universe, tokens) if crisp else
             Individual(f"p{i}", universe,
                        {t: draw(wide_weights) for t in tokens}))
-    return universe, environment, Society(tuple(individuals))
+    return environment, Society(tuple(individuals))
 
 
 def assert_matches_kernel_mean(measure, env, soc):
@@ -171,7 +170,7 @@ def assert_matches_kernel_mean(measure, env, soc):
 
 class TestIndividualProfile:
     def test_cardinal_single_alternative(self, reference):
-        _, env, soc = reference
+        env, soc = reference
         profile = individual_profile("cardinal", env, soc.individuals[0])
         assert profile.values == (1,)
         profile = individual_profile("cardinal", env, soc.individuals[1])
@@ -203,7 +202,7 @@ class TestIndividualProfile:
 
 class TestBuildProcess:
     def test_reference_scenario_normalized(self, reference):
-        _, env, soc = reference
+        env, soc = reference
         process = build_process("normalized", env, soc)
         assert [p.values for p in process.profiles] == [(Fraction(1),), (Fraction(1),)]
         assert [p.individual_id for p in process.profiles] == ["p", "q"]
@@ -216,7 +215,7 @@ class TestBuildProcess:
         assert len(process.profiles) == 1
 
     def test_zero_mass_error_names_individual(self, reference):
-        _, env, soc = reference
+        env, soc = reference
         # the constructors refuse an empty support; the society holds the
         # columns of the individuals it was built from
         p, q = soc.individuals
@@ -231,7 +230,7 @@ class TestBuildProcess:
     def test_matches_reference_path(self):
         rng = random.Random(301)
         for _ in range(100):
-            _, env, soc = random_scenario_parts(rng)
+            env, soc = random_scenario_parts(rng)
             for measure in (UtilityMeasure.FUZZY,):
                 process = build_process(measure, env, soc)
                 for ind, profile in zip(soc.individuals, process.profiles):
@@ -240,7 +239,7 @@ class TestBuildProcess:
     def test_matches_reference_path_crisp_measures(self):
         rng = random.Random(302)
         for _ in range(100):
-            _, env, soc = random_scenario_parts(rng, crisp=True)
+            env, soc = random_scenario_parts(rng, crisp=True)
             for measure in (UtilityMeasure.CARDINAL, UtilityMeasure.NORMALIZED):
                 process = build_process(measure, env, soc)
                 for ind, profile in zip(soc.individuals, process.profiles):
@@ -263,7 +262,7 @@ class TestBuildProcess:
             "w1", "first")
 
     def test_profiles_are_built_on_first_read(self, reference):
-        _, env, soc = reference
+        env, soc = reference
         process = build_process("cardinal", env, soc)
         assert process.encoding == encode(env, soc)
         assert "profiles" not in vars(process)
@@ -275,7 +274,7 @@ class TestBuildProcess:
         assert hand_made.profiles == profiles
 
     def test_universe_mismatch_rejected(self, reference):
-        _, env, soc = reference
+        env, soc = reference
         other = Universe(("alpha", "beta", "gamma", "delta"))
         other_env = Environment((Alternative("x", other.subset(["alpha"])),))
         other_soc = Society((Individual.crisp("p", other, ["alpha"]),))
@@ -285,7 +284,7 @@ class TestBuildProcess:
             assert str(exc.value) == "environment and society use different universes"
 
     def test_process_invariants(self, reference):
-        _, env, soc = reference
+        env, soc = reference
         good = build_process("normalized", env, soc)
         with pytest.raises(LengthMismatch):
             EvaluationProcess(env, soc, good.profiles[:1], good.measure)
@@ -335,7 +334,7 @@ class TestEvaluate:
         assert evaluate(process).values == (Fraction(1, 2), Fraction(1, 2))
 
     def test_reference_scenario_social_profile(self, reference):
-        _, env, soc = reference
+        env, soc = reference
         process = build_process("normalized", env, soc)
         expected = oracle_mean([Fraction(1), Fraction(1)])
         assert evaluate(process).values == (expected,) == (Fraction(1),)
@@ -346,7 +345,7 @@ class TestEvaluate:
                                                  max_individuals=6))
                  for _ in range(150)]
         cases += mean_oracle_edge_cases()
-        for measure, (_, env, soc) in cases:
+        for measure, (env, soc) in cases:
             process = build_process(measure, env, soc)
             social = evaluate(process)
             for m in range(len(env)):
@@ -358,7 +357,7 @@ class TestEvaluate:
     def test_mean_within_bounds(self):
         rng = random.Random(304)
         for _ in range(150):
-            _, env, soc = random_scenario_parts(rng)
+            env, soc = random_scenario_parts(rng)
             process = build_process("fuzzy", env, soc)
             social = evaluate(process)
             for m in range(len(env)):
@@ -368,7 +367,7 @@ class TestEvaluate:
     def test_anonymity(self):
         rng = random.Random(305)
         for _ in range(100):
-            _, env, soc = random_scenario_parts(rng)
+            env, soc = random_scenario_parts(rng)
             order = list(range(len(soc)))
             rng.shuffle(order)
             shuffled = Society(tuple(soc.individuals[i] for i in order))
@@ -379,9 +378,9 @@ class TestEvaluate:
     def test_duplication_invariance(self):
         rng = random.Random(306)
         for _ in range(100):
-            u, env, soc = random_scenario_parts(rng)
+            env, soc = random_scenario_parts(rng)
             doubled = Society(soc.individuals + tuple(
-                Individual(f"{ind.id}_copy", u, ind.membership)
+                Individual(f"{ind.id}_copy", env.universe, ind.membership)
                 for ind in soc.individuals))
             a = evaluate(build_process("fuzzy", env, soc))
             b = evaluate(build_process("fuzzy", env, doubled))
@@ -389,7 +388,7 @@ class TestEvaluate:
             assert a == b
 
     def test_cardinal_flags_out_of_domain(self, reference):
-        _, env, soc = reference
+        env, soc = reference
         social = evaluate(build_process("cardinal", env, soc))
         assert social.out_of_domain  # q scores 3 on m
         assert social.values == (Fraction(2),)
@@ -442,21 +441,20 @@ class TestPseudoIndividualRow:
     @settings(max_examples=150, deadline=None)
     @given(measure=st.sampled_from(MEASURES), data=st.data())
     def test_matches_exact_mean_of_the_kernel_matrix(self, measure, data):
-        _, env, soc = data.draw(scenario_parts(crisp=measure != "fuzzy"))
+        env, soc = data.draw(scenario_parts(crisp=measure != "fuzzy"))
         assert_matches_kernel_mean(measure, env, soc)
 
     @pytest.mark.parametrize("measure, parts", mean_oracle_edge_cases()
                              + [("fuzzy", many_limb_parts())]
                              + [(m, one_individual_parts(m)) for m in MEASURES])
     def test_edge_cases(self, measure, parts):
-        assert_matches_kernel_mean(measure, *parts[1:])
+        assert_matches_kernel_mean(measure, *parts)
 
     def test_weights_span_several_limbs(self):
-        u, env, soc = many_limb_parts()
-        weights, _ = _pseudo_weights(UtilityMeasure.FUZZY, encode(env, soc))
-        # the packed kernel's limb: R limbs of it stay below 2**64
-        limb = 64 - len(u).bit_length()
-        assert max(weights).bit_length() > 3 * limb
+        enc = encode(*many_limb_parts())
+        chosen = plan(enc, "fuzzy")
+        weights, _ = _pseudo_weights(UtilityMeasure.FUZZY, enc, chosen)
+        assert max(weights).bit_length() > chosen.limbed_bits
 
     @pytest.mark.parametrize("measure", ["cardinal", "normalized"])
     def test_crisp_groups_wider_than_a_byte(self, measure):
@@ -468,22 +466,19 @@ class TestPseudoIndividualRow:
         assert_matches_kernel_mean(measure, env, soc)
 
 
-# (_COLUMN_ROWS, _COLUMN_SIZE, _FOLD_BITS) that force one way of counting
-# the crisp mean's supports on every support-size group
-LAYOUTS = {
-    "columns": (0, 1 << 30, evaluation._FOLD_BITS),
-    "packed": (1 << 30, 0, evaluation._FOLD_BITS),
-    "packed, one support a fold": (1 << 30, 0, 8),
-    "packed, full 16-bit folds": (1 << 30, 0, 8 * ((1 << 16) - 1)),
-}
-
-
-@contextmanager
-def layout(name):
-    rows, size, fold = LAYOUTS[name]
-    with mock.patch.multiple(evaluation, _COLUMN_ROWS=rows, _COLUMN_SIZE=size,
-                             _FOLD_BITS=fold):
-        yield
+def group_plans(measure, enc):
+    """Plans of ``enc`` that force one way of counting the crisp mean's
+    supports on every support-size group: ``{name: plan}``."""
+    natural = plan(enc, measure)
+    groups = (1,) if measure == "cardinal" else tuple(sorted(set(enc.totals)))
+    return {
+        "columns": planned(natural, column_groups=groups),
+        "packed": planned(natural, column_groups=()),
+        "packed, one support a fold": planned(natural, column_groups=(),
+                                              fold_supports=1),
+        "packed, full 16-bit folds": planned(natural, column_groups=(),
+                                             fold_supports=(1 << 16) - 1),
+    }
 
 
 def crisp_encoding(size, offers, supports):
@@ -511,7 +506,7 @@ def column_popcount_weights(measure, enc):
 class TestCrispSupportCounts:
     """The crisp mean counts each support-size group's supports per
     objective by ``bit_columns`` or by ``packed_counts``, whichever the
-    group's shape picks; both give the same ``(W, L)``."""
+    plan picks; every way gives the same ``(W, L)``."""
 
     @settings(max_examples=100, deadline=None)
     @given(measure=st.sampled_from(("cardinal", "normalized")),
@@ -526,11 +521,10 @@ class TestCrispSupportCounts:
         enc = crisp_encoding(size, offers, supports)
         expected = column_popcount_weights(measure, enc)
         mean = exact_mean(*_core.utility_matrix(enc, measure))
-        for name in LAYOUTS:
-            with layout(name):
-                measured = UtilityMeasure(measure)
-                assert _pseudo_weights(measured, enc) == expected, name
-                assert _mean_row(measured, enc) == mean, name
+        measured = UtilityMeasure(measure)
+        for name, chosen in group_plans(measure, enc).items():
+            assert _pseudo_weights(measured, enc, chosen) == expected, name
+            assert _mean_row(measured, enc, chosen) == mean, name
 
     @pytest.mark.parametrize("name", ["columns", "packed",
                                       "packed, full 16-bit folds"])
@@ -545,15 +539,15 @@ class TestCrispSupportCounts:
         """2**16 supports hold objective 0: one more than a 16-bit field
         holds, so the count takes two folds and a wider field."""
         enc = crisp_encoding(2, (0b01,), supports)
-        with layout(name):
-            assert _pseudo_weights(UtilityMeasure(measure), enc) == expected
+        chosen = group_plans(measure, enc)[name]
+        assert _pseudo_weights(UtilityMeasure(measure), enc, chosen) == expected
 
 
 class TestSparseWideScenarios:
     """Wide universes of sparse masks (ROADMAP item 15): the mean still
-    equals the kernel's, and the crisp mean counts its supports in folds of
-    at most ``_FOLD_BITS`` bit positions, so its peak stays flat while
-    N * R grows."""
+    equals the kernel's, and the crisp mean counts its supports in the
+    plan's folds, each of at most 2**16 bit positions, so its peak stays
+    flat while N * R grows."""
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_columns_of_several_fields_give_the_kernel_mean(self, measure):
@@ -593,7 +587,7 @@ class TestKernelCalls:
         kernel = _core.utility_matrix
 
         def counting_kernel(enc, measure):
-            seen["rows"].append(enc.individual_count)
+            seen["rows"].append(len(enc.support_masks))
             return kernel(enc, measure)
 
         from_row, init = IndividualProfile.from_row, IndividualProfile.__init__
@@ -615,11 +609,11 @@ class TestKernelCalls:
     @pytest.fixture(params=MEASURES)
     def scenario(self, request):
         rng = random.Random(f"kernel-calls:{request.param}")
-        u, env, soc = random_scenario_parts(
+        env, soc = random_scenario_parts(
             rng, max_universe=8, max_alternatives=6, max_individuals=1,
             crisp=request.param != "fuzzy")
         individuals = tuple(
-            Individual(f"p{i}", u, soc.individuals[0].membership)
+            Individual(f"p{i}", env.universe, soc.individuals[0].membership)
             for i in range(12))
         return request.param, Scenario(env, Society(individuals))
 
@@ -652,7 +646,7 @@ class TestAggregators:
         cases += [parts for name, parts in mean_oracle_edge_cases()
                   if name == measure]
         flagged = []
-        for _, env, soc in cases:
+        for env, soc in cases:
             process = build_process(measure, env, soc)
             hand_built = EvaluationProcess(env, soc, process.profiles, measure)
             assert hand_built.encoding is None
@@ -675,7 +669,7 @@ class TestAggregators:
         nor the pipeline result keeps a copy of it or an aggregator name."""
         assert SocialProfile._fields == ("nums", "den", "out_of_domain")
         assert {"measure", "aggregator"}.isdisjoint(PipelineResult._fields)
-        _, env, soc = reference
+        env, soc = reference
         process = build_process("cardinal", env, soc)
         assert process.measure is UtilityMeasure.CARDINAL
         assert evaluate(process) == SocialProfile((2,), 1, True)
@@ -723,7 +717,7 @@ class TestRank:
     def test_is_permutation_of_environment(self):
         rng = random.Random(309)
         for _ in range(150):
-            _, env, soc = random_scenario_parts(rng)
+            env, soc = random_scenario_parts(rng)
             social = evaluate(build_process("fuzzy", env, soc))
             ranking = rank(social, env)
             assert sorted(ranking.ordered_ids) == sorted(env.ids)
@@ -733,7 +727,7 @@ class TestRank:
     def test_scale_invariance_of_tier_structure(self):
         rng = random.Random(310)
         for _ in range(100):
-            _, env, soc = random_scenario_parts(rng)
+            env, soc = random_scenario_parts(rng)
             process = build_process("fuzzy", env, soc)
             base = evaluate(process)
             scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))

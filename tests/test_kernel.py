@@ -1,8 +1,10 @@
 """Backend equivalence: the compiled kernel, the pure kernel, and the
-per-pair reference functions must agree exactly."""
+per-pair reference functions must agree exactly, on every path the plan
+allows."""
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -21,24 +23,30 @@ from setchoice import (
     individual_profile,
     parse_scenario,
 )
+from setchoice import _core
 from setchoice._core import (
     HAVE_FAST,
     encode,
     kernel_py,
+    plan,
     utility_matrix,
 )
-from setchoice._core.encode import INT64_LIMIT
+from setchoice._core.encode import INT64_LIMIT, EncodedScenario
+from setchoice._core.kernel_py import Plan
 from setchoice.evaluation import exact_mean
 
 from _gen import (
     DENOMS,
     distinct_weights_document,
+    planned,
     random_environment,
     random_scenario_parts,
     random_society,
     random_universe,
     token_pool,
+    workload_documents,
 )
+from _golden import ROOT
 
 MEASURES = ("cardinal", "normalized", "fuzzy")
 
@@ -49,13 +57,19 @@ WIDTH_EDGES = (2 ** 16 - 1, 2 ** 16, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64)
 SMALL_WEIGHT = Fraction(1, 10 ** 20)  # a scale beyond int64 on its own
 small_weights = st.builds(lambda den, num: Fraction(num % den + 1, den),
                           st.sampled_from(DENOMS), st.integers(0, 99))
+#: weights from the files' two decimals to denominators far beyond int64,
+#: so that row totals range from a few bits to a few hundred
+mixed_weights = st.one_of(
+    small_weights, st.just(SMALL_WEIGHT),
+    st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(10 ** 6, 10 ** 60)))
 
 
 @st.composite
 def weighted_parts(draw, alternatives, largest=None, weights=small_weights):
-    """A universe, ``alternatives`` random alternatives, and individuals
-    weighted by ``weights``; with ``largest``, one more whose integer
-    weights sum to exactly ``largest`` (all others sum to less)."""
+    """An environment of ``alternatives`` random alternatives, and a society
+    weighted by ``weights``, over one universe; with ``largest``, one more
+    individual whose integer weights sum to exactly ``largest`` (all others
+    sum to less)."""
     universe = Universe(token_pool(draw(st.integers(2, 6))))
     subsets = st.lists(st.sampled_from(universe.objectives), min_size=1,
                        unique=True)
@@ -78,26 +92,32 @@ def weighted_parts(draw, alternatives, largest=None, weights=small_weights):
             token: Fraction(part, largest) for token, part in zip(tokens, parts)})
     society = Society(tuple(Individual(f"ind{n}", universe, membership)
                             for n, membership in enumerate(memberships)))
-    return universe, environment, society
+    return environment, society
 
 
 ABC = Universe(("a", "b", "c"))
 #: A crisp individual and a weighted one whose every weight is exactly 1,
 #: so its scale is 1.
 UNIT_WEIGHTED = (
-    ABC, Environment((Alternative("x", ABC.subset(["a"])),)),
+    Environment((Alternative("x", ABC.subset(["a"])),)),
     Society((Individual.crisp("crisp", ABC, ["a", "c"]),
              Individual("ones", ABC, {"a": Fraction(1), "b": Fraction(1)}))))
+#: Rows of totals of 4, 22, 42, 101 and 201 bits: one for each packed
+#: width, one summed in limbs and one summed per offer.
+MIXED_WIDTHS = (
+    Environment((Alternative("x", ABC.subset(["a", "c"])),
+                 Alternative("y", ABC.subset(["b"])))),
+    Society(tuple(Individual(f"w{k}", ABC, {"a": Fraction(1, den),
+                                             "b": Fraction(1, 3),
+                                             "c": Fraction(1, 2)})
+                  for k, den in enumerate((2, 2 ** 20, 2 ** 40, 10 ** 30,
+                                           10 ** 60)))))
 
 
 def membership_entry(weights: dict[str, str]) -> str:
     """A ``membership`` key and its object, each weight as spelled."""
     return '"membership": {%s}' % ", ".join(
         f'"{token}": {weight}' for token, weight in weights.items())
-
-
-def encoded(parts):
-    return encode(*parts[1:])
 
 
 class TestEncoding:
@@ -119,13 +139,13 @@ class TestEncoding:
     @given(parts=weighted_parts(
         2, weights=st.one_of(st.just(Fraction(1)), small_weights)))
     @example(parts=UNIT_WEIGHTED)
-    @example(parts=(*UNIT_WEIGHTED[:2], Society((
-        *UNIT_WEIGHTED[2], Individual("half", ABC, {"b": Fraction(1, 2)})))))
+    @example(parts=(UNIT_WEIGHTED[0], Society((
+        *UNIT_WEIGHTED[1], Individual("half", ABC, {"b": Fraction(1, 2)})))))
     @settings(max_examples=60, deadline=None)
     def test_totals_are_the_row_sums(self, parts):
         """A total is its row's length when every scale is 1, since a
         scale of 1 holds only weights of 1, and its sum otherwise."""
-        assert encoded(parts).totals == tuple(map(sum, parts[2].weights))
+        assert encode(*parts).totals == tuple(map(sum, parts[1].weights))
 
     @given(entries=st.lists(st.one_of(
         st.lists(st.sampled_from("abc"), min_size=1, unique=True).map(
@@ -155,25 +175,48 @@ class TestEncoding:
         assert not enc.int64_safe
 
 
-def assert_fuzzy_matches_reference(parts, enc):
-    _, environment, society = parts
-    nums, dens = kernel_py.utility_matrix(enc, "fuzzy")
+def assert_fuzzy_matches_reference(parts, nums, dens):
+    """``nums[n][m] / dens[n]`` is the per-pair fuzzy utility of individual
+    n on alternative m."""
+    environment, society = parts
     assert len(nums) == len(dens) == len(society)
-    for n, ind in enumerate(society.individuals):
+    for row, den, ind in zip(nums, dens, society.individuals):
         ref = individual_profile("fuzzy", environment, ind)
-        assert [Fraction(num, dens[n]) for num in nums[n]] == list(ref.values)
+        assert [Fraction(num, den) for num in row] == list(ref.values)
+
+
+def row_path(chosen, bits):
+    """The path ``chosen`` takes for a fuzzy row whose total has ``bits``
+    bits."""
+    if bits <= chosen.packed_bits:
+        return f"packed at {chosen.width} bits"
+    return "limbs" if bits <= chosen.limbed_bits else "per offer"
+
+
+def row_plans(natural, limb):
+    """Plans that force each fuzzy row path on every row that can take it,
+    ``{name: plan}``: a row that a packed width cannot hold goes per offer,
+    and limbs are ``limb`` bits wide."""
+    packed = {f"packed at {width} bits": planned(
+        natural, width=width, packed_bits=width, limbed_bits=width)
+        for width in (16, 32, 64)}
+    return {**packed,
+            "limbs": planned(natural, width=64, packed_bits=0, limb_bits=limb,
+                             limbed_bits=1 << 16),
+            "per offer": planned(natural, width=64, packed_bits=0,
+                                 limbed_bits=0)}
 
 
 class TestKernelAgreement:
     def test_pure_kernel_matches_reference(self):
         rng = random.Random(401)
         for _ in range(100):
-            parts = random_scenario_parts(rng, crisp=True)
-            enc = encoded(parts)
+            env, soc = random_scenario_parts(rng, crisp=True)
+            enc = encode(env, soc)
             for measure in MEASURES:
                 nums, dens = kernel_py.utility_matrix(enc, measure)
-                for n, ind in enumerate(parts[2].individuals):
-                    ref = individual_profile(measure, parts[1], ind)
+                for n, ind in enumerate(soc.individuals):
+                    ref = individual_profile(measure, env, ind)
                     got = [Fraction(num, dens[n]) for num in nums[n]]
                     assert got == [Fraction(v) for v in ref.values]
 
@@ -183,10 +226,11 @@ class TestKernelAgreement:
     @given(data=st.data())
     def test_packed_fuzzy_matches_reference(self, largest, alternatives, data):
         parts = data.draw(weighted_parts(alternatives, largest))
-        enc = encoded(parts)
+        enc = encode(*parts)
         assert max(enc.totals) == largest
         assert enc.int64_safe == (largest < INT64_LIMIT)
-        assert_fuzzy_matches_reference(parts, enc)
+        assert_fuzzy_matches_reference(
+            parts, *kernel_py.utility_matrix(enc, "fuzzy"))
 
     @settings(max_examples=60, deadline=None)
     @given(alternatives=st.integers(1, 5), data=st.data())
@@ -194,11 +238,15 @@ class TestKernelAgreement:
                                                          data):
         parts = data.draw(weighted_parts(alternatives, weights=st.one_of(
             small_weights, st.just(SMALL_WEIGHT))))
-        assert_fuzzy_matches_reference(parts, encoded(parts))
+        assert_fuzzy_matches_reference(
+            parts, *kernel_py.utility_matrix(encode(*parts), "fuzzy"))
 
     def test_packed_field_widths(self):
-        assert [kernel_py._field_width(total) for total in (0, *WIDTH_EDGES)] == [
-            16, 16, 32, 32, 64, 64, 64]
+        def one_row(total):
+            return EncodedScenario(1, (1,), (1,), ((total,),), (total,))
+
+        assert [plan(one_row(total), "fuzzy").width
+                for total in (0, *WIDTH_EDGES)] == [16, 16, 32, 32, 64, 64, 64]
 
     def test_one_call_mixes_narrow_and_wide_rows(self):
         # universes of 65-130 objectives, rows of totals up to 2**64 beside
@@ -214,37 +262,39 @@ class TestKernelAgreement:
             universe = random_universe(rng, max_size=130, min_size=65)
             environment = random_environment(rng, universe, 6)
             individuals = list(random_society(rng, universe, 4).individuals)
+            natural = plan(encode(environment, Society(tuple(individuals))),
+                           "fuzzy")
+            limb, widest = natural.limb_bits, natural.limbed_bits
             for k in range(3):
                 den = rng.randrange(2 ** 70, 2 ** 90)
                 individuals.append(Individual(f"wide{k}", universe, {
                     token: Fraction(rng.randrange(1, den), den)
                     for token in rng.sample(universe.objectives,
                                             rng.randint(1, len(universe)))}))
-            limb = 64 - len(universe).bit_length()
             individuals.append(Individual("full", universe, dict.fromkeys(
                 universe.objectives,
                 Fraction(2 ** (2 * limb) - 1, 2 ** (2 * limb)))))
-            passes = kernel_py._LIMB_PASSES
-            for top in (63, 64, (passes - 1) * limb, passes * limb - 1,
-                        passes * limb):
+            for top in (63, 64, widest - limb, widest - 1, widest):
                 individuals.append(Individual(f"top{top}", universe, dict(zip(
                     universe.objectives,
                     (Fraction(1, 2), Fraction(1, 3 << top))))))
             rng.shuffle(individuals)
-            parts = universe, environment, Society(tuple(individuals))
-            enc = encoded(parts)
+            parts = environment, Society(tuple(individuals))
+            enc = encode(*parts)
+            chosen = plan(enc, "fuzzy")
+            assert (chosen.limb_bits, chosen.limbed_bits) == (limb, widest)
             bits = set(map(int.bit_length, enc.totals))
-            assert {64, 65, passes * limb, passes * limb + 1} <= bits
-            assert {0 if b <= 64 else 1 if b <= passes * limb else 2
-                    for b in bits} == {0, 1, 2}
-            assert_fuzzy_matches_reference(parts, enc)
+            assert {64, 65, widest, widest + 1} <= bits
+            assert {row_path(chosen, b) for b in bits} == {
+                "packed at 64 bits", "limbs", "per offer"}
+            assert_fuzzy_matches_reference(
+                parts, *kernel_py.utility_matrix(enc, "fuzzy"))
 
     @pytest.mark.skipif(not HAVE_FAST, reason="compiled kernel not built")
     def test_compiled_matches_pure(self):
         rng = random.Random(402)
         for _ in range(100):
-            parts = random_scenario_parts(rng)
-            enc = encoded(parts)
+            enc = encode(*random_scenario_parts(rng))
             assert enc.int64_safe
             for measure in MEASURES:
                 # masks make cardinal/normalized well-defined on any
@@ -289,7 +339,7 @@ class TestCountedBounds:
         # it would take one unpack per limb, over 3,000 of them; summed per
         # offer, it takes none
         scenario = parse_scenario(distinct_weights_document(200, 8, 300))
-        _, env, soc = scenario.universe, scenario.environment, scenario.society
+        env, soc = scenario.environment, scenario.society
         unpacks, real = [], kernel_py.struct.Struct
 
         def counting_struct(fmt):
@@ -305,3 +355,110 @@ class TestCountedBounds:
                     for ind in soc.individuals]
         assert (social.nums, social.den) == exact_mean(
             [p.nums for p in profiles], [p.den for p in profiles])
+
+
+#: (document, measure): the plan of its encoding, its kernel rows' paths,
+#: the crisp mean's group counts and the social mean's pseudo row, as
+#: ``(total bits, path)``.  The documents are each benchmark workload's
+#: first at seed 3, and the bundled scenarios.
+PINNED_PLANS = {
+    ("fuzzy-0.json", "fuzzy"): (
+        Plan(16, 64, 57, 171, (), 682), {"packed at 16 bits": 200}, "fuzzy",
+        (995, "per offer")),
+    ("crisp-0.json", "normalized"): (
+        Plan(16, 64, 57, 171, (), 682), {"popcount": 400}, {"folds": 49},
+        (111, "limbs")),
+    ("intake-0.json", "cardinal"): (
+        Plan(16, 64, 58, 174, (1,), 2048), {"popcount": 4000},
+        {"column groups": 1}, (16, "packed at 16 bits")),
+    ("crisp_pair.json", "cardinal"): (
+        Plan(16, 64, 62, 186, (), 8192), {"popcount": 2}, {"folds": 1},
+        (3, "packed at 16 bits")),
+    ("crisp_pair.json", "normalized"): (
+        Plan(16, 64, 62, 186, (), 8192), {"popcount": 2}, {"folds": 2},
+        (3, "packed at 16 bits")),
+    ("crisp_pair.json", "fuzzy"): (
+        Plan(16, 64, 62, 186, (), 8192), {"packed at 16 bits": 2}, "fuzzy",
+        (3, "packed at 16 bits")),
+    ("partial_overlap.json", "cardinal"): (
+        Plan(16, 64, 61, 183, (), 8192), {"popcount": 1}, {"folds": 1},
+        (2, "packed at 16 bits")),
+    ("partial_overlap.json", "normalized"): (
+        Plan(16, 64, 61, 183, (), 8192), {"popcount": 1}, {"folds": 1},
+        (2, "packed at 16 bits")),
+    ("partial_overlap.json", "fuzzy"): (
+        Plan(16, 64, 61, 183, (), 8192), {"packed at 16 bits": 1}, "fuzzy",
+        (2, "packed at 16 bits")),
+    ("weighted_split.json", "fuzzy"): (
+        Plan(16, 64, 61, 183, (), 8192), {"packed at 16 bits": 1}, "fuzzy",
+        (4, "packed at 16 bits")),
+}
+
+
+def pinned_text(name):
+    """The text of a bundled scenario or of a workload's seed-3 document."""
+    path = ROOT / "scenarios" / name
+    if path.exists():
+        return path.read_text(encoding="utf-8")
+    return next(document.text for document in workload_documents(3)
+                if document.name == name)
+
+
+class TestPlan:
+    """``plan`` makes every path choice of the kernel and the mean; each
+    path it allows gives the per-pair measures and ``exact_mean``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(parts=st.integers(1, 5).flatmap(
+        lambda alternatives: weighted_parts(alternatives,
+                                            weights=mixed_weights)),
+           limb=st.integers(1, 61))
+    @example(parts=MIXED_WIDTHS, limb=61)
+    @example(parts=MIXED_WIDTHS, limb=1)
+    def test_every_row_path_gives_the_per_pair_measure(self, parts, limb):
+        enc = encode(*parts)
+        natural = plan(enc, "fuzzy")
+        forced = row_plans(natural, min(limb, natural.limb_bits))
+        for chosen in (natural, *forced.values()):
+            nums = kernel_py._fuzzy_matrix(enc, chosen)
+            assert_fuzzy_matches_reference(parts, nums, enc.totals)
+
+    def test_the_mixed_rows_take_every_path(self):
+        enc = encode(*MIXED_WIDTHS)
+        natural = plan(enc, "fuzzy")
+        bits = [total.bit_length() for total in enc.totals]
+        assert {name: [row_path(chosen, b) for b in bits]
+                for name, chosen in row_plans(natural, 1).items()} == {
+            "packed at 16 bits": ["packed at 16 bits"] + ["per offer"] * 4,
+            "packed at 32 bits": ["packed at 32 bits"] * 2 + ["per offer"] * 3,
+            "packed at 64 bits": ["packed at 64 bits"] * 3 + ["per offer"] * 2,
+            "limbs": ["limbs"] * 5, "per offer": ["per offer"] * 5}
+        assert [row_path(natural, b) for b in bits] == [
+            "packed at 64 bits"] * 3 + ["limbs", "per offer"]
+
+    @pytest.mark.parametrize("name, measure", PINNED_PLANS)
+    def test_pinned_plans(self, monkeypatch, name, measure):
+        scenario = parse_scenario(pinned_text(name))
+        enc = encode(scenario.environment, scenario.society)
+        chosen = plan(enc, measure)
+        if measure == "fuzzy":
+            groups = "fuzzy"
+            rows = Counter(row_path(chosen, total.bit_length())
+                           for total in enc.totals)
+        else:
+            rows, groups = {"popcount": len(enc.totals)}, Counter()
+            sizes = (Counter(enc.totals) if measure == "normalized"
+                     else {1: len(enc.totals)})
+            for total, count in sizes.items():
+                if total in chosen.column_groups:
+                    groups["column groups"] += 1
+                else:
+                    groups["folds"] += -(-count // chosen.fold_supports)
+        pseudo, kernel = [], _core.utility_matrix
+        monkeypatch.setattr(_core, "utility_matrix", lambda enc, measure: (
+            pseudo.append(enc) or kernel(enc, measure)))
+        evaluate(build_process(measure, scenario.environment, scenario.society))
+        (row,) = pseudo
+        bits = row.totals[0].bit_length()
+        pseudo_row = bits, row_path(plan(row, "fuzzy"), bits)
+        assert (chosen, rows, groups, pseudo_row) == PINNED_PLANS[name, measure]

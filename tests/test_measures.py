@@ -26,8 +26,7 @@ from setchoice import (
     parse_scenario,
     utility,
 )
-from setchoice.literals import _plain_number
-from setchoice.scenario_io import format_ratio
+from setchoice.literals import _plain_number, format_ratios
 
 BEYOND_BOUND = ("number literal longer than 1000 characters or with "
                 "|exponent| > 1000")
@@ -224,7 +223,7 @@ class TestConstruction:
         for k in range(1432):
             ending, places = 5 ** k << 3, max(k, 3)
             assert _plain_number(Fraction(1, ending)) == cut(
-                format_ratio(1, ending, places))
+                format_ratios((1,), ending, places)[0])
             assert _plain_number(Fraction(1, 3 * 5 ** k)) == cut(
                 f"1/{3 * 5 ** k}")
 
@@ -433,8 +432,9 @@ class TestStoredWeights:
         assert again == ind
         assert hash(again) == hash(ind)
 
-        body = ", ".join(f"{json.dumps(t)}: {format_ratio(v.numerator, v.denominator, 12)}"
-                         for t, v in weights.items())
+        body = ", ".join(
+            f"{json.dumps(t)}: {format_ratios((v.numerator,), v.denominator, 12)[0]}"
+            for t, v in weights.items())
         text = (f'{{"universe": {json.dumps(list(TOKENS))}, '
                 '"alternatives": [{"id": "x", "offers": ["o0"]}], '
                 f'"individuals": [{{"id": "v", "membership": {{{body}}}}}]}}')
@@ -447,7 +447,7 @@ class TestMeasureProperties:
     def test_ranges(self):
         rng = random.Random(201)
         for _ in range(150):
-            _, env, soc = random_scenario_parts(rng)
+            env, soc = random_scenario_parts(rng)
             for alt in env.alternatives:
                 for ind in soc.individuals:
                     fu = fuzzy_utility(alt, ind)
@@ -516,13 +516,13 @@ class TestMeasureProperties:
     def test_against_elementwise_oracle(self):
         rng = random.Random(207)
         for _ in range(200):
-            u, env, soc = random_scenario_parts(rng)
+            env, soc = random_scenario_parts(rng)
             for alt in env.alternatives:
                 offers = list(alt.offers.members)
                 for ind in soc.individuals:
                     weights = ind.membership
                     assert fuzzy_utility(alt, ind) == oracle_fuzzy(
-                        offers, weights, u.objectives)
+                        offers, weights, env.universe.objectives)
                     if ind.is_crisp:
                         required = list(ind.support)
                         assert cardinal_utility(alt, ind) == oracle_cardinal(

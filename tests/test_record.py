@@ -38,6 +38,7 @@ from setchoice import (
     rank,
 )
 from setchoice._core.encode import EncodedScenario, encode
+from setchoice._core.kernel_py import Plan, plan
 from setchoice._record import Record
 
 U = "Universe(objectives=('a', 'b'))"
@@ -51,23 +52,21 @@ PROCESS = (f"EvaluationProcess(environment={ENV}, society={SOC}, "
 
 
 def parts():
-    """A two-objective universe, its environment and its society."""
+    """An environment and a society over one two-objective universe."""
     u = Universe(("a", "b"))
     env = Environment((Alternative("x", u.subset(["a"])),
                        Alternative("y", u.full())))
     soc = Society((Individual.crisp("p", u, ["a"]),
                    Individual("q", u, {"a": "1/2", "b": "1/4"})))
-    return u, env, soc
+    return env, soc
 
 
 def objective_set():
-    u, _, _ = parts()
-    return ObjectiveSet(u, 1)
+    return ObjectiveSet(parts()[0].universe, 1)
 
 
 def partition():
-    _, env, soc = parts()
-    return partition_universe(env, soc)
+    return partition_universe(*parts())
 
 
 def individual_profile():
@@ -85,35 +84,34 @@ def ranking_tier():
 def ranked_tiers():
     """The tiers ``rank`` builds over ``parts()`` under ``fuzzy``: ``y`` at
     6/6 and ``x`` at 5/6, each over the social denominator 6."""
-    _, env, soc = parts()
+    env, soc = parts()
     return rank(evaluate(build_process("fuzzy", env, soc)),
                 env).tiers
 
 
 def scenario():
-    return Scenario(*parts()[1:])
+    return Scenario(*parts())
 
 
 def process():
-    _, env, soc = parts()
-    return build_process("fuzzy", env, soc)
+    return build_process("fuzzy", *parts())
 
 
 #: (class, factory of an instance, its repr: as the dataclass wrote it,
 #: and ``Individual``'s own)
 RECORDS = [
-    (Universe, lambda: parts()[0], U),
+    (Universe, lambda: parts()[0].universe, U),
     (ObjectiveSet, objective_set, f"ObjectiveSet(universe={U}, mask=1)"),
     (UniversePartition, partition,
      f"UniversePartition(offered_only=ObjectiveSet(universe={U}, mask=0), "
      f"requested_only=ObjectiveSet(universe={U}, mask=0), "
      f"matched=ObjectiveSet(universe={U}, mask=3))"),
-    (Alternative, lambda: parts()[1].alternatives[0],
+    (Alternative, lambda: parts()[0].alternatives[0],
      f"Alternative(id='x', offers=ObjectiveSet(universe={U}, mask=1))"),
-    (Environment, lambda: parts()[1], ENV),
-    (Individual, lambda: parts()[2].individuals[1],
+    (Environment, lambda: parts()[0], ENV),
+    (Individual, lambda: parts()[1].individuals[1],
      "Individual('q', {'a': '1/2', 'b': '1/4'})"),
-    (Society, lambda: parts()[2], SOC),
+    (Society, lambda: parts()[1], SOC),
     (IndividualProfile, individual_profile,
      "IndividualProfile(individual_id='p', nums=(2, 1), den=2, integral=False)"),
     (SocialProfile, social_profile,
@@ -123,7 +121,10 @@ RECORDS = [
     (Ranking, lambda: Ranking((ranking_tier(),)),
      "Ranking(tiers=(RankingTier(value=Fraction(1, 2), ids=('x',)),))"),
     (EvaluationProcess, process, PROCESS),
-    (EncodedScenario, lambda: encode(*parts()[1:]), ENC),
+    (EncodedScenario, lambda: encode(*parts()), ENC),
+    (Plan, lambda: plan(encode(*parts()), "fuzzy"),
+     "Plan(width=16, packed_bits=64, limb_bits=62, limbed_bits=186, "
+     "column_groups=(), fold_supports=8192)"),
     (Finding, lambda: Finding("error", "$", "m"),
      "Finding(severity='error', location='$', message='m')"),
     (ValidationReport, lambda: ValidationReport((Finding("warning", "$.a", "n"),)),
@@ -273,7 +274,7 @@ class TestProcessEquality:
             assert pickled == first and hash(pickled) == hash(first)
 
     def test_hand_made_processes_compare_their_profiles(self):
-        u, env, soc = parts()
+        env, soc = parts()
         def made(last):
             profiles = (IndividualProfile("p", (1, 1)),
                         IndividualProfile("q", (Fraction(2, 3), last)))
@@ -303,7 +304,8 @@ class TestRankedTiers:
 
 class TestCachedProperties:
     def test_each_fills_on_first_read(self):
-        u, env, soc = parts()
+        env, soc = parts()
+        u = env.universe
         lazy = [
             (Society._of(u, soc.ids, soc.masks, soc.weights, soc.scales),
              "individuals"),

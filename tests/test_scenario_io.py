@@ -1,14 +1,13 @@
 import csv
 import gc
-import importlib.util
 import inspect
 import io
 import json
 import random
-import sys
 from fractions import Fraction
 from functools import partial
 
+import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +16,7 @@ from setchoice import (
     Alternative,
     Environment,
     Individual,
+    IndividualProfile,
     ObjectiveSet,
     PipelineResult,
     Ranking,
@@ -28,8 +28,6 @@ from setchoice import (
     UtilityMeasure,
     ValidationReport,
     build_process,
-    format_decimal,
-    format_utility,
     fuzzy_utility,
     individual_profile,
     parse_scenario,
@@ -38,7 +36,7 @@ from setchoice import (
     utility,
     validate_scenario,
 )
-from setchoice._core.encode import encode
+from setchoice._core.encode import EncodedScenario, encode
 from setchoice.cli import main
 from setchoice.measures import _scaled
 from setchoice.scenario_io import (
@@ -50,9 +48,9 @@ from setchoice.scenario_io import (
     _json_text,
     _load,
     _parse,
+    _profile_cells,
     _ranking_section,
     compute_pipeline,
-    format_ratio,
     format_ratios,
     render_ranking,
     render_report,
@@ -65,7 +63,7 @@ from setchoice import universe as universe_module
 from setchoice.universe import token_bits
 
 from _gen import (distinct_weights_document, one_objective_document,
-                  reference_format_decimal)
+                  reference_format_decimal, workload_documents)
 from _golden import EXPECTED_LOCATIONS, INVALID_DIR, ROOT
 
 MINIMAL = '{"universe": ["a"], "alternatives": [{"id": "x", "offers": ["a"]}],' \
@@ -161,7 +159,8 @@ class TestParse:
     @pytest.mark.parametrize("owner, name", [
         (Universe, "size"), (Environment, "size"), (Society, "size"),
         (Scenario, "objective_count"), (Scenario, "alternative_count"),
-        (Scenario, "individual_count")])
+        (Scenario, "individual_count"), (EncodedScenario, "alternative_count"),
+        (EncodedScenario, "individual_count")])
     def test_sizes_are_read_by_len_alone(self, owner, name):
         assert not hasattr(owner, name)
 
@@ -1208,17 +1207,6 @@ def hooked(text: str):
         return decoded(text)
 
 
-def workload_documents(seed: int) -> list:
-    """The benchmark's documents of ``seed``, from every workload."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses looks its module up
-    spec.loader.exec_module(workloads)
-    return [document for name in workloads.WORKLOADS
-            for document in workloads.generate(name, seed)]
-
-
 class TestRepeatedKeys:
     """``_load`` certifies the absence of repeated keys by one colon count,
     and decodes a second time with ``_pairs_hook`` only when the count
@@ -1435,24 +1423,18 @@ class TestNumberFormatting:
         (Fraction(7, 2), 0, "4"),
         (Fraction(125, 1000), 2, "0.12"),
         (Fraction(375, 1000), 2, "0.38"),
-        # a float is the decimal literal it prints as, as in to_fraction
-        (2.675, 2, "2.68"),
-        (0.125, 2, "0.12"),
-        (1.015, 2, "1.02"),
-        (0.1, 20, "0.10000000000000000000"),
-        (-0.5, 0, "0"),
-        (1e-7, 8, "0.00000010"),
-        (3, 2, "3.00"),
+        (Fraction("2.675"), 2, "2.68"),
+        (Fraction("0.125"), 2, "0.12"),
+        (Fraction("1.015"), 2, "1.02"),
+        (Fraction("0.1"), 20, "0.10000000000000000000"),
+        (Fraction("-0.5"), 0, "0"),
+        (Fraction("1e-7"), 8, "0.00000010"),
+        (Fraction(3), 2, "3.00"),
     ])
     def test_format_decimal(self, value, digits, expected):
-        assert format_decimal(value, digits) == expected
-
-    @pytest.mark.parametrize("value", [True, False])
-    def test_format_decimal_rejects_booleans(self, value):
-        with pytest.raises(TypeError):
-            format_decimal(value)
-        with pytest.raises(TypeError):
-            format_utility(value)
+        assert reference_format_decimal(value, digits) == expected
+        assert format_ratios((value.numerator,), value.denominator,
+                             digits) == [expected]
 
     @settings(max_examples=400, deadline=None)
     @given(num=st.integers(-10 ** 40, 10 ** 40), den=st.integers(1, 10 ** 30),
@@ -1462,8 +1444,7 @@ class TestNumberFormatting:
         if tie:  # an exact half one place past the last digit, unreduced
             num, den = (2 * num + 1) * den, 2 * 10 ** digits * den
         expected = reference_format_decimal(Fraction(num, den), digits)
-        assert format_ratio(num, den, digits) == expected
-        assert format_decimal(Fraction(num, den), digits) == expected
+        assert format_ratios((num,), den, digits) == [expected]
 
     @settings(max_examples=400, deadline=None)
     @given(base=st.integers(1, 10 ** 20), digits=st.integers(0, 18),
@@ -1479,7 +1460,6 @@ class TestNumberFormatting:
         nums = [(2 * k + 1) * base if tie else k for k, tie in cells]
         expected = [exactly_rounded(num, den, digits) for num in nums]
         assert format_ratios(nums, den, digits) == expected
-        assert [format_ratio(num, den, digits) for num in nums] == expected
 
     @pytest.mark.parametrize("nums,den,digits,expected", [
         ((0, 1, 2, 3, 4), 4, 2, ["0.00", "0.25", "0.50", "0.75", "1.00"]),
@@ -1490,10 +1470,14 @@ class TestNumberFormatting:
     def test_row_formatter_cases(self, nums, den, digits, expected):
         assert format_ratios(nums, den, digits) == expected
 
-    def test_format_utility_keeps_counts_integral(self):
-        assert format_utility(3) == "3"
-        assert format_utility(Fraction(3, 2), 2) == "1.50"
-        assert format_utility(0.25, 2) == "0.25"
+    def test_profile_cells_keep_counts_integral(self):
+        def cells(nums, den, integral):
+            profile = IndividualProfile.from_row("p", nums, den, integral)
+            return _profile_cells(profile, 2)
+
+        assert cells((3,), 1, True) == ["3"]
+        assert cells((3, 1), 2, False) == ["1.50", "0.50"]
+        assert cells((1,), 4, False) == ["0.25"]
 
 
 class TestRendering:
@@ -1645,7 +1629,8 @@ class TestWritersMatchLibraryOracles:
     @settings(max_examples=300, deadline=None)
     @given(doc=scenario_documents(), measure=st.sampled_from(list(UtilityMeasure)),
            precision=st.integers(0, 18))
-    def test_tier_utilities_equal_format_utility(self, doc, measure, precision):
+    def test_tier_utilities_equal_the_reference_rounding(self, doc, measure,
+                                                         precision):
         if measure is not UtilityMeasure.FUZZY:
             doc["individuals"] = [
                 {"id": e["id"], "requires": e.get("requires")
@@ -1653,7 +1638,8 @@ class TestWritersMatchLibraryOracles:
                 for e in doc["individuals"]]
         result = compute_pipeline(parse_scenario(json.dumps(doc)), measure)
         assert [tier["utility"] for tier in _ranking_section(result, precision)] == [
-            format_utility(tier.value, precision) for tier in result.ranking.tiers]
+            reference_format_decimal(tier.value, precision)
+            for tier in result.ranking.tiers]
 
     def test_tier_utilities_read_the_tiers_alone(self):
         # tiers over unrelated denominators, not from the result's social row
@@ -1728,9 +1714,50 @@ class TestWritersMatchLibraryOracles:
             indent=2) + "\n"
 
 
+SCHEMA = json.loads((ROOT / "schema" / "scenario.schema.json").read_text())
+
+
 @pytest.mark.parametrize("name", ["crisp_pair.json", "weighted_split.json",
                                   "partial_overlap.json"])
 def test_bundled_scenarios_match_schema(name):
-    jsonschema = pytest.importorskip("jsonschema")
-    schema = json.loads((ROOT / "schema" / "scenario.schema.json").read_text())
-    jsonschema.validate(json.loads(bundled(name)), schema)
+    jsonschema.validate(json.loads(bundled(name)), SCHEMA)
+
+
+class TestSchemaHoldsToTheParser:
+    """``schema/scenario.schema.json`` holds the structural rules of the
+    file format: every document the parser accepts is valid under it, and
+    the referential rules are the parser's alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=scenario_documents().map(json.dumps) | mutated_scenarios())
+    def test_every_accepted_document_is_schema_valid(self, text):
+        if isinstance(parse_scenario(text), Scenario):
+            jsonschema.validate(json.loads(text), SCHEMA)
+
+    @pytest.mark.parametrize("entries, finding", [
+        ({"alternatives": [{"id": "x", "offers": ["zz"]}]},
+         ("alternatives[0].offers[0]", "unknown objective 'zz'")),
+        ({"alternatives": [{"id": "x", "offers": ["a"]},
+                           {"id": "x", "offers": ["b"]}]},
+         ("alternatives[1].id", "duplicate alternative id 'x'")),
+        ({"individuals": [{"id": "p", "requires": ["a"]},
+                          {"id": "p", "requires": ["b"]}]},
+         ("individuals[1].id", "duplicate individual id 'p'")),
+        ({"individuals": [{"id": "p", "membership": {"a": 0, "b": 0}}]},
+         ("individuals[0].membership",
+          "empty support: no objective has positive weight")),
+        ({"individuals": [{"id": "p", "membership": {"a": "LONG"}}]},
+         ("$", "invalid JSON: number literal longer than 1000 characters "
+               "or with |exponent| > 1000")),
+    ], ids=["undeclared objective", "duplicate alternative id",
+            "duplicate individual id", "all-zero membership",
+            "weight beyond the number bound"])
+    def test_rules_only_the_parser_enforces(self, entries, finding):
+        doc = {"universe": ["a", "b"],
+               "alternatives": [{"id": "x", "offers": ["a"]}],
+               "individuals": [{"id": "p", "requires": ["a"]}], **entries}
+        # a weight in [0, 1] spelled with 1,003 characters
+        text = json.dumps(doc).replace('"LONG"', "0." + "0" * 1000 + "1")
+        jsonschema.validate(json.loads(text), SCHEMA)
+        report = parse_scenario(text)
+        assert [(f.location, f.message) for f in report.errors] == [finding]

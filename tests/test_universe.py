@@ -344,21 +344,22 @@ class TestProperties:
     def test_subset_of_declared_universe(self):
         rng = random.Random(101)
         for _ in range(150):
-            u, env, soc = random_scenario_parts(rng, max_universe=12)
-            assert opportunity_universe(env).members <= set(u.objectives)
-            assert exigence_universe(soc).members <= set(u.objectives)
+            env, soc = random_scenario_parts(rng, max_universe=12)
+            declared = set(env.universe.objectives)
+            assert opportunity_universe(env).members <= declared
+            assert exigence_universe(soc).members <= declared
 
     def test_partition_disjoint_and_covering(self):
         rng = random.Random(102)
         for _ in range(150):
-            u, env, soc = random_scenario_parts(rng, max_universe=12)
+            env, soc = random_scenario_parts(rng, max_universe=12)
             part = partition_universe(env, soc)
             a, b, c = (part.offered_only.members, part.requested_only.members,
                        part.matched.members)
             assert not (a & b) and not (a & c) and not (b & c)
             union = a | b | c
             # brute-force membership scan over the declared universe
-            for token in u.objectives:
+            for token in env.universe.objectives:
                 offered = token in opportunity_universe(env).members
                 requested = token in exigence_universe(soc).members
                 assert (token in union) == (offered or requested)
@@ -383,8 +384,8 @@ class TestProperties:
     def test_results_in_declaration_order(self):
         rng = random.Random(104)
         for _ in range(100):
-            u, env, soc = random_scenario_parts(rng)
+            env, soc = random_scenario_parts(rng)
             for result in (opportunity_universe(env), exigence_universe(soc)):
                 ordered = result.ordered()
-                positions = [u.position(t) for t in ordered]
+                positions = [env.universe.position(t) for t in ordered]
                 assert positions == sorted(positions)
