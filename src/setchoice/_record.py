@@ -13,7 +13,8 @@ importing a record class generates and compiles no code.
 ``Record._of(*values, **extra)`` is the one unchecked constructor: it
 stores ``values`` in field order and ``extra`` attributes by name, as
 given, with no argument parsing and no ``__post_init__``, for a caller
-that has already checked them (the parser, ``build_process``).
+that has already checked them (the parser, and the ``alternatives`` and
+``individuals`` an environment and a society build from their columns).
 
 A subclass may define ``__init__``, ``__eq__`` or ``__hash__`` of its own;
 such an ``__init__`` fills ``self.__dict__`` directly.  A

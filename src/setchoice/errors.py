@@ -11,7 +11,8 @@ class ScenarioError(ValueError):
 
 
 class LengthMismatch(ScenarioError):
-    """A profile's length disagrees with the environment it is applied to."""
+    """A social profile's length disagrees with the environment ``rank``
+    orders it over."""
 
 
 class MeasureError(Exception):

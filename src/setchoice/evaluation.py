@@ -1,46 +1,45 @@
 """Individual profiles, social aggregation, and ranking.
 
+A process is the record ``(environment, society, measure)``.  Its
+constructor, which ``build_process`` calls, refuses an environment and a
+society over different universes and checks each individual, over the
+society's ``masks`` and ``scales`` columns, against the measure's domain
+rules, the ones the per-pair functions apply (``cardinal`` and
+``normalized`` need a crisp individual with a non-empty support, ``fuzzy``
+a non-empty support; the first failing individual in society order is
+reported at the first alternative, as the per-pair path would report it).
+Everything else is derived on first read: the kernel ``encoding``, then
+the ``profiles``.  Every step reads the columns of the society and the
+environment (their ``ids``, ``masks``, weight rows and scales), so a
+process builds no ``Individual`` and no ``Alternative``.
+
 A profile is one individual's utility vector over the environment's
 alternatives, in environment order.  Every utility of one individual is a
 ratio over one denominator T_i (the support size for ``normalized``, the
 scaled weight total for ``fuzzy``, 1 for ``cardinal``), so a profile is
 held as an integer numerator row over that one positive denominator,
-exactly as the kernel returns it.  A process bundles environment,
-society, the profiles and the measure; its universe is the one the
-environment and the society hold, and ``build_process`` refuses two that
-use different universes.  Every step reads the columns
-of the society and the environment (their ``ids``, ``masks``, weight rows
-and scales), so a kernel-built process builds no ``Individual`` and no
-``Alternative``.  ``build_process`` checks each individual, over the
-``masks`` and ``scales`` columns, against the measure's domain rules,
-the ones the per-pair functions apply (``cardinal`` and ``normalized``
-need a crisp individual with a non-empty support, ``fuzzy`` a non-empty
-support; the first failing individual in society order is reported at
-the first alternative, as the per-pair path would report it), and keeps
-the kernel encoding; the N x M kernel matrix and the profiles are built
-on the first read of ``profiles``.
+exactly as the kernel returns it.
 
 The social profile is the exact mean of the profiles, column by column,
 held the same way: one integer numerator per alternative over one
-denominator.  The mean of a kernel-built process needs no rows: it is
-linear in each individual's weights, so with L the lcm of the T_i and
-``W[p] = sum_i w_i[p] * L / T_i`` the social numerator of alternative m
-is the sum of W over m's offer, over ``L * N``.  That is the kernel row
-of one pseudo-individual with weights W, so ``rank`` builds no profile
-and runs no N x M matrix.  For the crisp measures W[p] is, over the
-groups of equal T_i, L / T_i times the number of the group's supports
-holding p; ``universe.packed_counts`` counts a group in folds of packed
-16-bit fields, and a tall group over a narrow universe takes the
-popcounts of its ``bit_columns`` instead, as ``_core.plan`` chooses.  A
-hand-built process takes ``exact_mean`` over every row, which is the
-mean's definition.
+denominator.  ``exact_mean`` is its definition, over any rows.
+``evaluate`` needs no rows: the mean is linear in each individual's
+weights, so with L the lcm of the T_i and ``W[p] = sum_i w_i[p] * L / T_i``
+the social numerator of alternative m is the sum of W over m's offer, over
+``L * N``.  That is the kernel row of one pseudo-individual with weights W,
+so neither ``evaluate`` nor ``rank`` builds a profile or runs an N x M
+matrix.  For the crisp measures W[p] is, over the groups of equal T_i,
+L / T_i times the number of the group's supports holding p;
+``universe.packed_counts`` counts a group in folds of packed 16-bit
+fields, and a tall group over a narrow universe takes the popcounts of its
+``bit_columns`` instead, as ``_core.plan`` chooses.
 
 A ``Fraction`` is built only for a profile's or the social profile's
 ``values``, or a ranking tier's ``value``, when a caller reads them:
 ranking groups equal numerators, and each tier keeps its social numerator
 over the profile's one denominator.  The per-pair functions in
 :mod:`setchoice.measures` are the semantic reference for the kernel, and
-the two are held equal by the test suite.
+``exact_mean`` for the mean; the test suite holds each path equal to them.
 """
 
 from __future__ import annotations
@@ -56,8 +55,7 @@ from . import _core
 from ._core.encode import EncodedScenario
 from ._core.kernel_py import Plan
 from ._record import Record
-from .errors import LengthMismatch, MeasureError, ScenarioError
-from .literals import _quoted_id
+from .errors import LengthMismatch, MeasureError
 from .measures import (
     Environment,
     Individual,
@@ -171,48 +169,44 @@ def exact_mean(rows: Sequence[Sequence[int]],
 
 
 class EvaluationProcess(Record):
-    """Environment, society and one profile per individual, under one
-    measure.
+    """One measure applied to an environment and a society over one
+    universe.
 
-    ``EvaluationProcess(environment, society, profiles, measure)`` checks
-    hand-made profiles against the society and the environment; its
-    ``encoding`` is None.  ``build_process`` keeps the kernel ``encoding``
-    instead, and ``profiles`` are computed from it on first read.
-    Processes compare and hash by their fields, as every record does; a
-    hand-made process also compares its profiles.
+    ``EvaluationProcess(environment, society, measure)`` coerces
+    ``measure`` to a ``UtilityMeasure`` and refuses what ``build_process``
+    refuses (see the module docstring).  The kernel ``encoding`` and the
+    ``profiles`` are built on first read; a process compares and hashes by
+    its three fields.
     """
 
     environment: Environment
     society: Society
     measure: UtilityMeasure
-    encoding: EncodedScenario | None
 
-    def __init__(self, environment: Environment, society: Society,
-                 profiles: Sequence[IndividualProfile],
-                 measure: UtilityMeasure):
-        profiles = tuple(profiles)
-        if len(profiles) != len(society):
-            raise LengthMismatch("one profile per individual is required")
-        for profile, individual_id in zip(profiles, society.ids):
-            if profile.individual_id != individual_id:
-                raise ScenarioError(
-                    f"profile order disagrees with society order at "
-                    f"{_quoted_id(profile.individual_id)}")
-            if len(profile) != len(environment):
-                raise LengthMismatch(
-                    f"profile of {_quoted_id(profile.individual_id)} has "
-                    f"{len(profile)} values for {len(environment)} "
-                    "alternatives")
-        # frozen: fill the instance dict directly, ``profiles`` included
-        self.__dict__.update(environment=environment, society=society,
-                             measure=measure, encoding=None,
-                             profiles=profiles)
+    def __post_init__(self):
+        # frozen: fill the instance dict directly
+        measure = self.__dict__["measure"] = UtilityMeasure(self.measure)
+        environment, society = self.environment, self.society
+        _check_shared(environment, society)
+        # _check_domain's rules as two C-level passes over the columns: every
+        # support is non-empty and, for the crisp measures, every scale is 1
+        scales = society.scales
+        if all(society.masks) and (measure is UtilityMeasure.FUZZY
+                                   or scales.count(1) == len(scales)):
+            return
+        # Surface the first failure exactly where the sequential per-pair
+        # path would: at the first alternative.
+        first = environment.ids[0]
+        for individual in society.individuals:
+            try:
+                _check_domain(measure, individual)
+            except MeasureError as err:
+                raise err.with_context(individual_id=individual.id,
+                                       alternative_id=first) from None
 
-    def _values(self) -> tuple:
-        # a kernel-built process's profiles follow from its encoding
-        if self.encoding is None:
-            return super()._values() + (self.profiles,)
-        return super()._values()
+    @cached_property
+    def encoding(self) -> EncodedScenario:
+        return _core.encode(self.environment, self.society)
 
     @cached_property
     def profiles(self) -> tuple[IndividualProfile, ...]:
@@ -286,36 +280,12 @@ def individual_profile(measure: UtilityMeasure | str, environment: Environment,
     return IndividualProfile(individual.id, tuple(values))
 
 
-def _precheck(measure: UtilityMeasure, society: Society,
-              environment: Environment) -> None:
-    # _check_domain's rules as two C-level passes over the columns: every
-    # support is non-empty and, for the crisp measures, every scale is 1
-    scales = society.scales
-    if all(society.masks) and (measure is UtilityMeasure.FUZZY
-                               or scales.count(1) == len(scales)):
-        return
-    # Surface the first failure exactly where the sequential per-pair path
-    # would: at the first alternative.
-    first = environment.ids[0]
-    for individual in society.individuals:
-        try:
-            _check_domain(measure, individual)
-        except MeasureError as err:
-            raise err.with_context(individual_id=individual.id,
-                                   alternative_id=first) from None
-
-
 def build_process(measure: UtilityMeasure | str, environment: Environment,
                   society: Society) -> EvaluationProcess:
-    """Check that the environment and the society use one universe and
-    every individual the measure's domain, encode the scenario for the
-    kernel, and bundle the evaluation process; the profiles are computed
-    on first read."""
-    measure = UtilityMeasure(measure)
-    _check_shared(environment, society)
-    _precheck(measure, society, environment)
-    enc = _core.encode(environment, society)
-    return EvaluationProcess._of(environment, society, measure, enc)
+    """The checked evaluation process of ``measure`` over the environment
+    and the society; the encoding and the profiles are built on first
+    read."""
+    return EvaluationProcess(environment, society, measure)
 
 
 def _pseudo_weights(measure: UtilityMeasure, enc: EncodedScenario,
@@ -413,26 +383,18 @@ def _shares_two(supports: Sequence[int], offers: Sequence[int],
 
 
 def evaluate(process: EvaluationProcess) -> SocialProfile:
-    """The exact mean of the individual profiles per alternative; flag any
-    utility outside [0, 1].
+    """The exact mean of the individual profiles per alternative, as
+    ``_mean_row`` computes it from the encoding, building no profile; flag
+    any utility outside [0, 1].
 
-    A kernel-built process takes ``_mean_row`` and builds no profile; a
-    hand-built one takes ``exact_mean`` over its rows.  Kernel rows of
-    ``normalized`` and ``fuzzy`` never leave [0, 1]; a ``cardinal`` count
-    does exactly when an individual shares two or more objectives with an
-    alternative.
+    Kernel rows of ``normalized`` and ``fuzzy`` never leave [0, 1]; a
+    ``cardinal`` count does exactly when an individual shares two or more
+    objectives with an alternative.
     """
     enc, measure = process.encoding, process.measure
-    if enc is not None:
-        nums, den = _mean_row(measure, enc, _core.plan(enc, measure))
-        out_of_domain = (measure is UtilityMeasure.CARDINAL and _shares_two(
-            enc.support_masks, enc.offer_masks, enc.objective_count))
-    else:
-        rows = [profile.nums for profile in process.profiles]
-        dens = [profile.den for profile in process.profiles]
-        out_of_domain = any(row and (min(row) < 0 or max(row) > den)
-                            for row, den in zip(rows, dens))
-        nums, den = exact_mean(rows, dens)
+    nums, den = _mean_row(measure, enc, _core.plan(enc, measure))
+    out_of_domain = (measure is UtilityMeasure.CARDINAL and _shares_two(
+        enc.support_masks, enc.offer_masks, enc.objective_count))
     return SocialProfile(nums, den, out_of_domain)
 
 

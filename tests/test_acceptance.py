@@ -32,7 +32,7 @@ from setchoice import (
     exigence_universe,
     opportunity_universe,
 )
-from setchoice.evaluation import EvaluationProcess, IndividualProfile
+from setchoice.evaluation import SocialProfile, exact_mean
 
 from _gen import (
     oracle_cardinal,
@@ -218,13 +218,10 @@ class TestC4Properties:
             process = build_process("fuzzy", env, soc)
             base = evaluate(process)
             scale = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-            scaled = EvaluationProcess(
-                env, soc,
-                tuple(IndividualProfile(p.individual_id,
-                                        tuple(v * scale for v in p.values))
-                      for p in process.profiles),
-                process.measure)
-            scaled_social = evaluate(scaled)
+            scaled_social = SocialProfile(*exact_mean(
+                [[num * scale.numerator for num in p.nums]
+                 for p in process.profiles],
+                [p.den * scale.denominator for p in process.profiles]))
             assert scaled_social.values == tuple(v * scale for v in base.values)
             assert ([t.ids for t in rank(base, env).tiers]
                     == [t.ids for t in rank(scaled_social, env).tiers])

@@ -264,14 +264,46 @@ class TestBuildProcess:
     def test_profiles_are_built_on_first_read(self, reference):
         env, soc = reference
         process = build_process("cardinal", env, soc)
-        assert process.encoding == encode(env, soc)
+        assert "encoding" not in vars(process)
         assert "profiles" not in vars(process)
+        assert process.encoding == encode(env, soc)
+        assert process.encoding is process.encoding
         profiles = process.profiles
         assert process.profiles is profiles
         assert [p.values for p in profiles] == [(1,), (3,)]
-        hand_made = EvaluationProcess(env, soc, profiles, process.measure)
-        assert hand_made.encoding is None
-        assert hand_made.profiles == profiles
+
+    def test_a_process_is_its_environment_society_and_measure(self,
+                                                             reference):
+        env, soc = reference
+        assert EvaluationProcess._fields == ("environment", "society",
+                                             "measure")
+        made = EvaluationProcess(env, soc, "fuzzy")
+        assert made.measure is UtilityMeasure.FUZZY
+        assert made == build_process("fuzzy", env, soc)
+        assert EvaluationProcess(society=soc, measure="fuzzy",
+                                 environment=env) == made
+
+    @pytest.mark.parametrize("measure", ["cardinal", "normalized"])
+    def test_the_constructor_refuses_what_build_process_refuses(
+            self, greek, measure):
+        env = Environment((Alternative("first", greek.subset(["alpha"])),))
+        soc = Society((Individual.crisp("c", greek, ["alpha"]),
+                       Individual("w", greek, {"alpha": 0.5})))
+        other = Universe(("alpha", "beta", "gamma", "delta"))
+        foreign = Society((Individual.crisp("p", other, ["alpha"]),))
+        for society, error in ((foreign, ScenarioError),
+                               (soc, NonCrispIndividual)):
+            with pytest.raises(error) as built:
+                build_process(measure, env, society)
+            with pytest.raises(error) as made:
+                EvaluationProcess(env, society, measure)
+            assert type(made.value) is type(built.value)
+            assert str(made.value) == str(built.value)
+            for context in ("individual_id", "alternative_id"):
+                assert (getattr(made.value, context, None)
+                        == getattr(built.value, context, None))
+        assert (made.value.individual_id, made.value.alternative_id) == (
+            "w", "first")
 
     def test_universe_mismatch_rejected(self, reference):
         env, soc = reference
@@ -282,36 +314,6 @@ class TestBuildProcess:
             with pytest.raises(ScenarioError) as exc:
                 build_process("fuzzy", environment, society)
             assert str(exc.value) == "environment and society use different universes"
-
-    def test_process_invariants(self, reference):
-        env, soc = reference
-        good = build_process("normalized", env, soc)
-        with pytest.raises(LengthMismatch):
-            EvaluationProcess(env, soc, good.profiles[:1], good.measure)
-        short = IndividualProfile("p", ())
-        with pytest.raises(LengthMismatch):
-            EvaluationProcess(env, soc, (short, good.profiles[1]),
-                              good.measure)
-
-    @pytest.mark.parametrize("length", [40, 5000])
-    def test_profile_ids_are_quoted_briefly(self, greek, length):
-        def shown(text):
-            return (f"'{text}'" if len(text) <= 40
-                    else f"'{text[:40]}'... ({len(text)} characters)")
-        name, stray = "p" * length, "q" * length
-        env = Environment((Alternative("m", greek.subset(["alpha"])),))
-        soc = Society((Individual.crisp(name, greek, ["alpha"]),))
-        good = build_process("cardinal", env, soc)
-        for profiles, message in [
-            ((IndividualProfile(stray, (1,)),),
-             f"profile order disagrees with society order at {shown(stray)}"),
-            ((IndividualProfile(name, ()),),
-             f"profile of {shown(name)} has 0 values for 1 alternatives"),
-        ]:
-            with pytest.raises(ScenarioError) as exc:
-                EvaluationProcess(env, soc, profiles, good.measure)
-            assert str(exc.value) == message
-            assert len(str(exc.value)) < 200
 
 
 class TestEvaluate:
@@ -582,9 +584,14 @@ class TestKernelCalls:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Row counts of every kernel call, and the profiles built."""
-        seen = {"rows": [], "profiles": 0}
-        kernel = _core.utility_matrix
+        """Row counts of every kernel call, the profiles built and the
+        scenarios encoded."""
+        seen = {"rows": [], "profiles": 0, "encodes": 0}
+        kernel, encoder = _core.utility_matrix, _core.encode
+
+        def counting_encode(environment, society):
+            seen["encodes"] += 1
+            return encoder(environment, society)
 
         def counting_kernel(enc, measure):
             seen["rows"].append(len(enc.support_masks))
@@ -601,6 +608,7 @@ class TestKernelCalls:
             init(self, *args)
 
         monkeypatch.setattr(_core, "utility_matrix", counting_kernel)
+        monkeypatch.setattr(_core, "encode", counting_encode)
         monkeypatch.setattr(IndividualProfile, "from_row",
                             classmethod(counting_from_row))
         monkeypatch.setattr(IndividualProfile, "__init__", counting_init)
@@ -632,14 +640,22 @@ class TestKernelCalls:
         assert calls["rows"].count(12) == 1
         assert calls["profiles"] == 12
 
+    def test_a_report_encodes_the_scenario_once(self, calls, scenario):
+        measure, scenario = scenario
+        result = compute_pipeline(scenario, measure)
+        for output_format in ("table", "json", "csv"):
+            render_report(result, output_format)
+        assert calls["encodes"] == 1
+
 
 class TestAggregators:
     @pytest.mark.parametrize("measure", MEASURES)
-    def test_hand_built_process_matches_the_kernel_path(self, measure,
-                                                        reference):
-        """``exact_mean`` over a hand-built process's rows equals
-        ``_mean_row`` on the kernel-built one, out-of-domain flag included
-        (the reference scenario's cardinal count of 3 is out of domain)."""
+    def test_the_mean_of_the_profiles_matches_the_kernel_path(self, measure,
+                                                              reference):
+        """``exact_mean`` over a process's profile rows, with the per-cell
+        scan for a utility outside [0, 1], equals ``evaluate``, which reads
+        no row (the reference scenario's cardinal count of 3 is out of
+        domain)."""
         rng = random.Random(306)
         cases = [reference, *(random_scenario_parts(rng, crisp=measure != "fuzzy")
                               for _ in range(40))]
@@ -648,12 +664,15 @@ class TestAggregators:
         flagged = []
         for env, soc in cases:
             process = build_process(measure, env, soc)
-            hand_built = EvaluationProcess(env, soc, process.profiles, measure)
-            assert hand_built.encoding is None
-            kernel, rows = evaluate(process), evaluate(hand_built)
-            assert (rows.nums, rows.den, rows.out_of_domain) == (
-                kernel.nums, kernel.den, kernel.out_of_domain)
-            flagged.append(kernel.out_of_domain)
+            social = evaluate(process)
+            assert "profiles" not in vars(process)
+            rows = [profile.nums for profile in process.profiles]
+            dens = [profile.den for profile in process.profiles]
+            out_of_domain = any(min(row) < 0 or max(row) > den
+                                for row, den in zip(rows, dens))
+            assert (*exact_mean(rows, dens), out_of_domain) == (
+                social.nums, social.den, social.out_of_domain)
+            flagged.append(social.out_of_domain)
         assert flagged[0] == (measure == "cardinal")
 
     def test_the_aggregator_registry_is_gone(self):
@@ -731,13 +750,10 @@ class TestRank:
             process = build_process("fuzzy", env, soc)
             base = evaluate(process)
             scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            scaled_profiles = tuple(
-                IndividualProfile(p.individual_id,
-                                  tuple(v * scale for v in p.values))
-                for p in process.profiles)
-            scaled_process = EvaluationProcess(env, soc, scaled_profiles,
-                                               process.measure)
-            scaled = evaluate(scaled_process)
+            scaled = SocialProfile(*exact_mean(
+                [[num * scale.numerator for num in p.nums]
+                 for p in process.profiles],
+                [p.den * scale.denominator for p in process.profiles]))
             assert scaled.values == tuple(v * scale for v in base.values)
             assert ([t.ids for t in rank(base, env).tiers]
                     == [t.ids for t in rank(scaled, env).tiers])

@@ -48,7 +48,7 @@ SOC = (f"Society(universe={U}, ids=('p', 'q'), masks=(1, 3), "
 ENC = ("EncodedScenario(objective_count=2, offer_masks=(1, 3), "
        "support_masks=(1, 3), support_weights=((1,), (2, 1)), totals=(1, 3))")
 PROCESS = (f"EvaluationProcess(environment={ENV}, society={SOC}, "
-           f"measure=<UtilityMeasure.FUZZY: 'fuzzy'>, encoding={ENC})")
+           "measure=<UtilityMeasure.FUZZY: 'fuzzy'>)")
 
 
 def parts():
@@ -272,17 +272,6 @@ class TestProcessEquality:
             assert first.process is not second.process
             pickled = pickle.loads(pickle.dumps(first))
             assert pickled == first and hash(pickled) == hash(first)
-
-    def test_hand_made_processes_compare_their_profiles(self):
-        env, soc = parts()
-        def made(last):
-            profiles = (IndividualProfile("p", (1, 1)),
-                        IndividualProfile("q", (Fraction(2, 3), last)))
-            return EvaluationProcess(env, soc, profiles, UtilityMeasure.FUZZY)
-
-        assert made(Fraction(1)) == made(Fraction(1))
-        assert hash(made(Fraction(1))) == hash(made(Fraction(1)))
-        assert made(Fraction(1)) != made(Fraction(1, 2))
 
 
 class TestRankedTiers:
