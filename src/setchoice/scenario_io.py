@@ -184,48 +184,25 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name}")
 
 
-def _instances(values, kind) -> list:
-    """The members of ``values`` of the type ``kind``, in order."""
+def _dicts(values) -> list[dict]:
+    """The dicts among ``values``, in order."""
     values = list(values)
-    return list(compress(values, map(isinstance, values, repeat(kind))))
+    return list(compress(values, map(isinstance, values, repeat(dict))))
 
 
-def _no_repeated_keys(text: str, doc) -> bool:
-    """Whether the colons of ``text`` show that its first decode ``doc``
-    lost no repeated key.
-
-    Each colon outside a string separates a key from its value, so the
-    colons equal the keys of the dicts ``doc`` holds where a scenario holds
-    them (the document, its alternatives' and individuals' entries, and
-    their memberships) only when those dicts lost no key and no other dict
-    is there.  Unless ``text`` holds a ``\\u`` escape, which makes a colon
-    only once decoded, the colons inside the strings where a scenario holds
-    its tokens and ids (the universe, each entry's id, offers and requires,
-    and the membership keys), each place read once, are taken from the
-    count first.  Every pass is C-level and skips non-strings.
-    """
+def _scenario_keys(doc) -> int:
+    """The number of keys of the dicts ``doc`` holds where a scenario holds
+    them: the document, each entry of its alternatives and individuals, and
+    each entry's membership.  Each dict is counted once, so the number is
+    never above the key/value pairs, and so the colons, of the text."""
     if not isinstance(doc, dict):
-        return ":" not in text
-    entries = _instances(chain.from_iterable(
+        return 0
+    entries = _dicts(chain.from_iterable(
         section for section in (doc.get("alternatives"), doc.get("individuals"))
-        if isinstance(section, list)), dict)
-    memberships = _instances(filter(None, map(dict.get, entries,
-                                              repeat("membership"))), dict)
-    unexplained = (text.count(":") - len(doc) - sum(map(len, entries))
-                   - sum(map(len, memberships)))
-    if unexplained and "\\u" not in text:
-        lists = _instances(chain(
-            (doc.get("universe"),), map(dict.get, entries, repeat("offers")),
-            map(dict.get, entries, repeat("requires"))), list)
-        strings = list(chain(map(dict.get, entries, repeat("id")),
-                             chain.from_iterable(lists),
-                             chain.from_iterable(memberships)))
-        try:
-            joined = "".join(strings)
-        except TypeError:  # a non-string among them: an invalid file
-            joined = "".join(_instances(strings, str))
-        unexplained -= joined.count(":")
-    return not unexplained
+        if isinstance(section, list)))
+    memberships = _dicts(filter(None, map(dict.get, entries,
+                                          repeat("membership"))))
+    return len(doc) + sum(map(len, entries)) + sum(map(len, memberships))
 
 
 def _load(text: str):
@@ -235,9 +212,10 @@ def _load(text: str):
     any other as an ``int`` or a ``Decimal``.
 
     The first decode keeps the last value of a repeated key; the decode
-    with ``_pairs_hook`` runs only when ``_no_repeated_keys`` cannot clear
-    that document, or when the first decode raises, and it raises or
-    returns exactly as a single decode with the hook would."""
+    with ``_pairs_hook`` runs only when the colon count of ``text`` differs
+    from ``_scenario_keys`` of that document, or when the first decode
+    raises, and it raises or returns exactly as a single decode with the
+    hook would."""
     def memo(read):
         def value(literal):
             number = read(_bounded(literal))
@@ -250,7 +228,7 @@ def _load(text: str):
     except (ValueError, RecursionError):
         pass
     else:
-        if _no_repeated_keys(text, doc):
+        if text.count(":") == _scenario_keys(doc):
             return doc
         del doc  # freed before the second document is built
     return decode(object_pairs_hook=_pairs_hook)
